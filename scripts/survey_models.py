@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Survey the bundled models: run every applicable check on each one
-and print a residual summary table.
+"""Survey the bundled models: run the ``algebroids report-all`` plan on
+each one and print a residual summary table.
 
 Usage: python scripts/survey_models.py [--points N] [--seed N]
 """
@@ -11,9 +11,8 @@ import sys
 import time
 from dataclasses import replace
 
-from algebroids import LegendrePair, load_model
+from algebroids import load_model
 from algebroids import verify
-from algebroids.duality import legendre_equivalence
 
 MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
 
@@ -27,24 +26,7 @@ def survey(path: pathlib.Path, points: int | None, seed: int | None) -> bool:
         sampler = replace(sampler, seed=seed)
     tol = model.tol
     started = time.perf_counter()
-    reports = list(verify.axiom_reports(model, sampler, tol))
-    for bundle in model.bundles.values():
-        if bundle.g is None:
-            continue
-        reports.append(verify.complete_lift_conditions_report(bundle, sampler, tol, trials=5))
-        reports.append(verify.lift_bracket_report(bundle, sampler, tol, trials=5))
-        reports.append(verify.function_lift_rules_report(bundle, sampler, tol, trials=3))
-        reports.append(verify.tangent_structure_report(bundle, sampler, min(tol, 1e-10), trials=5))
-        reports.append(verify.k_oracle_report(bundle, sampler))
-    reports.append(verify.derivative_oracle_report(model, sampler))
-    legendre, extra = verify.legendre_reports(model, sampler, tol)
-    reports.extend(legendre)
-    verdict = None
-    if model.lagrangian is not None and model.hamiltonian is not None:
-        pair = LegendrePair(model.lagrangian, model.hamiltonian)
-        eq = legendre_equivalence(pair, sampler, tol_brackets=tol)
-        reports.extend(eq.reports())
-        verdict = "equivalent" if eq.equivalent else "not-equivalent"
+    reports, extra = verify.report_all(model, sampler, tol)
     elapsed = time.perf_counter() - started
     ok = all(r.passed for r in reports)
     print(f"\n== {path.name}  [{'PASS' if ok else 'FAIL'}]  ({elapsed:.2f}s)")
@@ -53,8 +35,8 @@ def survey(path: pathlib.Path, points: int | None, seed: int | None) -> bool:
         print(f"  [{flag}] {report.name:<46} worst={report.worst_residual:.3e}")
     for label, info in extra.get("homogeneity", {}).items():
         print(f"      homogeneity[{label}]: verdict={info['verdict']} euler={info['eulerResidual']:.2e}")
-    if verdict is not None:
-        print(f"      legendre verdict: {verdict}")
+    if "verdict" in extra:
+        print(f"      legendre verdict: {extra['verdict']}")
     return ok
 
 

@@ -25,7 +25,6 @@ from .expr import (
     max_residual,
     mul,
     neg,
-    normalize,
     substitute,
     var,
 )
@@ -161,7 +160,7 @@ class GeneralizedLieAlgebroid:
                 if not is_zero(value):
                     raise ValueError("structure functions must be antisymmetric: diagonal entries must vanish")
                 continue
-            key, entry = ((a, b, g), normalize(value)) if a < b else ((b, a, g), normalize(neg(value)))
+            key, entry = ((a, b, g), value) if a < b else ((b, a, g), neg(value))
             if key in canon and canon[key] != entry:
                 raise ValueError(f"inconsistent structure entries for {key}: antisymmetry violated")
             canon[key] = entry
@@ -182,12 +181,12 @@ class GeneralizedLieAlgebroid:
         for a in range(rank):
             for b in range(rank):
                 for g in range(rank):
-                    entry = normalize(full[a][b][g])
+                    entry = full[a][b][g]
                     if a == b:
                         if not is_zero(entry):
                             raise ValueError("structure functions must be antisymmetric")
                         continue
-                    mirror = normalize(neg(full[b][a][g]))
+                    mirror = neg(full[b][a][g])
                     if entry != mirror:
                         raise ValueError(
                             f"structure functions must be antisymmetric: entry {(a, b, g)}"

@@ -8,6 +8,7 @@ Diagnostics go to stderr, reports to stdout.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from typing import Sequence
@@ -15,8 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from . import verify
-from .duality import LegendrePair, legendre_equivalence
-from .expr import Sampler
+from .expr import EvaluationError, Sampler
 from .legendre import (
     NewtonConvergenceError,
     SingularJacobianError,
@@ -89,6 +89,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> tuple[Model, Sampler, float]:
+    if args.points is not None and args.points < 1:
+        raise ValueError(f"--points must be at least 1, got {args.points}")
+    if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0):
+        raise ValueError(f"--tol must be finite and non-negative, got {args.tol}")
     model = load_model(args.model)
     sampler = model.sampler
     if args.seed is not None:
@@ -111,6 +115,8 @@ def _parse_point(text: str, allowed: Sequence[str]) -> dict[str, float]:
         if name not in point:
             raise ValueError(f"unknown coordinate {name!r}; expected one of {list(allowed)}")
         point[name] = float(value)
+        if not math.isfinite(point[name]):
+            raise ValueError(f"coordinate {name!r} must be finite, got {value.strip()!r}")
     return point
 
 
@@ -184,13 +190,7 @@ def _cmd_legendre(args) -> int:
         x = [point[v] for v in fn.base_vars]
         y = [point[v] for v in fn.fiber_vars]
         image = phi_l(fn, x, y)
-        try:
-            solved = solve_fiber(fn, x, image)
-            residual = float(np.abs(solved.solution - np.asarray(y)).max())
-            iterations = solved.iterations
-        except (SingularJacobianError, NewtonConvergenceError) as err:
-            print(f"error: {err}", file=sys.stderr)
-            return 1
+        solved = solve_fiber(fn, x, image)
         dual_names = (
             model.hamiltonian.fiber_vars
             if model.hamiltonian is not None
@@ -199,8 +199,8 @@ def _cmd_legendre(args) -> int:
         payload = {
             "point": point,
             "image": {name: float(v) for name, v in zip(dual_names, image)},
-            "residual": residual,
-            "iterations": iterations,
+            "residual": float(np.abs(solved.solution - np.asarray(y)).max()),
+            "iterations": solved.iterations,
         }
     else:
         if model.lagrangian is not None:
@@ -214,11 +214,7 @@ def _cmd_legendre(args) -> int:
             point = _parse_point(args.at, names)
             x = [point[v] for v in fn.base_vars]
             p = [point[v] for v in dual_names]
-            try:
-                solved = solve_fiber(fn, x, p)
-            except (SingularJacobianError, NewtonConvergenceError) as err:
-                print(f"error: {err}", file=sys.stderr)
-                return 1
+            solved = solve_fiber(fn, x, p)
             payload = {
                 "point": point,
                 "image": {name: float(v) for name, v in zip(fn.fiber_vars, solved.solution)},
@@ -276,13 +272,8 @@ def _duality_jsonable(report: CheckReport) -> dict:
 
 def _cmd_duality(args) -> int:
     model, sampler, tol = _load(args)
-    if model.lagrangian is None or model.hamiltonian is None:
-        print("error: duality checks need [lagrangian] and [hamiltonian]", file=sys.stderr)
-        return 2
-    pair = LegendrePair(model.lagrangian, model.hamiltonian)
-    verdict = legendre_equivalence(pair, sampler, tol_conditions=1e-10, tol_brackets=tol)
-    reports = verdict.reports()
-    extra = {"verdict": "equivalent" if verdict.equivalent else "not-equivalent"}
+    reports, equivalent = verify.duality_reports(model, sampler, 1e-10, tol)
+    extra = {"verdict": "equivalent" if equivalent else "not-equivalent"}
     payload = emit_report([_duality_jsonable(r) for r in reports], extra)
     if args.json:
         print(payload)
@@ -290,30 +281,14 @@ def _cmd_duality(args) -> int:
         for r in reports:
             print(f"{'PASS' if r.passed else 'FAIL'} {r.name}  worst={r.worst_residual:.3e}")
         print(f"verdict: {extra['verdict']}")
-        if not verdict.equivalent:
+        if not equivalent:
             print(payload)
-    return 0 if verdict.equivalent else 1
+    return 0 if equivalent else 1
 
 
 def _cmd_report_all(args) -> int:
     model, sampler, tol = _load(args)
-    reports = list(verify.axiom_reports(model, sampler, tol))
-    for bundle in model.bundles.values():
-        if bundle.g is None:
-            continue
-        reports.append(verify.prolong_bracket_axioms_report(bundle, sampler, tol))
-        reports.append(verify.complete_lift_conditions_report(bundle, sampler, tol, trials=3))
-        reports.append(verify.lift_bracket_report(bundle, sampler, tol, trials=3))
-        reports.append(verify.function_lift_rules_report(bundle, sampler, tol, trials=3))
-        reports.append(verify.tangent_structure_report(bundle, sampler, min(tol, 1e-10), trials=3))
-        reports.append(verify.k_oracle_report(bundle, sampler))
-    reports.append(verify.derivative_oracle_report(model, sampler))
-    legendre, extra = verify.legendre_reports(model, sampler, tol)
-    reports.extend(legendre)
-    if model.lagrangian is not None and model.hamiltonian is not None:
-        dual_reports, equivalent = verify.duality_reports(model, sampler, 1e-10, tol)
-        reports.extend(dual_reports)
-        extra["verdict"] = "equivalent" if equivalent else "not-equivalent"
+    reports, extra = verify.report_all(model, sampler, tol)
     return _finish(reports, args, extra)
 
 
@@ -336,10 +311,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2 if err.code not in (0, None) else 0
     try:
         return _COMMANDS[args.command](args)
-    except ModelError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as err:
+    except (
+        ModelError,
+        ValueError,
+        OSError,
+        EvaluationError,
+        SingularJacobianError,
+        NewtonConvergenceError,
+    ) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

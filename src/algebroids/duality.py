@@ -84,68 +84,51 @@ def _anchored_rho(bundle: AnchoredBundle) -> list[list[Expr]]:
     ]
 
 
-def tangent_legendre_l(pair: LegendrePair, Z: ProlongSection) -> ProlongSection:
-    """Tangent application of the Lagrangian's Legendre morphism:
-    horizontal coefficients transport through the fiber map, vertical
-    output collects the mixed- and fiber-Hessian contractions."""
-    if Z.bundle != pair.primal:
-        raise ValueError("section must live on the primal bundle")
-    L = pair.lagrangian
-    rho = _anchored_rho(pair.primal)
-    m = pair.primal.algebroid.base_m.dim
-    p = pair.primal.algebroid.rank
-    r = pair.primal.rank
-    horizontal = tuple(pair.to_dual(Z.horizontal[alpha]) for alpha in range(p))
-    vertical = []
-    for b in range(r):
-        pieces = []
-        for alpha in range(p):
-            for i in range(m):
-                if is_zero(rho[alpha][i]) or is_zero(L.mixed[i][b]):
-                    continue
-                pieces.append(mul(rho[alpha][i], Z.horizontal[alpha], L.mixed[i][b]))
-        for a in range(r):
-            if is_zero(Z.vertical[a]) or is_zero(L.hessian[a][b]):
-                continue
-            pieces.append(mul(Z.vertical[a], L.hessian[a][b]))
-        vertical.append(pair.to_dual(add(*pieces)))
-    return ProlongSection(pair.dual, horizontal, tuple(vertical))
-
-
-def tangent_legendre_h(pair: LegendrePair, Z: ProlongSection) -> ProlongSection:
-    """Mirror of :func:`tangent_legendre_l` for the Hamiltonian side."""
-    if Z.bundle != pair.dual:
-        raise ValueError("section must live on the dual bundle")
-    H = pair.hamiltonian
-    rho = _anchored_rho(pair.dual)
-    m = pair.dual.algebroid.base_m.dim
-    p = pair.dual.algebroid.rank
-    r = pair.dual.rank
-    horizontal = tuple(pair.to_primal(Z.horizontal[alpha]) for alpha in range(p))
-    vertical = []
-    for b in range(r):
-        pieces = []
-        for alpha in range(p):
-            for i in range(m):
-                if is_zero(rho[alpha][i]) or is_zero(H.mixed[i][b]):
-                    continue
-                pieces.append(mul(rho[alpha][i], Z.horizontal[alpha], H.mixed[i][b]))
-        for a in range(r):
-            if is_zero(Z.vertical[a]) or is_zero(H.hessian[a][b]):
-                continue
-            pieces.append(mul(Z.vertical[a], H.hessian[a][b]))
-        vertical.append(pair.to_primal(add(*pieces)))
-    return ProlongSection(pair.primal, horizontal, tuple(vertical))
-
-
-# ---------------------------------------------------------------------------
-# Morphism conditions for the basis brackets
-
-
 def _sides(pair: LegendrePair, side: Side):
     if side == "lagrangian":
         return pair.primal, pair.dual, pair.lagrangian, pair.to_dual
     return pair.dual, pair.primal, pair.hamiltonian, pair.to_primal
+
+
+def _tangent_legendre(pair: LegendrePair, Z: ProlongSection, side: Side) -> ProlongSection:
+    source, target, fn, transport = _sides(pair, side)
+    if Z.bundle != source:
+        raise ValueError(f"section must live on the {source.variance} bundle")
+    rho = _anchored_rho(source)
+    m = source.algebroid.base_m.dim
+    p = source.algebroid.rank
+    r = source.rank
+    horizontal = tuple(transport(Z.horizontal[alpha]) for alpha in range(p))
+    vertical = []
+    for b in range(r):
+        pieces = []
+        for alpha in range(p):
+            for i in range(m):
+                if is_zero(rho[alpha][i]) or is_zero(fn.mixed[i][b]):
+                    continue
+                pieces.append(mul(rho[alpha][i], Z.horizontal[alpha], fn.mixed[i][b]))
+        for a in range(r):
+            if is_zero(Z.vertical[a]) or is_zero(fn.hessian[a][b]):
+                continue
+            pieces.append(mul(Z.vertical[a], fn.hessian[a][b]))
+        vertical.append(transport(add(*pieces)))
+    return ProlongSection(target, horizontal, tuple(vertical))
+
+
+def tangent_legendre_l(pair: LegendrePair, Z: ProlongSection) -> ProlongSection:
+    """Tangent application of the Lagrangian's Legendre morphism:
+    horizontal coefficients transport through the fiber map, vertical
+    output collects the mixed- and fiber-Hessian contractions."""
+    return _tangent_legendre(pair, Z, "lagrangian")
+
+
+def tangent_legendre_h(pair: LegendrePair, Z: ProlongSection) -> ProlongSection:
+    """Mirror of :func:`tangent_legendre_l` for the Hamiltonian side."""
+    return _tangent_legendre(pair, Z, "hamiltonian")
+
+
+# ---------------------------------------------------------------------------
+# Morphism conditions for the basis brackets
 
 
 def morphism_conditions(
@@ -280,15 +263,14 @@ def bracket_commutation(
 ) -> CheckReport:
     """Tangent application of a bracket against the bracket of the
     tangent applications, on random polynomial sections."""
-    source = pair.primal if side == "lagrangian" else pair.dual
-    tangent = tangent_legendre_l if side == "lagrangian" else tangent_legendre_h
+    source = _sides(pair, side)[0]
     report = CheckReport(f"bracket-commutation-{side}")
     rng = np.random.default_rng(sampler.seed + 404)
     for trial in range(trials):
         Z = random_prolong_section(source, rng, degree=1)
         W = random_prolong_section(source, rng, degree=1)
-        lhs = tangent(pair, bracket_prolong(Z, W))
-        rhs = bracket_prolong(tangent(pair, Z), tangent(pair, W))
+        lhs = _tangent_legendre(pair, bracket_prolong(Z, W), side)
+        rhs = bracket_prolong(_tangent_legendre(pair, Z, side), _tangent_legendre(pair, W, side))
         for alpha, (a, b) in enumerate(zip(lhs.horizontal, rhs.horizontal)):
             residual_row(report, "horizontal", (trial, alpha + 1), a, b, sampler, tol)
         for idx, (a, b) in enumerate(zip(lhs.vertical, rhs.vertical)):
@@ -355,12 +337,11 @@ def check_lift_transport(
     lift of the transformed section, and do the displayed per-part
     equalities hold."""
     source, target, fn, transport = _sides(pair, side)
-    tangent = tangent_legendre_l if side == "lagrangian" else tangent_legendre_h
     w = transformed_section(pair, u, side)
     premise = CheckReport(f"lift-transport-premise-{which}-{side}")
     conclusions = CheckReport(f"lift-transport-conclusions-{which}-{side}")
     if which == "vertical":
-        got = tangent(pair, vertical_lift(u))
+        got = _tangent_legendre(pair, vertical_lift(u), side)
         want = vertical_lift(w)
         for b, (a, bb) in enumerate(zip(got.vertical, want.vertical)):
             residual_row(premise, "vertical-image", (b + 1,), a, bb, sampler, tol)
@@ -378,7 +359,7 @@ def check_lift_transport(
                     tol,
                 )
     else:
-        got = tangent(pair, complete_lift(u))
+        got = _tangent_legendre(pair, complete_lift(u), side)
         want = complete_lift(w)
         for alpha, (a, b) in enumerate(zip(got.horizontal, want.horizontal)):
             residual_row(premise, "horizontal-image", (alpha + 1,), a, b, sampler, tol)

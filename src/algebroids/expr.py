@@ -226,7 +226,11 @@ def _coerce(x) -> Expr:
 # Smart constructors.  They establish the (weak) canonical form the
 # printer relies on: constants folded, nested sums/products flattened,
 # no unit factors, Neg never wrapping Const/Neg, products carrying at
-# most one leading constant and no Neg factors.
+# most one leading constant and no Neg factors.  Every node is built
+# through them, and re-applying a constructor to a node's children
+# gives the node back, so the form is already canonical: is_zero relies
+# on this and never rebuilds a tree.  Build Sum, Prod, Neg, Pow and
+# Call nodes only here.
 
 
 def const(value: float) -> Expr:
@@ -358,34 +362,6 @@ def sqrt(x) -> Expr:
 # Structural operations
 
 
-def normalize(e: Expr) -> Expr:
-    """Rebuild a tree bottom-up through the smart constructors."""
-    memo: dict[int, Expr] = {}
-
-    def go(node: Expr) -> Expr:
-        got = memo.get(id(node))
-        if got is not None:
-            return got
-        if isinstance(node, (Const, Var)):
-            out = node
-        elif isinstance(node, Sum):
-            out = add(*[go(t) for t in node.terms])
-        elif isinstance(node, Prod):
-            out = mul(*[go(f) for f in node.factors])
-        elif isinstance(node, Pow):
-            out = power(go(node.base), go(node.exponent))
-        elif isinstance(node, Neg):
-            out = neg(go(node.arg))
-        elif isinstance(node, Call):
-            out = call(node.fn, go(node.arg))
-        else:  # pragma: no cover
-            raise TypeError(f"unknown node {node!r}")
-        memo[id(node)] = out
-        return out
-
-    return go(e)
-
-
 def free_variables(e: Expr) -> frozenset[str]:
     memo: dict[int, frozenset[str]] = {}
 
@@ -497,9 +473,10 @@ def differentiate(e: Expr, name: str) -> Expr:
 
 
 def is_zero(e: Expr) -> bool:
-    """Structural zero test after normalization (sufficient, not complete)."""
-    n = normalize(e)
-    return isinstance(n, Const) and n.value == 0.0
+    """Structural zero test (sufficient, not complete): true when the
+    expression built to the constant 0.  Looking at the root suffices
+    because every node comes from the smart constructors."""
+    return isinstance(e, Const) and e.value == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -599,15 +576,10 @@ def _codegen(e: Expr) -> Callable[[Binding], float]:
     return env["_fn"]
 
 
-_COMPILE_CACHE: dict[int, tuple[Expr, Callable[[Binding], float]]] = {}
-
-
 def compiled(e: Expr) -> Callable[[Binding], float]:
     """Fast evaluator for repeated evaluation; same error semantics as
-    :func:`evaluate`."""
-    hit = _COMPILE_CACHE.get(id(e))
-    if hit is not None and hit[0] is e:
-        return hit[1]
+    :func:`evaluate`.  Each call generates code afresh, so callers that
+    evaluate one expression repeatedly keep the returned function."""
     raw = _codegen(e)
 
     def fn(binding: Binding) -> float:
@@ -623,7 +595,6 @@ def compiled(e: Expr) -> Callable[[Binding], float]:
             raise EvaluationError("overflow to non-finite value", binding)
         return out
 
-    _COMPILE_CACHE[id(e)] = (e, fn)
     return fn
 
 

@@ -174,17 +174,14 @@ def legendre_fiber_exprs(f: FiberFunction) -> tuple[Expr, ...]:
     )
 
 
-def phi_l(L: Lagrangian, x: Sequence[float], y: Sequence[float]) -> np.ndarray:
-    """Legendre morphism of a Lagrangian: base fixed, fiber contracted
-    with the fiber Hessian."""
-    Hm = L.hessian_at(x, y)
-    return np.asarray(y, dtype=float) @ Hm
+def phi_l(f: FiberFunction, x: Sequence[float], fiber: Sequence[float]) -> np.ndarray:
+    """Legendre morphism of a fundamental function: base fixed, fiber
+    contracted with the fiber Hessian.  The same map serves a Lagrangian
+    (``phi_l``) and a Hamiltonian (``phi_h``)."""
+    return np.asarray(fiber, dtype=float) @ f.hessian_at(x, fiber)
 
 
-def phi_h(H: Hamiltonian, x: Sequence[float], p: Sequence[float]) -> np.ndarray:
-    """Legendre morphism of a Hamiltonian (mirror of :func:`phi_l`)."""
-    Hm = H.hessian_at(x, p)
-    return np.asarray(p, dtype=float) @ Hm
+phi_h = phi_l
 
 
 # ---------------------------------------------------------------------------

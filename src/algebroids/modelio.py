@@ -39,7 +39,6 @@ from .expr import (
     is_zero,
     mul,
     neg,
-    normalize,
     parse as parse_expr,
     power,
     to_string,
@@ -359,7 +358,7 @@ def parse_model(text: str) -> Model:
         raw_structure[(a, b, g)] = (entry, line)
     for (a, b, g), (entry, line) in raw_structure.items():
         mirror = raw_structure.get((b, a, g))
-        if mirror is not None and normalize(entry) != normalize(neg(mirror[0])):
+        if mirror is not None and entry != neg(mirror[0]):
             raise ModelError(
                 "structure-inconsistent",
                 f"L[{a + 1},{b + 1}]^{g + 1} and L[{b + 1},{a + 1}]^{g + 1} are not antisymmetric",
@@ -586,7 +585,7 @@ def _is_identity(matrix: Sequence[Sequence[Expr]]) -> bool:
     for i in range(n):
         for j in range(n):
             want = add(1.0) if i == j else add()
-            if normalize(matrix[i][j]) != want:
+            if matrix[i][j] != want:
                 return False
     return True
 

@@ -1,9 +1,10 @@
 """Composable verification suites over a model.
 
-Each function returns check reports with relative residuals; the CLI
-and the acceptance harness assemble these into runs with their own
-tolerances.  Randomized data is drawn deterministically from the
-sampler seed so failures reproduce.
+Each function returns check reports with relative residuals.
+:func:`report_all` is the one plan behind ``algebroids report-all`` and
+the model survey script; the acceptance harness assembles its own runs
+with its own tolerances.  Randomized data is drawn deterministically
+from the sampler seed so failures reproduce.
 """
 
 from __future__ import annotations
@@ -404,3 +405,27 @@ def duality_reports(
     pair = dual.LegendrePair(model.lagrangian, model.hamiltonian)
     verdict = dual.legendre_equivalence(pair, sampler, tol_conditions, tol_brackets, trials)
     return verdict.reports(), verdict.equivalent
+
+
+def report_all(model: Model, sampler: Sampler, tol: float) -> tuple[list[CheckReport], dict]:
+    """Every applicable check on a model, in report order, with the
+    homogeneity diagnostics and, when both fundamental functions are
+    present, the Legendre equivalence verdict as extra report fields."""
+    reports = axiom_reports(model, sampler, tol)
+    for bundle in model.bundles.values():
+        if bundle.g is None:
+            continue
+        reports.append(prolong_bracket_axioms_report(bundle, sampler, tol))
+        reports.append(complete_lift_conditions_report(bundle, sampler, tol, trials=3))
+        reports.append(lift_bracket_report(bundle, sampler, tol, trials=3))
+        reports.append(function_lift_rules_report(bundle, sampler, tol, trials=3))
+        reports.append(tangent_structure_report(bundle, sampler, min(tol, 1e-10), trials=3))
+        reports.append(k_oracle_report(bundle, sampler))
+    reports.append(derivative_oracle_report(model, sampler))
+    legendre, extra = legendre_reports(model, sampler, tol)
+    reports.extend(legendre)
+    if model.lagrangian is not None and model.hamiltonian is not None:
+        dual_reports, equivalent = duality_reports(model, sampler, 1e-10, tol)
+        reports.extend(dual_reports)
+        extra["verdict"] = "equivalent" if equivalent else "not-equivalent"
+    return reports, extra

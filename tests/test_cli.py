@@ -116,6 +116,33 @@ class TestLegendreCommand:
         )
         assert code == 2 and "unknown coordinate" in err
 
+    def test_non_finite_point_exits_two(self, capsys, models_dir):
+        for model, at in (("classical.model", "x1=nan"), ("quartic.model", "x1=nan,y1=inf")):
+            code, out, err = run(capsys, "legendre", str(models_dir / model), "--at", at)
+            assert code == 2 and out == "", (model, out)
+            assert "must be finite" in err and err.count("\n") == 1
+
+    def test_evaluation_error_exits_two(self, capsys, models_dir):
+        code, out, err = run(capsys, "legendre", str(models_dir / "quartic.model"), "--at", "y1=1e200")
+        assert code == 2 and out == ""
+        assert "domain error" in err and err.count("\n") == 1
+
+    def test_failed_solve_exits_two(self, capsys, models_dir):
+        at = "x1=0,x2=0,y1=-0.000633552529,y2=-0.809259391"
+        code, out, err = run(capsys, "legendre", str(models_dir / "quartic.model"), "--forward", "--at", at)
+        assert code == 2 and out == ""
+        assert "no convergence" in err and err.count("\n") == 1
+
+    def test_hamiltonian_only_failed_solve_exits_two(self, capsys, models_dir, tmp_path):
+        text = (models_dir / "quartic.model").read_text()
+        text = text.replace("[lagrangian]\nL = 1/4*(y1^4 + y2^4)", "[hamiltonian]\nH = 1/4*(p1^4 + p2^4)")
+        path = tmp_path / "hamiltonian_only.model"
+        path.write_text(text)
+        at = "x1=0,x2=0,p1=-0.000633552529,p2=-0.809259391"
+        code, out, err = run(capsys, "legendre", str(path), "--backward", "--at", at)
+        assert code == 2 and out == ""
+        assert "no convergence" in err and err.count("\n") == 1
+
 
 class TestCheckCommands:
     def test_lift_brackets_alias(self, capsys, models_dir):
@@ -172,6 +199,15 @@ class TestCheckCommands:
             "17",
         )
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "flags",
+        [("--points", "0"), ("--points", "-3"), ("--tol", "-1"), ("--tol", "nan"), ("--tol", "inf")],
+    )
+    def test_bad_sampler_flags_exit_two(self, capsys, models_dir, flags):
+        code, out, err = run(capsys, "report-all", str(models_dir / "classical.model"), *flags)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_usage_error_exits_two(self, capsys):
         assert main(["lift"]) == 2

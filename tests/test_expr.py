@@ -31,6 +31,37 @@ def trees(depth=4):
     )
 
 
+def rebuild(node):
+    """Re-apply a node's own smart constructor to its children."""
+    if isinstance(node, E.Sum):
+        return E.add(*node.terms)
+    if isinstance(node, E.Prod):
+        return E.mul(*node.factors)
+    if isinstance(node, E.Neg):
+        return E.neg(node.arg)
+    if isinstance(node, E.Pow):
+        return E.power(node.base, node.exponent)
+    if isinstance(node, E.Call):
+        return E.call(node.fn, node.arg)
+    return node
+
+
+def nodes(tree):
+    stack, seen = [tree], []
+    while stack:
+        node = stack.pop()
+        seen.append(node)
+        if isinstance(node, E.Sum):
+            stack.extend(node.terms)
+        elif isinstance(node, E.Prod):
+            stack.extend(node.factors)
+        elif isinstance(node, E.Pow):
+            stack.extend((node.base, node.exponent))
+        elif isinstance(node, (E.Neg, E.Call)):
+            stack.append(node.arg)
+    return seen
+
+
 def binding_for(e):
     return {name: 0.7 + 0.31 * i for i, name in enumerate(sorted(E.free_variables(e)))}
 
@@ -65,7 +96,39 @@ class TestParse:
     @given(trees())
     @settings(max_examples=150)
     def test_print_parse_round_trip(self, tree):
-        assert E.parse(E.to_string(tree)) == E.normalize(tree)
+        assert E.parse(E.to_string(tree)) == tree
+
+
+class TestCanonicalForm:
+    """The smart constructors' output is a fixed point of the smart
+    constructors; :func:`E.is_zero` relies on this instead of rebuilding."""
+
+    @given(trees())
+    @settings(max_examples=200)
+    def test_constructors_are_idempotent(self, tree):
+        for node in nodes(tree):
+            assert rebuild(node) == node
+
+    @pytest.mark.parametrize(
+        "node",
+        [
+            E.mul(-2, E.var("x1"), E.var("x2")),
+            E.neg(E.mul(E.var("x1"), E.var("x2"))),
+            E.power(E.const(-1), E.const(0.5)),
+        ],
+        ids=["negative-leading-constant", "neg-of-product", "unfoldable-power"],
+    )
+    def test_edge_cases_are_fixed_points(self, node):
+        assert type(node) is not E.Const
+        for sub in nodes(node):
+            assert rebuild(sub) == sub
+
+    def test_is_zero_is_sufficient_not_complete(self):
+        x = E.var("x1")
+        assert E.is_zero(E.mul(0, x)) and E.is_zero(E.neg(E.const(0)))
+        assert E.is_zero(E.add(E.const(2), E.const(-2))) and E.is_zero(E.differentiate(x, "x2"))
+        assert not E.is_zero(E.add(x, E.neg(x)))
+        assert not E.is_zero(E.power(E.const(-1), E.const(0.5)))
 
 
 class TestEvaluate:
