@@ -1,0 +1,89 @@
+#!/usr/bin/env python3
+"""Compare ``algebroids report-all --json`` between two source trees.
+
+Runs ``report-all --json --seed S`` on every bundled model plus
+``benchmark/models/rotation.model``, once with each ``src/`` directory
+on ``PYTHONPATH``, and prints one line per model and seed: whether
+stdout is byte-identical, both exit codes and, where the reports
+differ, the first differing row.  The model files come from this
+checkout, so only the program differs.  Exits 0 when every run is
+identical with the same exit code, 1 otherwise.
+
+Usage: python scripts/compare_reports.py SRC_A SRC_B [--seeds 1 5]
+"""
+
+import argparse
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+MODELS = sorted((ROOT / "models").glob("*.model")) + [ROOT / "benchmark" / "models" / "rotation.model"]
+
+
+def start(src: pathlib.Path, model: pathlib.Path, seed: int) -> subprocess.Popen:
+    env = dict(os.environ, PYTHONPATH=str(src))
+    command = [sys.executable, "-m", "algebroids.cli", "report-all", str(model), "--json", "--seed", str(seed)]
+    return subprocess.Popen(command, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+
+def rows(text: bytes) -> list[tuple[str, object]]:
+    """(label, value) of every row and summary field of a report."""
+    try:
+        report = json.loads(text)
+    except ValueError:
+        return [("stdout", text.decode("utf-8", "replace"))]
+    out = []
+    for check in report.get("checks", []):
+        for row in check.get("rows", []):
+            out.append((f"{check['name']}: {row.get('check')} {row.get('index')}", row))
+        out.append((f"{check['name']}: pass", check.get("pass")))
+    for key, value in report.items():
+        if key != "checks":
+            out.append((key, value))
+    return out
+
+
+def first_difference(a: bytes, b: bytes) -> str:
+    left, right = rows(a), rows(b)
+    for (label, x), (_, y) in zip(left, right):
+        if x != y:
+            return f"{label}\n    A: {json.dumps(x)}\n    B: {json.dumps(y)}"
+    return f"row counts differ: {len(left)} against {len(right)}"
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("src_a", type=pathlib.Path, help="first src/ directory")
+    parser.add_argument("src_b", type=pathlib.Path, help="second src/ directory")
+    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 5])
+    args = parser.parse_args()
+    for src in (args.src_a, args.src_b):
+        if not (src / "algebroids").is_dir():
+            print(f"error: {src} holds no algebroids package", file=sys.stderr)
+            return 2
+    same_everywhere = True
+    for seed in args.seeds:
+        for model in MODELS:
+            # Both sides run at once; each is one process.
+            runs = [start(src, model, seed) for src in (args.src_a, args.src_b)]
+            (out_a, err_a), (out_b, err_b) = (run.communicate() for run in runs)
+            code_a, code_b = (run.returncode for run in runs)
+            same = out_a == out_b and err_a == err_b and code_a == code_b
+            same_everywhere &= same
+            verdict = "same" if same else "DIFF"
+            name = model.relative_to(ROOT)
+            print(f"{verdict}  seed {seed}  {name}  exit {code_a}/{code_b}  {len(out_a)}/{len(out_b)} bytes")
+            if out_a != out_b:
+                print(f"  first difference: {first_difference(out_a, out_b)}")
+            if err_a != err_b:
+                print(f"  stderr A: {err_a.decode('utf-8', 'replace').strip()}")
+                print(f"  stderr B: {err_b.decode('utf-8', 'replace').strip()}")
+    print("identical" if same_everywhere else "reports differ")
+    return 0 if same_everywhere else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

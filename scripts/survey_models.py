@@ -3,6 +3,9 @@
 each one and print a residual summary table.
 
 Usage: python scripts/survey_models.py [--points N] [--seed N]
+
+Exits 0 when every model but ``mismatched.model`` passes, 1 otherwise,
+and 2 on a bad flag.
 """
 
 import argparse
@@ -46,6 +49,10 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--include-broken", action="store_true")
     args = parser.parse_args()
+    if args.points is not None and args.points < 1:
+        # Sampled checks over no points would pass vacuously.
+        print(f"error: --points must be at least 1, got {args.points}", file=sys.stderr)
+        return 2
     all_ok = True
     for path in sorted(MODELS.glob("*.model")):
         if path.name.startswith("broken") and not args.include_broken:

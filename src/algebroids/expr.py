@@ -362,31 +362,50 @@ def sqrt(x) -> Expr:
 # Structural operations
 
 
+def _postorder(roots: Iterable[Expr]) -> tuple[list[Expr], list[int]]:
+    """The identity-distinct nodes under ``roots``, each once, children
+    before parents, and for each root the end of its segment: the nodes
+    of ``roots[k]`` not already under an earlier root fill
+    ``order[ends[k-1]:ends[k]]``.  Siblings are visited last to first,
+    and a segment is in the order :func:`compiled` code evaluates it.
+    An explicit stack, so deep trees need no recursion."""
+    order: list[Expr] = []
+    ends: list[int] = []
+    seen: set[int] = set()
+    for root in roots:
+        # A None entry means: the node below it has all its children
+        # in order, so it goes next.
+        stack: list[Expr | None] = [root]
+        while stack:
+            node = stack.pop()
+            if node is None:
+                order.append(stack.pop())
+                continue
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            kind = type(node)
+            if kind is Sum:
+                children = node.terms
+            elif kind is Prod:
+                children = node.factors
+            elif kind is Pow:
+                children = (node.base, node.exponent)
+            elif kind is Neg or kind is Call:
+                children = (node.arg,)
+            else:
+                order.append(node)
+                continue
+            stack.append(node)
+            stack.append(None)
+            stack.extend(children)
+        ends.append(len(order))
+    return order, ends
+
+
 def free_variables(e: Expr) -> frozenset[str]:
-    memo: dict[int, frozenset[str]] = {}
-
-    def go(node: Expr) -> frozenset[str]:
-        got = memo.get(id(node))
-        if got is not None:
-            return got
-        if isinstance(node, Var):
-            out = frozenset((node.name,))
-        elif isinstance(node, Const):
-            out = frozenset()
-        elif isinstance(node, Sum):
-            out = frozenset().union(*[go(t) for t in node.terms])
-        elif isinstance(node, Prod):
-            out = frozenset().union(*[go(f) for f in node.factors])
-        elif isinstance(node, Pow):
-            out = go(node.base) | go(node.exponent)
-        elif isinstance(node, Neg):
-            out = go(node.arg)
-        else:
-            out = go(node.arg)
-        memo[id(node)] = out
-        return out
-
-    return go(e)
+    order, _ = _postorder((e,))
+    return frozenset(node.name for node in order if isinstance(node, Var))
 
 
 def substitute(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
@@ -532,26 +551,7 @@ def _codegen(e: Expr) -> Callable[[Binding], float]:
     """Compile to a flat sequence of Python assignments (CSE by identity)."""
     names: dict[int, str] = {}
     lines: list[str] = []
-    stack: list[tuple[Expr, bool]] = [(e, False)]
-    while stack:
-        node, ready = stack.pop()
-        if id(node) in names:
-            continue
-        children: tuple[Expr, ...]
-        if isinstance(node, (Const, Var)):
-            children = ()
-        elif isinstance(node, Sum):
-            children = node.terms
-        elif isinstance(node, Prod):
-            children = node.factors
-        elif isinstance(node, Pow):
-            children = (node.base, node.exponent)
-        else:
-            children = (node.arg,)
-        if not ready:
-            stack.append((node, True))
-            stack.extend((c, False) for c in children)
-            continue
+    for node in _postorder((e,))[0]:
         tname = f"t{len(names)}"
         if isinstance(node, Const):
             rhs = repr(node.value)
@@ -598,6 +598,101 @@ def compiled(e: Expr) -> Callable[[Binding], float]:
     return fn
 
 
+def _libm_column(fn, args: tuple[np.ndarray, ...], pos: int, failed: dict) -> np.ndarray:
+    """Apply the scalar ``fn`` row by row, as compiled code does.  Rows
+    where it raises become NaN and are recorded in ``failed``."""
+    lists = [a.tolist() for a in args]
+    try:
+        return np.array(list(map(fn, *lists)), dtype=float)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        pass
+    out = []
+    for row, xs in enumerate(zip(*lists)):
+        try:
+            out.append(fn(*xs))
+        except (ValueError, ZeroDivisionError, OverflowError) as err:
+            failed.setdefault(row, (pos, EvaluationError, f"domain error: {err}"))
+            out.append(math.nan)
+    return np.array(out, dtype=float)
+
+
+def _evaluate_order(
+    roots: tuple[Expr, ...],
+    order: list[Expr],
+    ends: list[int],
+    names: tuple[str, ...],
+    columns: np.ndarray,
+) -> list[np.ndarray]:
+    """:func:`evaluate_columns` over a walk already made."""
+    n = columns.shape[0]
+    index = {name: j for j, name in enumerate(names)}
+    values: dict[int, np.ndarray] = {}
+    # row -> (position, error class, message) of its first failing node
+    failed: dict[int, tuple[float, type, str]] = {}
+    with np.errstate(all="ignore"):
+        for pos, node in enumerate(order):
+            kind = type(node)
+            if kind is Const:
+                out = np.full(n, node.value)
+            elif kind is Var:
+                j = index.get(node.name)
+                if j is None:
+                    # Fails at every row, so the first row decides.
+                    if n:
+                        failed.setdefault(0, (pos, UnboundVariableError, f"unbound variable {node.name!r}"))
+                    out = np.full(n, math.nan)
+                else:
+                    out = columns[:, j]
+            elif kind is Sum:
+                terms = node.terms
+                out = values[id(terms[0])] + values[id(terms[1])]
+                for t in terms[2:]:
+                    out += values[id(t)]
+            elif kind is Prod:
+                factors = node.factors
+                out = values[id(factors[0])] * values[id(factors[1])]
+                for f in factors[2:]:
+                    out *= values[id(f)]
+            elif kind is Pow:
+                base, exponent = values[id(node.base)], values[id(node.exponent)]
+                out = _libm_column(math.pow, (base, exponent), pos, failed)
+            elif kind is Neg:
+                out = -values[id(node.arg)]
+            else:
+                out = _libm_column(FUNCTIONS[node.fn], (values[id(node.arg)],), pos, failed)
+            values[id(node)] = out
+    outs = [values[id(root)] for root in roots]
+    # compiled code tests a root for finiteness after its own nodes and
+    # before the next root's, hence the half position.
+    for end, col in zip(ends, outs):
+        for row in np.flatnonzero(~np.isfinite(col)).tolist():
+            if row not in failed or failed[row][0] >= end:
+                failed[row] = (end - 0.5, EvaluationError, "overflow to non-finite value")
+    if failed:
+        row = min(failed)
+        _, kind, message = failed[row]
+        raise kind(message, dict(zip(names, columns[row].tolist())))
+    return outs
+
+
+def evaluate_columns(
+    roots: Iterable[Expr], names: Iterable[str], columns: np.ndarray
+) -> list[np.ndarray]:
+    """Evaluate every root at every row of ``columns`` (column ``j``
+    holds variable ``names[j]``), computing each identity-distinct node
+    once as a float64 column.
+
+    Values are bit-identical to :func:`compiled`: sums and products run
+    left to right in term order, powers and calls apply the libm scalar
+    (``math.pow``, ``FUNCTIONS``) to each row.  So are errors: the first
+    row at which calling ``compiled(roots[0])``, ``compiled(roots[1])``,
+    ... in turn would raise raises the same error, with that row as its
+    point."""
+    roots = tuple(roots)
+    order, ends = _postorder(roots)
+    return _evaluate_order(roots, order, ends, tuple(names), columns)
+
+
 def central_difference(e: Expr, name: str, point: Binding, step: float = 1e-6) -> float:
     """Finite-difference oracle for :func:`differentiate`."""
     hi = dict(point)
@@ -626,23 +721,31 @@ class Sampler:
     hi: float = 2.0
     ranges: Mapping[str, tuple[float, float]] = field(default_factory=dict)
 
+    def __post_init__(self):
+        # A check over no points would pass vacuously.
+        if self.points < 1:
+            raise ValueError(f"a sampler needs at least 1 point, got {self.points}")
+
     def _rng(self, names: tuple[str, ...]) -> np.random.Generator:
         tag = zlib.crc32(",".join(names).encode("utf-8"))
         return np.random.default_rng((self.seed, tag))
 
-    def sample(self, names: Iterable[str], count: int | None = None) -> list[dict[str, float]]:
+    def columns(self, names: Iterable[str], count: int | None = None) -> np.ndarray:
+        """The sampled points as an array, one row per point and one
+        column per name: ``lo + (hi - lo) * u`` for uniform draws ``u``."""
         names = tuple(names)
         n = self.points if count is None else count
-        rng = self._rng(names)
-        raw = rng.random((n, len(names)))
-        out = []
-        for row in raw:
-            point = {}
-            for j, name in enumerate(names):
-                lo, hi = self.ranges.get(name, (self.lo, self.hi))
-                point[name] = lo + (hi - lo) * float(row[j])
-            out.append(point)
+        raw = self._rng(names).random((n, len(names)))
+        out = np.empty_like(raw)
+        for j, name in enumerate(names):
+            lo, hi = self.ranges.get(name, (self.lo, self.hi))
+            out[:, j] = lo + (hi - lo) * raw[:, j]
         return out
+
+    def sample(self, names: Iterable[str], count: int | None = None) -> list[dict[str, float]]:
+        """The points of :meth:`columns`, one dict per row."""
+        names = tuple(names)
+        return [dict(zip(names, row)) for row in self.columns(names, count).tolist()]
 
     def sample_with_floor(
         self,
@@ -690,20 +793,20 @@ def max_residual(
     names: Iterable[str] | None = None,
 ) -> tuple[float, dict[str, float] | None]:
     """Worst relative gap between two expressions over sampled points,
-    with the witness point."""
+    with the witness point: the first point where the gap is largest,
+    ``None`` when every gap is 0."""
+    roots = (e1, e2)
+    order, ends = _postorder(roots)
     if names is None:
-        names = sorted(free_variables(e1) | free_variables(e2))
+        names = sorted({node.name for node in order if isinstance(node, Var)})
     names = tuple(names)
-    f1 = compiled(e1)
-    f2 = compiled(e2)
-    worst = 0.0
-    witness = None
-    for point in sampler.sample(names):
-        gap = relative_gap(f1(point), f2(point))
-        if gap > worst:
-            worst = gap
-            witness = point
-    return worst, witness
+    columns = sampler.columns(names)
+    v1, v2 = _evaluate_order(roots, order, ends, names, columns)
+    with np.errstate(over="ignore"):
+        gap = np.abs(v1 - v2) / (1.0 + np.maximum(np.abs(v1), np.abs(v2)))
+    row = int(np.argmax(gap))
+    witness = dict(zip(names, columns[row].tolist())) if gap[row] > 0.0 else None
+    return float(gap[row]), witness
 
 
 def equivalent(
@@ -762,15 +865,18 @@ def to_string(e: Expr) -> str:
             text = "-" + render(node.arg, _PREC_NEG)
             prec = _PREC_NEG
         elif isinstance(node, Pow):
-            base = render(node.base, _PREC_ATOM)
-            if not isinstance(node.base, (Var, Call)) and not (
+            # Render each side once: a tower x^x^... must print in linear time.
+            if isinstance(node.base, (Var, Call)) or (
                 isinstance(node.base, Const) and node.base.value >= 0
             ):
+                base = render(node.base, _PREC_ATOM)
+            else:
                 base = f"({render(node.base, 0)})"
-            expo = render(node.exponent, _PREC_ATOM)
-            if not isinstance(node.exponent, Var) and not (
+            if isinstance(node.exponent, Var) or (
                 isinstance(node.exponent, Const) and node.exponent.value >= 0
             ):
+                expo = render(node.exponent, _PREC_ATOM)
+            else:
                 expo = f"({render(node.exponent, 0)})"
             text, prec = f"{base}^{expo}", _PREC_POW
         else:

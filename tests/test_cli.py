@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -212,6 +216,20 @@ class TestCheckCommands:
     def test_usage_error_exits_two(self, capsys):
         assert main(["lift"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_survey_script_rejects_no_points(self, points):
+        root = pathlib.Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, str(root / "scripts" / "survey_models.py"), "--points", points],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
 
 
 class TestJsonValidityEverywhere:

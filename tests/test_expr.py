@@ -1,5 +1,8 @@
 import math
+import time
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -97,6 +100,17 @@ class TestParse:
     @settings(max_examples=150)
     def test_print_parse_round_trip(self, tree):
         assert E.parse(E.to_string(tree)) == tree
+
+    def test_deep_power_tower_prints_in_linear_time(self):
+        x = E.var("x1")
+        tower = x
+        for _ in range(199):
+            tower = E.power(x, tower)
+        started = time.perf_counter()
+        text = E.to_string(tower)
+        assert time.perf_counter() - started < 1.0
+        assert text.count("^") == 199
+        assert E.parse(text) == tower
 
 
 class TestCanonicalForm:
@@ -255,7 +269,132 @@ class TestEquivalent:
             assert -2.0 <= point["x1"] <= 2.0
             assert 0.5 <= point["y1"] <= 1.0
 
+    def test_sample_matches_per_point_formula(self):
+        sampler = E.Sampler(points=30, seed=4, lo=-3, hi=1, ranges={"y1": (0.5, 2.0)})
+        names = ("x1", "y1")
+        raw = sampler._rng(names).random((30, 2))
+        want = []
+        for row in raw:
+            point = {}
+            for j, name in enumerate(names):
+                lo, hi = sampler.ranges.get(name, (sampler.lo, sampler.hi))
+                point[name] = lo + (hi - lo) * float(row[j])
+            want.append(point)
+        assert sampler.sample(names) == want
+        assert sampler.columns(names).tolist() == [[p[n] for n in names] for p in want]
+
+    @pytest.mark.parametrize("points", [0, -3])
+    def test_sampler_needs_a_point(self, points):
+        with pytest.raises(ValueError):
+            E.Sampler(points=points)
+        with pytest.raises(ValueError):
+            replace(E.Sampler(), points=points)
+
     def test_floor_sampling(self):
         sampler = E.Sampler(points=40, seed=3)
         for point in sampler.sample_with_floor(("x1", "y1", "y2"), ("y1", "y2"), 0.1):
             assert max(abs(point["y1"]), abs(point["y2"])) >= 0.1
+
+
+def compiled_loop(roots, names, sampler):
+    """Reference for the column evaluator: every root compiled, called
+    point by point, root after root."""
+    fns = [E.compiled(root) for root in roots]
+    return [[fn(point) for fn in fns] for point in sampler.sample(names)]
+
+
+def reference_max_residual(e1, e2, sampler):
+    names = sorted(E.free_variables(e1) | E.free_variables(e2))
+    f1, f2 = E.compiled(e1), E.compiled(e2)
+    worst, witness = 0.0, None
+    for point in sampler.sample(names):
+        gap = E.relative_gap(f1(point), f2(point))
+        if gap > worst:
+            worst, witness = gap, point
+    return worst, witness
+
+
+def outcome(fn, *args):
+    """The value of ``fn(*args)``, or the evaluation error it raised."""
+    try:
+        return fn(*args)
+    except E.EvaluationError as err:
+        return type(err), str(err), err.point
+
+
+class TestColumnEvaluator:
+    """:func:`E.evaluate_columns` and :func:`E.max_residual` against
+    per-point compiled code: values, errors and witnesses all equal."""
+
+    @given(trees(), trees(), st.integers(0, 1000))
+    @settings(max_examples=150)
+    def test_equals_compiled_exactly(self, e1, e2, seed):
+        # The cancelling sum rounds differently in any other term order.
+        roots = (e1, e2, E.add(E.mul(1e8, e1), e2, E.mul(-1e8, e1)))
+        names = tuple(sorted(E.free_variables(e1) | E.free_variables(e2)))
+        sampler = E.Sampler(points=20, seed=seed, lo=-3, hi=3)
+        want = outcome(compiled_loop, roots, names, sampler)
+        got = outcome(E.evaluate_columns, roots, names, sampler.columns(names))
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert [list(row) for row in zip(*(c.tolist() for c in got))] == want
+
+    @given(
+        trees(),
+        trees(),
+        st.sampled_from([E.log, E.sqrt, lambda e: E.power(e, E.const(-0.5))]),
+        st.integers(0, 1000),
+    )
+    @settings(max_examples=150)
+    def test_domain_error_at_first_failing_point(self, e1, e2, wrap, seed):
+        roots = (E.add(E.log(e1), wrap(e2)), E.exp(E.mul(4, e2)))
+        names = tuple(sorted(E.free_variables(roots[0]) | E.free_variables(roots[1])))
+        sampler = E.Sampler(points=20, seed=seed, lo=-3, hi=3)
+        want = outcome(compiled_loop, roots, names, sampler)
+        got = outcome(E.evaluate_columns, roots, names, sampler.columns(names))
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert [list(row) for row in zip(*(c.tolist() for c in got))] == want
+
+    @pytest.mark.parametrize("swap", [False, True], ids=["log-first", "overflow-first"])
+    @pytest.mark.parametrize(
+        "xs", [[0.5, -1e5, 1e5], [0.5, 1e5, -1e5]], ids=["both-fail-at-row-1", "one-fails-at-row-1"]
+    )
+    def test_row_then_root_order_decides_the_error(self, xs, swap):
+        x = E.var("x1")
+        roots = (E.log(x), E.mul(1e300, x, x))
+        if swap:
+            roots = roots[::-1]
+        want = outcome(lambda: [[E.compiled(r)({"x1": v}) for r in roots] for v in xs])
+        assert want[2] == {"x1": xs[1]}
+        got = outcome(E.evaluate_columns, roots, ("x1",), np.array([[v] for v in xs]))
+        assert got == want
+
+    def test_unbound_variable(self):
+        sampler = E.Sampler(points=5, seed=1)
+        with pytest.raises(E.UnboundVariableError) as err:
+            E.evaluate_columns((E.parse("x1 + x2"),), ("x1",), sampler.columns(("x1",)))
+        assert err.value.point == sampler.sample(("x1",))[0]
+
+    @given(trees(), trees(), st.integers(0, 1000))
+    @settings(max_examples=100)
+    def test_max_residual_matches_per_point_loop(self, e1, e2, seed):
+        sampler = E.Sampler(points=25, seed=seed, lo=-2, hi=2)
+        assert outcome(E.max_residual, e1, e2, sampler) == outcome(reference_max_residual, e1, e2, sampler)
+
+    @pytest.mark.parametrize("box", [(-1.0, 2.0), (0.25, 2.0)], ids=["reaches-zero", "positive"])
+    def test_max_residual_of_log(self, box):
+        e1, e2 = E.log(E.var("x1")), E.parse("x1 - 1 - (x1 - 1)^2/2")
+        sampler = E.Sampler(points=100, seed=3, ranges={"x1": box})
+        want = outcome(reference_max_residual, e1, e2, sampler)
+        assert outcome(E.max_residual, e1, e2, sampler) == want
+        if box[0] < 0:
+            assert want[0] is E.EvaluationError and want[2]["x1"] <= 0
+        else:
+            assert want[0] > 0 and want[1] is not None
+
+    def test_identical_sides_have_no_witness(self):
+        e = E.parse("sin(x1)*x2")
+        assert E.max_residual(e, e, E.Sampler(points=10, seed=1)) == (0.0, None)
