@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
-"""Compare ``algebroids report-all --json`` between two source trees.
+"""Compare ``algebroids report-all --json`` and ``lift`` between two source trees.
 
 Runs ``report-all --json --seed S`` on every bundled model plus
-``benchmark/models/rotation.model``, once with each ``src/`` directory
-on ``PYTHONPATH``, and prints one line per model and seed: whether
-stdout is byte-identical, both exit codes and, where the reports
-differ, the first differing row.  The model files come from this
-checkout, so only the program differs.  Exits 0 when every run is
-identical with the same exit code, 1 otherwise.
+``benchmark/models/rotation.model``, and ``lift u``, ``lift u --gh``
+and ``lift u --vertical`` on each of those models that defines section
+``u``, once with each ``src/`` directory on ``PYTHONPATH``.  Prints one
+line per run: whether stdout is byte-identical, both exit codes and,
+where the outputs differ, the first differing row.  The model files
+come from this checkout, so only the program differs.  Exits 0 when
+every run is identical with the same exit code, 1 otherwise.
 
 Usage: python scripts/compare_reports.py SRC_A SRC_B [--seeds 1 5]
 """
@@ -23,10 +24,29 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 MODELS = sorted((ROOT / "models").glob("*.model")) + [ROOT / "benchmark" / "models" / "rotation.model"]
 
 
-def start(src: pathlib.Path, model: pathlib.Path, seed: int) -> subprocess.Popen:
+LIFT_FLAGS = ((), ("--gh",), ("--vertical",))
+
+
+def start(src: pathlib.Path, argv: list[str]) -> subprocess.Popen:
     env = dict(os.environ, PYTHONPATH=str(src))
-    command = [sys.executable, "-m", "algebroids.cli", "report-all", str(model), "--json", "--seed", str(seed)]
+    command = [sys.executable, "-m", "algebroids.cli", *argv]
     return subprocess.Popen(command, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+
+def runs(seeds: list[int]) -> list[tuple[str, list[str]]]:
+    """(label, command-line arguments) of every run to compare."""
+    out = []
+    for seed in seeds:
+        for model in MODELS:
+            argv = ["report-all", str(model), "--json", "--seed", str(seed)]
+            out.append((f"seed {seed}  {model.relative_to(ROOT)}", argv))
+    for model in MODELS:
+        lines = model.read_text(encoding="utf-8").splitlines()
+        if any(line.split("#")[0].strip() == "[section u]" for line in lines):
+            for flags in LIFT_FLAGS:
+                label = " ".join(("lift u", *flags))
+                out.append((f"{label}  {model.relative_to(ROOT)}", ["lift", str(model), "u", *flags]))
+    return out
 
 
 def rows(text: bytes) -> list[tuple[str, object]]:
@@ -65,22 +85,20 @@ def main() -> int:
             print(f"error: {src} holds no algebroids package", file=sys.stderr)
             return 2
     same_everywhere = True
-    for seed in args.seeds:
-        for model in MODELS:
-            # Both sides run at once; each is one process.
-            runs = [start(src, model, seed) for src in (args.src_a, args.src_b)]
-            (out_a, err_a), (out_b, err_b) = (run.communicate() for run in runs)
-            code_a, code_b = (run.returncode for run in runs)
-            same = out_a == out_b and err_a == err_b and code_a == code_b
-            same_everywhere &= same
-            verdict = "same" if same else "DIFF"
-            name = model.relative_to(ROOT)
-            print(f"{verdict}  seed {seed}  {name}  exit {code_a}/{code_b}  {len(out_a)}/{len(out_b)} bytes")
-            if out_a != out_b:
-                print(f"  first difference: {first_difference(out_a, out_b)}")
-            if err_a != err_b:
-                print(f"  stderr A: {err_a.decode('utf-8', 'replace').strip()}")
-                print(f"  stderr B: {err_b.decode('utf-8', 'replace').strip()}")
+    for label, argv in runs(args.seeds):
+        # Both sides run at once; each is one process.
+        procs = [start(src, argv) for src in (args.src_a, args.src_b)]
+        (out_a, err_a), (out_b, err_b) = (proc.communicate() for proc in procs)
+        code_a, code_b = (proc.returncode for proc in procs)
+        same = out_a == out_b and err_a == err_b and code_a == code_b
+        same_everywhere &= same
+        verdict = "same" if same else "DIFF"
+        print(f"{verdict}  {label}  exit {code_a}/{code_b}  {len(out_a)}/{len(out_b)} bytes")
+        if out_a != out_b:
+            print(f"  first difference: {first_difference(out_a, out_b)}")
+        if err_a != err_b:
+            print(f"  stderr A: {err_a.decode('utf-8', 'replace').strip()}")
+            print(f"  stderr B: {err_b.decode('utf-8', 'replace').strip()}")
     print("identical" if same_everywhere else "reports differ")
     return 0 if same_everywhere else 1
 

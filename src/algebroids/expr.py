@@ -1,17 +1,20 @@
 """Symbolic expression core.
 
-Small immutable expression trees over named real variables, with the
-operations every other module is built on: parsing, printing,
-differentiation, substitution, numeric evaluation, and randomized
-identity testing.  Simplification is deliberately conservative
-(constant folding, 0/1 identities, flattening); correctness never
-depends on it because identities are certified by sampling.
+Small immutable, hash-consed expression trees over named real
+variables, with the operations every other module is built on:
+parsing, printing, differentiation, substitution, numeric evaluation,
+and randomized identity testing.  Simplification is deliberately
+conservative (constant folding, 0/1 identities, flattening);
+correctness never depends on it because identities are certified by
+sampling.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+import threading
+import weakref
 import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
@@ -58,7 +61,7 @@ class UnboundVariableError(EvaluationError):
 
 
 class Expr:
-    __slots__ = ("_hash",)
+    __slots__ = ("__weakref__",)
 
     def __add__(self, other):
         return add(self, _coerce(other))
@@ -90,8 +93,8 @@ class Expr:
     def __neg__(self):
         return neg(self)
 
-    def __hash__(self):
-        return self._hash
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, slot) for slot in self.__slots__)
 
     def __str__(self):
         return to_string(self)
@@ -100,106 +103,80 @@ class Expr:
         return to_string(self)
 
 
+# Hash-consing: every node is interned, so equal structure means the
+# same object, and ``==``/``hash`` are the inherited identity ones.  The
+# key holds the children themselves, so no id can be reused while an
+# entry lives; an entry goes when its node is no longer referenced.
+_NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_NODES_LOCK = threading.Lock()
+
+
+def _interned(cls, *fields):
+    """The one node of class ``cls`` whose slots hold ``fields``."""
+    key = (cls, *fields)
+    with _NODES_LOCK:
+        node = _NODES.get(key)
+        if node is None:
+            node = object.__new__(cls)
+            for slot, value in zip(cls.__slots__, fields):
+                setattr(node, slot, value)
+            _NODES[key] = node
+    return node
+
+
 class Const(Expr):
     __slots__ = ("value",)
 
-    def __init__(self, value: float):
+    def __new__(cls, value: float):
         value = float(value)
         if not math.isfinite(value):
             raise ValueError(f"constants must be finite, got {value!r}")
-        self.value = value
-        self._hash = hash(("const", value))
-
-    def __eq__(self, other):
-        return isinstance(other, Const) and other.value == self.value
+        # Keyed by value, so -0.0 and 0.0 are one node.
+        return _interned(cls, value)
 
 
 class Var(Expr):
     __slots__ = ("name",)
 
-    def __init__(self, name: str):
+    def __new__(cls, name: str):
         if not name:
             raise ValueError("variable names must be non-empty")
-        self.name = name
-        self._hash = hash(("var", name))
-
-    def __eq__(self, other):
-        return isinstance(other, Var) and other.name == self.name
+        return _interned(cls, name)
 
 
 class Sum(Expr):
     __slots__ = ("terms",)
 
-    def __init__(self, terms: tuple[Expr, ...]):
-        self.terms = terms
-        self._hash = hash(("sum",) + tuple(t._hash for t in terms))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Sum)
-            and other._hash == self._hash
-            and other.terms == self.terms
-        )
+    def __new__(cls, terms: tuple[Expr, ...]):
+        return _interned(cls, terms)
 
 
 class Prod(Expr):
     __slots__ = ("factors",)
 
-    def __init__(self, factors: tuple[Expr, ...]):
-        self.factors = factors
-        self._hash = hash(("prod",) + tuple(f._hash for f in factors))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Prod)
-            and other._hash == self._hash
-            and other.factors == self.factors
-        )
+    def __new__(cls, factors: tuple[Expr, ...]):
+        return _interned(cls, factors)
 
 
 class Pow(Expr):
     __slots__ = ("base", "exponent")
 
-    def __init__(self, base: Expr, exponent: Expr):
-        self.base = base
-        self.exponent = exponent
-        self._hash = hash(("pow", base._hash, exponent._hash))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Pow)
-            and other._hash == self._hash
-            and other.base == self.base
-            and other.exponent == self.exponent
-        )
+    def __new__(cls, base: Expr, exponent: Expr):
+        return _interned(cls, base, exponent)
 
 
 class Neg(Expr):
     __slots__ = ("arg",)
 
-    def __init__(self, arg: Expr):
-        self.arg = arg
-        self._hash = hash(("neg", arg._hash))
-
-    def __eq__(self, other):
-        return isinstance(other, Neg) and other._hash == self._hash and other.arg == self.arg
+    def __new__(cls, arg: Expr):
+        return _interned(cls, arg)
 
 
 class Call(Expr):
     __slots__ = ("fn", "arg")
 
-    def __init__(self, fn: str, arg: Expr):
-        self.fn = fn
-        self.arg = arg
-        self._hash = hash(("call", fn, arg._hash))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Call)
-            and other._hash == self._hash
-            and other.fn == self.fn
-            and other.arg == self.arg
-        )
+    def __new__(cls, fn: str, arg: Expr):
+        return _interned(cls, fn, arg)
 
 
 FUNCTIONS: dict[str, Callable[[float], float]] = {
@@ -228,9 +205,9 @@ def _coerce(x) -> Expr:
 # no unit factors, Neg never wrapping Const/Neg, products carrying at
 # most one leading constant and no Neg factors.  Every node is built
 # through them, and re-applying a constructor to a node's children
-# gives the node back, so the form is already canonical: is_zero relies
-# on this and never rebuilds a tree.  Build Sum, Prod, Neg, Pow and
-# Call nodes only here.
+# gives the same node back, so the form is already canonical: is_zero
+# relies on this and never rebuilds a tree.  Build Sum, Prod, Neg, Pow
+# and Call nodes only here.
 
 
 def const(value: float) -> Expr:
@@ -363,7 +340,7 @@ def sqrt(x) -> Expr:
 
 
 def _postorder(roots: Iterable[Expr]) -> tuple[list[Expr], list[int]]:
-    """The identity-distinct nodes under ``roots``, each once, children
+    """The distinct nodes under ``roots``, each once, children
     before parents, and for each root the end of its segment: the nodes
     of ``roots[k]`` not already under an earlier root fill
     ``order[ends[k-1]:ends[k]]``.  Siblings are visited last to first,
@@ -371,7 +348,7 @@ def _postorder(roots: Iterable[Expr]) -> tuple[list[Expr], list[int]]:
     An explicit stack, so deep trees need no recursion."""
     order: list[Expr] = []
     ends: list[int] = []
-    seen: set[int] = set()
+    seen: set[Expr] = set()
     for root in roots:
         # A None entry means: the node below it has all its children
         # in order, so it goes next.
@@ -381,9 +358,9 @@ def _postorder(roots: Iterable[Expr]) -> tuple[list[Expr], list[int]]:
             if node is None:
                 order.append(stack.pop())
                 continue
-            if id(node) in seen:
+            if node in seen:
                 continue
-            seen.add(id(node))
+            seen.add(node)
             kind = type(node)
             if kind is Sum:
                 children = node.terms
@@ -410,10 +387,10 @@ def free_variables(e: Expr) -> frozenset[str]:
 
 def substitute(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
     """Simultaneous substitution of variables by expressions."""
-    memo: dict[int, Expr] = {}
+    memo: dict[Expr, Expr] = {}
 
     def go(node: Expr) -> Expr:
-        got = memo.get(id(node))
+        got = memo.get(node)
         if got is not None:
             return got
         if isinstance(node, Var):
@@ -430,7 +407,7 @@ def substitute(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
             out = neg(go(node.arg))
         else:
             out = call(node.fn, go(node.arg))
-        memo[id(node)] = out
+        memo[node] = out
         return out
 
     return go(e)
@@ -438,10 +415,10 @@ def substitute(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
 
 def differentiate(e: Expr, name: str) -> Expr:
     """Exact symbolic partial derivative with respect to ``name``."""
-    memo: dict[int, Expr] = {}
+    memo: dict[Expr, Expr] = {}
 
     def go(node: Expr) -> Expr:
-        got = memo.get(id(node))
+        got = memo.get(node)
         if got is not None:
             return got
         if isinstance(node, Const):
@@ -454,7 +431,7 @@ def differentiate(e: Expr, name: str) -> Expr:
             pieces = []
             for i, f in enumerate(node.factors):
                 df = go(f)
-                if df == ZERO:
+                if is_zero(df):
                     continue
                 rest = node.factors[:i] + node.factors[i + 1 :]
                 pieces.append(mul(df, *rest))
@@ -485,7 +462,7 @@ def differentiate(e: Expr, name: str) -> Expr:
                 out = mul(du, power(u, Const(-1.0)))
             else:  # sqrt
                 out = mul(du, power(mul(2.0, call("sqrt", u)), Const(-1.0)))
-        memo[id(node)] = out
+        memo[node] = out
         return out
 
     return go(e)
@@ -494,8 +471,9 @@ def differentiate(e: Expr, name: str) -> Expr:
 def is_zero(e: Expr) -> bool:
     """Structural zero test (sufficient, not complete): true when the
     expression built to the constant 0.  Looking at the root suffices
-    because every node comes from the smart constructors."""
-    return isinstance(e, Const) and e.value == 0.0
+    because every node comes from the smart constructors, and identity
+    suffices because nodes are interned."""
+    return e is ZERO
 
 
 # ---------------------------------------------------------------------------
@@ -504,10 +482,10 @@ def is_zero(e: Expr) -> bool:
 
 def evaluate(e: Expr, binding: Binding) -> float:
     """Reference tree-walking evaluator (IEEE doubles)."""
-    memo: dict[int, float] = {}
+    memo: dict[Expr, float] = {}
 
     def go(node: Expr) -> float:
-        got = memo.get(id(node))
+        got = memo.get(node)
         if got is not None:
             return got
         if isinstance(node, Const):
@@ -541,7 +519,7 @@ def evaluate(e: Expr, binding: Binding) -> float:
                 ) from None
         if not math.isfinite(out):
             raise EvaluationError("overflow to non-finite value", binding)
-        memo[id(node)] = out
+        memo[node] = out
         return out
 
     return go(e)
@@ -549,7 +527,7 @@ def evaluate(e: Expr, binding: Binding) -> float:
 
 def _codegen(e: Expr) -> Callable[[Binding], float]:
     """Compile to a flat sequence of Python assignments (CSE by identity)."""
-    names: dict[int, str] = {}
+    names: dict[Expr, str] = {}
     lines: list[str] = []
     for node in _postorder((e,))[0]:
         tname = f"t{len(names)}"
@@ -558,19 +536,19 @@ def _codegen(e: Expr) -> Callable[[Binding], float]:
         elif isinstance(node, Var):
             rhs = f"b[{node.name!r}]"
         elif isinstance(node, Sum):
-            rhs = " + ".join(names[id(t)] for t in node.terms)
+            rhs = " + ".join(names[t] for t in node.terms)
         elif isinstance(node, Prod):
-            rhs = " * ".join(names[id(f)] for f in node.factors)
+            rhs = " * ".join(names[f] for f in node.factors)
         elif isinstance(node, Pow):
-            rhs = f"_pow({names[id(node.base)]}, {names[id(node.exponent)]})"
+            rhs = f"_pow({names[node.base]}, {names[node.exponent]})"
         elif isinstance(node, Neg):
-            rhs = f"-{names[id(node.arg)]}"
+            rhs = f"-{names[node.arg]}"
         else:
-            rhs = f"_{node.fn}({names[id(node.arg)]})"
-        names[id(node)] = tname
+            rhs = f"_{node.fn}({names[node.arg]})"
+        names[node] = tname
         lines.append(f"    {tname} = {rhs}")
     body = "\n".join(lines)
-    src = f"def _fn(b):\n{body}\n    return {names[id(e)]}\n"
+    src = f"def _fn(b):\n{body}\n    return {names[e]}\n"
     env = {"_pow": math.pow, **{f"_{k}": v for k, v in FUNCTIONS.items()}}
     exec(compile(src, "<expr>", "exec"), env)
     return env["_fn"]
@@ -626,7 +604,7 @@ def _evaluate_order(
     """:func:`evaluate_columns` over a walk already made."""
     n = columns.shape[0]
     index = {name: j for j, name in enumerate(names)}
-    values: dict[int, np.ndarray] = {}
+    values: dict[Expr, np.ndarray] = {}
     # row -> (position, error class, message) of its first failing node
     failed: dict[int, tuple[float, type, str]] = {}
     with np.errstate(all="ignore"):
@@ -645,23 +623,23 @@ def _evaluate_order(
                     out = columns[:, j]
             elif kind is Sum:
                 terms = node.terms
-                out = values[id(terms[0])] + values[id(terms[1])]
+                out = values[terms[0]] + values[terms[1]]
                 for t in terms[2:]:
-                    out += values[id(t)]
+                    out += values[t]
             elif kind is Prod:
                 factors = node.factors
-                out = values[id(factors[0])] * values[id(factors[1])]
+                out = values[factors[0]] * values[factors[1]]
                 for f in factors[2:]:
-                    out *= values[id(f)]
+                    out *= values[f]
             elif kind is Pow:
-                base, exponent = values[id(node.base)], values[id(node.exponent)]
+                base, exponent = values[node.base], values[node.exponent]
                 out = _libm_column(math.pow, (base, exponent), pos, failed)
             elif kind is Neg:
-                out = -values[id(node.arg)]
+                out = -values[node.arg]
             else:
-                out = _libm_column(FUNCTIONS[node.fn], (values[id(node.arg)],), pos, failed)
-            values[id(node)] = out
-    outs = [values[id(root)] for root in roots]
+                out = _libm_column(FUNCTIONS[node.fn], (values[node.arg],), pos, failed)
+            values[node] = out
+    outs = [values[root] for root in roots]
     # compiled code tests a root for finiteness after its own nodes and
     # before the next root's, hence the half position.
     for end, col in zip(ends, outs):
@@ -679,8 +657,8 @@ def evaluate_columns(
     roots: Iterable[Expr], names: Iterable[str], columns: np.ndarray
 ) -> list[np.ndarray]:
     """Evaluate every root at every row of ``columns`` (column ``j``
-    holds variable ``names[j]``), computing each identity-distinct node
-    once as a float64 column.
+    holds variable ``names[j]``), computing each distinct node once as
+    a float64 column.
 
     Values are bit-identical to :func:`compiled`: sums and products run
     left to right in term order, powers and calls apply the libm scalar

@@ -24,6 +24,7 @@ adjugate over determinant for rank <= 4.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
@@ -542,6 +543,9 @@ def parse_model(text: str) -> Model:
         got = entries.take("tol")
         if got:
             tol = _parse_float(got[0], got[1])
+            # inf would pass every check and nan or a negative fail every one.
+            if not (math.isfinite(tol) and tol >= 0):
+                raise ModelError("bad-value", f"tol must be finite and >= 0, got {got[0]!r}", got[1])
         got = entries.take("domain")
         if got:
             lo, hi = _parse_domain(got[0], got[1])
@@ -564,6 +568,8 @@ def _parse_domain(value: str, line: int) -> tuple[float, float]:
     if len(parts) != 2:
         raise ModelError("bad-value", f"domain wants 'lo hi', got {value!r}", line)
     lo, hi = _parse_float(parts[0], line), _parse_float(parts[1], line)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ModelError("bad-value", f"domain bounds must be finite, got {value!r}", line)
     if not lo < hi:
         raise ModelError("bad-value", f"domain needs lo < hi, got {value!r}", line)
     return lo, hi

@@ -213,6 +213,14 @@ class TestCheckCommands:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_degenerate_model_sampler_exits_two(self, capsys, models_dir, tmp_path):
+        text = (models_dir / "classical.model").read_text()
+        path = tmp_path / "infinite_tol.model"
+        path.write_text(text.replace("tol = 1e-8", "tol = inf"))
+        code, out, err = run(capsys, "report-all", str(path))
+        assert code == 2 and out == ""
+        assert "bad-value" in err and err.count("\n") == 1
+
     def test_usage_error_exits_two(self, capsys):
         assert main(["lift"]) == 2
         capsys.readouterr()

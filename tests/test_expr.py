@@ -1,5 +1,12 @@
+import copy
+import gc
 import math
+import pickle
+import random
+import sys
+import threading
 import time
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from algebroids import expr as E
+from algebroids.algebroid import coords, identity_map
 
 VARS = ("x1", "x2", "k1")
 
@@ -99,7 +107,7 @@ class TestParse:
     @given(trees())
     @settings(max_examples=150)
     def test_print_parse_round_trip(self, tree):
-        assert E.parse(E.to_string(tree)) == tree
+        assert E.parse(E.to_string(tree)) is tree
 
     def test_deep_power_tower_prints_in_linear_time(self):
         x = E.var("x1")
@@ -121,7 +129,7 @@ class TestCanonicalForm:
     @settings(max_examples=200)
     def test_constructors_are_idempotent(self, tree):
         for node in nodes(tree):
-            assert rebuild(node) == node
+            assert rebuild(node) is node
 
     @pytest.mark.parametrize(
         "node",
@@ -143,6 +151,86 @@ class TestCanonicalForm:
         assert E.is_zero(E.add(E.const(2), E.const(-2))) and E.is_zero(E.differentiate(x, "x2"))
         assert not E.is_zero(E.add(x, E.neg(x)))
         assert not E.is_zero(E.power(E.const(-1), E.const(0.5)))
+
+
+def seeded_tree(rng, depth, prefix):
+    """A random tree over the variables ``prefix + "0"``..``prefix + "5"``,
+    fixed by ``rng``."""
+    if depth == 0 or rng.random() < 0.2:
+        return E.var(f"{prefix}{rng.randrange(6)}") if rng.random() < 0.6 else E.const(rng.randrange(-9, 10))
+    kind = rng.randrange(5)
+    a = seeded_tree(rng, depth - 1, prefix)
+    if kind == 0:
+        return E.add(a, seeded_tree(rng, depth - 1, prefix))
+    if kind == 1:
+        return E.mul(a, seeded_tree(rng, depth - 1, prefix))
+    if kind == 2:
+        return E.neg(a)
+    if kind == 3:
+        return E.power(a, E.const(rng.randrange(2, 4)))
+    return E.sin(a)
+
+
+class TestInterning:
+    """Nodes are hash-consed: equal structure is the same object, and
+    ``==`` and ``hash`` are the identity ones."""
+
+    def test_equal_structure_is_one_object(self):
+        assert E.parse("x1*(x2+1)") is E.parse("x1*(x2+1)")
+        assert E.parse("sin(k1)^x1") is E.power(E.sin(E.var("k1")), E.var("x1"))
+        assert E.parse("x1*(x2+1)") is not E.parse("x1*(x2+2)")
+
+    def test_negative_zero_is_zero(self):
+        assert E.const(-0.0) is E.ZERO
+        assert E.is_zero(E.neg(E.const(0)))
+
+    def test_expressions_are_dict_and_set_keys(self):
+        assert hash(E.parse("x1")) == hash(E.var("x1"))
+        table = {E.parse("x1"): "x", E.parse("x1*(x2+1)"): "product"}
+        assert table[E.var("x1")] == "x"
+        assert table[E.mul(E.var("x1"), E.add(E.var("x2"), 1))] == "product"
+        assert {E.parse("x1 + 1"), E.parse("1 + x1"), E.add(1, E.var("x1"))} == {E.parse("x1 + 1")}
+
+    def test_smooth_map_is_a_key(self):
+        M, N = coords("M", "x", 2), coords("N", "k", 2)
+        assert {identity_map(M, N): "id"}[identity_map(M, N)] == "id"
+
+    def test_copy_and_pickle_give_the_same_node(self):
+        e = E.parse("exp(x1)*x2 - 3")
+        assert copy.deepcopy(e) is e
+        assert pickle.loads(pickle.dumps(e)) is e
+
+    def test_threads_building_the_same_trees_share_every_node(self):
+        threads, start = 8, threading.Barrier(8, timeout=60)
+        results: list = [None] * threads
+
+        def build(k):
+            rng = random.Random(12)
+            start.wait()
+            # Fresh names for each tree, so that most of its nodes are new.
+            results[k] = [seeded_tree(rng, 6, f"t{i}_") for i in range(1000)]
+
+        workers = [threading.Thread(target=build, args=(k,)) for k in range(threads)]
+        # Switch threads often, so that builds of one node interleave.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        for trees in results[1:]:
+            assert all(a is b for a, b in zip(trees, results[0], strict=True))
+
+    def test_unreferenced_nodes_are_freed(self):
+        node = E.mul(E.var("freed_probe"), E.sin(E.var("freed_probe")))
+        refs = [weakref.ref(node), weakref.ref(node.factors[0])]
+        del node
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
 
 
 class TestEvaluate:

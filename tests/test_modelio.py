@@ -120,6 +120,41 @@ class TestParsing:
         assert err.value.code == "bad-block"
 
 
+SAMPLER_BASE = """
+[base M]
+dim = 1
+[base N]
+dim = 1
+[algebroid]
+rank = 1
+rho[1][1] = 1
+[sampler]
+"""
+
+
+class TestSamplerBlock:
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            "tol = inf",
+            "tol = nan",
+            "tol = -1",
+            "domain = -inf inf",
+            "domain = -2 inf",
+            "domain x1 = -inf 0",
+        ],
+    )
+    def test_degenerate_entry_is_a_bad_value(self, entry):
+        with pytest.raises(ModelError) as err:
+            parse_model(SAMPLER_BASE + entry + "\n")
+        assert err.value.code == "bad-value"
+
+    def test_zero_tol_is_accepted(self):
+        model = parse_model(SAMPLER_BASE + "tol = 0\ndomain x1 = -1 0.5\n")
+        assert model.tol == 0.0
+        assert model.sampler.ranges == {"x1": (-1.0, 0.5)}
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize(
         "name",
