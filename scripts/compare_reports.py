@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""Compare ``algebroids report-all --json`` and ``lift`` between two source trees.
+"""Compare ``algebroids report-all --json``, ``lift`` and ``format_model``
+between two source trees.
 
 Runs ``report-all --json --seed S`` on every bundled model plus
-``benchmark/models/rotation.model``, and ``lift u``, ``lift u --gh``
-and ``lift u --vertical`` on each of those models that defines section
-``u``, once with each ``src/`` directory on ``PYTHONPATH``.  Prints one
+``benchmark/models/rotation.model``, ``lift u``, ``lift u --gh`` and
+``lift u --vertical`` on each of those models that defines section
+``u``, and prints ``format_model(load_model(path))`` of each model, once
+with each ``src/`` directory on ``PYTHONPATH``.  Prints one
 line per run: whether stdout is byte-identical, both exit codes and,
 where the outputs differ, the first differing row.  The model files
 come from this checkout, so only the program differs.  Exits 0 when
@@ -25,27 +27,33 @@ MODELS = sorted((ROOT / "models").glob("*.model")) + [ROOT / "benchmark" / "mode
 
 
 LIFT_FLAGS = ((), ("--gh",), ("--vertical",))
+CLI = ["-m", "algebroids.cli"]
+FORMAT = [
+    "-c",
+    "import sys; from algebroids import format_model, load_model; print(format_model(load_model(sys.argv[1])))",
+]
 
 
 def start(src: pathlib.Path, argv: list[str]) -> subprocess.Popen:
     env = dict(os.environ, PYTHONPATH=str(src))
-    command = [sys.executable, "-m", "algebroids.cli", *argv]
-    return subprocess.Popen(command, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    return subprocess.Popen([sys.executable, *argv], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
 
 
 def runs(seeds: list[int]) -> list[tuple[str, list[str]]]:
-    """(label, command-line arguments) of every run to compare."""
+    """(label, interpreter arguments) of every run to compare."""
     out = []
     for seed in seeds:
         for model in MODELS:
-            argv = ["report-all", str(model), "--json", "--seed", str(seed)]
+            argv = [*CLI, "report-all", str(model), "--json", "--seed", str(seed)]
             out.append((f"seed {seed}  {model.relative_to(ROOT)}", argv))
     for model in MODELS:
         lines = model.read_text(encoding="utf-8").splitlines()
         if any(line.split("#")[0].strip() == "[section u]" for line in lines):
             for flags in LIFT_FLAGS:
                 label = " ".join(("lift u", *flags))
-                out.append((f"{label}  {model.relative_to(ROOT)}", ["lift", str(model), "u", *flags]))
+                out.append((f"{label}  {model.relative_to(ROOT)}", [*CLI, "lift", str(model), "u", *flags]))
+    for model in MODELS:
+        out.append((f"format_model  {model.relative_to(ROOT)}", [*FORMAT, str(model)]))
     return out
 
 

@@ -12,7 +12,6 @@ sampling.
 from __future__ import annotations
 
 import math
-import sys
 import threading
 import weakref
 import zlib
@@ -20,11 +19,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
-
-# Trees built from repeated lifting/bracketing can nest well past the
-# default interpreter limit.
-if sys.getrecursionlimit() < 20000:
-    sys.setrecursionlimit(20000)
 
 Binding = Mapping[str, float]
 
@@ -387,85 +381,74 @@ def free_variables(e: Expr) -> frozenset[str]:
 
 def substitute(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
     """Simultaneous substitution of variables by expressions."""
-    memo: dict[Expr, Expr] = {}
-
-    def go(node: Expr) -> Expr:
-        got = memo.get(node)
-        if got is not None:
-            return got
-        if isinstance(node, Var):
-            out = mapping.get(node.name, node)
-        elif isinstance(node, Const):
-            out = node
-        elif isinstance(node, Sum):
-            out = add(*[go(t) for t in node.terms])
-        elif isinstance(node, Prod):
-            out = mul(*[go(f) for f in node.factors])
-        elif isinstance(node, Pow):
-            out = power(go(node.base), go(node.exponent))
-        elif isinstance(node, Neg):
-            out = neg(go(node.arg))
+    out: dict[Expr, Expr] = {}
+    for node in _postorder((e,))[0]:
+        kind = type(node)
+        if kind is Var:
+            new = mapping.get(node.name, node)
+        elif kind is Const:
+            new = node
+        elif kind is Sum:
+            new = add(*[out[t] for t in node.terms])
+        elif kind is Prod:
+            new = mul(*[out[f] for f in node.factors])
+        elif kind is Pow:
+            new = power(out[node.base], out[node.exponent])
+        elif kind is Neg:
+            new = neg(out[node.arg])
         else:
-            out = call(node.fn, go(node.arg))
-        memo[node] = out
-        return out
-
-    return go(e)
+            new = call(node.fn, out[node.arg])
+        out[node] = new
+    return out[e]
 
 
 def differentiate(e: Expr, name: str) -> Expr:
     """Exact symbolic partial derivative with respect to ``name``."""
-    memo: dict[Expr, Expr] = {}
-
-    def go(node: Expr) -> Expr:
-        got = memo.get(node)
-        if got is not None:
-            return got
-        if isinstance(node, Const):
-            out: Expr = ZERO
-        elif isinstance(node, Var):
-            out = ONE if node.name == name else ZERO
-        elif isinstance(node, Sum):
-            out = add(*[go(t) for t in node.terms])
-        elif isinstance(node, Prod):
+    out: dict[Expr, Expr] = {}
+    for node in _postorder((e,))[0]:
+        kind = type(node)
+        if kind is Const:
+            d: Expr = ZERO
+        elif kind is Var:
+            d = ONE if node.name == name else ZERO
+        elif kind is Sum:
+            d = add(*[out[t] for t in node.terms])
+        elif kind is Prod:
             pieces = []
             for i, f in enumerate(node.factors):
-                df = go(f)
+                df = out[f]
                 if is_zero(df):
                     continue
                 rest = node.factors[:i] + node.factors[i + 1 :]
                 pieces.append(mul(df, *rest))
-            out = add(*pieces) if pieces else ZERO
-        elif isinstance(node, Pow):
+            d = add(*pieces) if pieces else ZERO
+        elif kind is Pow:
             b, ex = node.base, node.exponent
-            db = go(b)
+            db = out[b]
             if isinstance(ex, Const):
-                out = mul(ex, power(b, Const(ex.value - 1.0)), db)
+                d = mul(ex, power(b, Const(ex.value - 1.0)), db)
             else:
-                dex = go(ex)
                 # d(b^e) = b^e * (e' log b + e b'/b)
-                out = mul(
+                d = mul(
                     power(b, ex),
-                    add(mul(dex, call("log", b)), mul(ex, db, power(b, Const(-1.0)))),
+                    add(mul(out[ex], call("log", b)), mul(ex, db, power(b, Const(-1.0)))),
                 )
-        elif isinstance(node, Neg):
-            out = neg(go(node.arg))
+        elif kind is Neg:
+            d = neg(out[node.arg])
         else:
-            u, du = node.arg, go(node.arg)
+            u, du = node.arg, out[node.arg]
             if node.fn == "sin":
-                out = mul(call("cos", u), du)
+                d = mul(call("cos", u), du)
             elif node.fn == "cos":
-                out = neg(mul(call("sin", u), du))
+                d = neg(mul(call("sin", u), du))
             elif node.fn == "exp":
-                out = mul(call("exp", u), du)
+                d = mul(call("exp", u), du)
             elif node.fn == "log":
-                out = mul(du, power(u, Const(-1.0)))
+                d = mul(du, power(u, Const(-1.0)))
             else:  # sqrt
-                out = mul(du, power(mul(2.0, call("sqrt", u)), Const(-1.0)))
-        memo[node] = out
-        return out
-
-    return go(e)
+                d = mul(du, power(mul(2.0, call("sqrt", u)), Const(-1.0)))
+        out[node] = d
+    return out[e]
 
 
 def is_zero(e: Expr) -> bool:
@@ -481,48 +464,45 @@ def is_zero(e: Expr) -> bool:
 
 
 def evaluate(e: Expr, binding: Binding) -> float:
-    """Reference tree-walking evaluator (IEEE doubles)."""
-    memo: dict[Expr, float] = {}
-
-    def go(node: Expr) -> float:
-        got = memo.get(node)
-        if got is not None:
-            return got
-        if isinstance(node, Const):
-            out = node.value
-        elif isinstance(node, Var):
+    """Reference evaluator (IEEE doubles, sums by ``math.fsum``).  It
+    visits nodes in the order :func:`compiled` code runs them, tests
+    each value for finiteness, and raises at the first node that fails."""
+    out: dict[Expr, float] = {}
+    for node in _postorder((e,))[0]:
+        kind = type(node)
+        if kind is Const:
+            value = node.value
+        elif kind is Var:
             try:
-                out = float(binding[node.name])
+                value = float(binding[node.name])
             except KeyError:
                 raise UnboundVariableError(
                     f"unbound variable {node.name!r}", binding
                 ) from None
-        elif isinstance(node, Sum):
-            out = math.fsum(go(t) for t in node.terms)
-        elif isinstance(node, Prod):
-            out = 1.0
+        elif kind is Sum:
+            value = math.fsum(out[t] for t in node.terms)
+        elif kind is Prod:
+            value = 1.0
             for f in node.factors:
-                out *= go(f)
-        elif isinstance(node, Pow):
+                value *= out[f]
+        elif kind is Pow:
             try:
-                out = math.pow(go(node.base), go(node.exponent))
+                value = math.pow(out[node.base], out[node.exponent])
             except (ValueError, ZeroDivisionError, OverflowError) as err:
                 raise EvaluationError(f"power domain error: {err}", binding) from None
-        elif isinstance(node, Neg):
-            out = -go(node.arg)
+        elif kind is Neg:
+            value = -out[node.arg]
         else:
             try:
-                out = FUNCTIONS[node.fn](go(node.arg))
+                value = FUNCTIONS[node.fn](out[node.arg])
             except (ValueError, OverflowError) as err:
                 raise EvaluationError(
                     f"{node.fn} domain error: {err}", binding
                 ) from None
-        if not math.isfinite(out):
+        if not math.isfinite(value):
             raise EvaluationError("overflow to non-finite value", binding)
-        memo[node] = out
-        return out
-
-    return go(e)
+        out[node] = value
+    return out[e]
 
 
 def _codegen(e: Expr) -> Callable[[Binding], float]:
@@ -816,54 +796,60 @@ def _fmt_const(value: float) -> str:
     return repr(value)
 
 
+def _pow_side(side: Expr, bare: tuple[type, ...]) -> list:
+    """Work items for one side of ``^``: bare when ``side`` is of a
+    ``bare`` kind or a non-negative constant, else parenthesized."""
+    if isinstance(side, bare) or (isinstance(side, Const) and side.value >= 0):
+        return [(side, _PREC_ATOM)]
+    return ["(", (side, 0), ")"]
+
+
 def to_string(e: Expr) -> str:
-    def render(node: Expr, parent_prec: int) -> str:
-        if isinstance(node, Const):
-            text = _fmt_const(node.value)
+    out: list[str] = []
+    # Each work item is text to emit or a (node, parent precedence) pair
+    # to render; a node's items go on the stack last to first.
+    stack: list = [(e, 0)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        node, parent_prec = item
+        kind = type(node)
+        if kind is Const:
+            parts: list = [_fmt_const(node.value)]
             prec = _PREC_NEG if node.value < 0 else _PREC_ATOM
-        elif isinstance(node, Var):
-            text, prec = node.name, _PREC_ATOM
-        elif isinstance(node, Sum):
-            parts = [render(node.terms[0], _PREC_SUM)]
+        elif kind is Var:
+            parts, prec = [node.name], _PREC_ATOM
+        elif kind is Sum:
+            parts = [(node.terms[0], _PREC_SUM)]
             for t in node.terms[1:]:
                 if isinstance(t, Neg):
-                    parts.append(" - " + render(t.arg, _PREC_SUM + 1))
+                    parts += [" - ", (t.arg, _PREC_SUM + 1)]
                 elif isinstance(t, Const) and t.value < 0:
                     parts.append(" - " + _fmt_const(-t.value))
                 elif isinstance(t, Prod) and isinstance(t.factors[0], Const) and t.factors[0].value < 0:
                     flipped = mul(Const(-t.factors[0].value), *t.factors[1:])
-                    parts.append(" - " + render(flipped, _PREC_SUM + 1))
+                    parts += [" - ", (flipped, _PREC_SUM + 1)]
                 else:
-                    parts.append(" + " + render(t, _PREC_SUM + 1))
-            text, prec = "".join(parts), _PREC_SUM
-        elif isinstance(node, Prod):
-            text = "*".join(render(f, _PREC_PROD + 1) for f in node.factors)
+                    parts += [" + ", (t, _PREC_SUM + 1)]
+            prec = _PREC_SUM
+        elif kind is Prod:
+            parts = [(node.factors[0], _PREC_PROD + 1)]
+            for f in node.factors[1:]:
+                parts += ["*", (f, _PREC_PROD + 1)]
             prec = _PREC_PROD
-        elif isinstance(node, Neg):
-            text = "-" + render(node.arg, _PREC_NEG)
-            prec = _PREC_NEG
-        elif isinstance(node, Pow):
-            # Render each side once: a tower x^x^... must print in linear time.
-            if isinstance(node.base, (Var, Call)) or (
-                isinstance(node.base, Const) and node.base.value >= 0
-            ):
-                base = render(node.base, _PREC_ATOM)
-            else:
-                base = f"({render(node.base, 0)})"
-            if isinstance(node.exponent, Var) or (
-                isinstance(node.exponent, Const) and node.exponent.value >= 0
-            ):
-                expo = render(node.exponent, _PREC_ATOM)
-            else:
-                expo = f"({render(node.exponent, 0)})"
-            text, prec = f"{base}^{expo}", _PREC_POW
+        elif kind is Neg:
+            parts, prec = ["-", (node.arg, _PREC_NEG)], _PREC_NEG
+        elif kind is Pow:
+            parts = [*_pow_side(node.base, (Var, Call)), "^", *_pow_side(node.exponent, (Var,))]
+            prec = _PREC_POW
         else:
-            text, prec = f"{node.fn}({render(node.arg, 0)})", _PREC_ATOM
+            parts, prec = [f"{node.fn}(", (node.arg, 0), ")"], _PREC_ATOM
         if prec < parent_prec:
-            return f"({text})"
-        return text
-
-    return render(e, 0)
+            parts = ["(", *parts, ")"]
+        stack.extend(reversed(parts))
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -905,9 +891,11 @@ def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
                         j += 1
             lexeme = text[i:j]
             try:
-                float(lexeme)
+                finite = math.isfinite(float(lexeme))
             except ValueError:
-                raise ExprSyntaxError(f"bad number {lexeme!r}", line, col) from None
+                finite = False
+            if not finite:
+                raise ExprSyntaxError(f"bad number {lexeme!r}", line, col)
             tokens.append((_TOKEN_NUM, lexeme, line, col))
             col += j - i
             i = j
@@ -930,92 +918,90 @@ def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
+# Binary operators: (precedence, lowest precedence on the operator
+# stack that the operator reduces when it arrives).  The second is one
+# above the first for the right-associative ``^``.  Prefix ``-`` sits
+# between ``* /`` and ``^``; an open group sits at 0, below them all.
+_BINARY = {"+": (1, 1), "-": (1, 1), "*": (2, 2), "/": (2, 2), "^": (4, 5)}
+_PREC_UNARY = 3
 
-    def peek(self):
-        return self.tokens[self.pos]
 
-    def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect_op(self, op: str):
-        kind, lexeme, line, col = self.peek()
-        if kind != _TOKEN_OP or lexeme != op:
-            raise ExprSyntaxError(f"expected {op!r}", line, col)
-        return self.next()
-
-    def parse_expr(self) -> Expr:
-        out = self.parse_term()
-        while True:
-            kind, lexeme, _, _ = self.peek()
-            if kind == _TOKEN_OP and lexeme in "+-":
-                self.next()
-                rhs = self.parse_term()
-                out = add(out, rhs) if lexeme == "+" else add(out, neg(rhs))
+def _reduce(operands: list[Expr], ops: list[tuple[int, str, int, int]], floor: int) -> None:
+    """Apply the operators on top of ``ops`` down to the first one of
+    precedence below ``floor``, innermost first."""
+    while ops and ops[-1][0] >= floor:
+        _, symbol, line, col = ops.pop()
+        if symbol == "neg":
+            operands[-1] = neg(operands[-1])
+            continue
+        rhs = operands.pop()
+        lhs = operands[-1]
+        try:
+            if symbol == "+":
+                out = add(lhs, rhs)
+            elif symbol == "-":
+                out = add(lhs, neg(rhs))
+            elif symbol == "*":
+                out = mul(lhs, rhs)
+            elif symbol == "/":
+                out = mul(lhs, power(rhs, Const(-1.0)))
             else:
-                return out
-
-    def parse_term(self) -> Expr:
-        out = self.parse_unary()
-        while True:
-            kind, lexeme, _, _ = self.peek()
-            if kind == _TOKEN_OP and lexeme in "*/":
-                self.next()
-                rhs = self.parse_unary()
-                out = mul(out, rhs) if lexeme == "*" else mul(out, power(rhs, Const(-1.0)))
-            else:
-                return out
-
-    def parse_unary(self) -> Expr:
-        kind, lexeme, _, _ = self.peek()
-        if kind == _TOKEN_OP and lexeme == "-":
-            self.next()
-            return neg(self.parse_unary())
-        return self.parse_power()
-
-    def parse_power(self) -> Expr:
-        base = self.parse_atom()
-        kind, lexeme, _, _ = self.peek()
-        if kind == _TOKEN_OP and lexeme == "^":
-            self.next()
-            return power(base, self.parse_unary())
-        return base
-
-    def parse_atom(self) -> Expr:
-        kind, lexeme, line, col = self.peek()
-        if kind == _TOKEN_NUM:
-            self.next()
-            return Const(float(lexeme))
-        if kind == _TOKEN_IDENT:
-            self.next()
-            nkind, nlex, _, _ = self.peek()
-            if nkind == _TOKEN_OP and nlex == "(":
-                if lexeme not in FUNCTIONS:
-                    raise UnknownFunctionError(f"unknown function {lexeme!r}", line, col)
-                self.next()
-                arg = self.parse_expr()
-                self.expect_op(")")
-                return call(lexeme, arg)
-            return Var(lexeme)
-        if kind == _TOKEN_OP and lexeme == "(":
-            self.next()
-            out = self.parse_expr()
-            self.expect_op(")")
-            return out
-        raise ExprSyntaxError("expected expression", line, col)
+                out = power(lhs, rhs)
+        except ValueError:
+            # Folding two finite constants overflowed.
+            raise ExprSyntaxError("constant overflow", line, col) from None
+        operands[-1] = out
 
 
 def parse(text: str) -> Expr:
     """Parse infix syntax: ``^`` (right-assoc) > unary ``-`` > ``* /`` >
-    ``+ -``, parentheses, calls ``f(expr)``, identifiers, decimal literals."""
-    parser = _Parser(_tokenize(text))
-    out = parser.parse_expr()
-    kind, lexeme, line, col = parser.peek()
-    if kind != _TOKEN_EOF:
-        raise ExprSyntaxError(f"unexpected trailing input {lexeme!r}", line, col)
-    return out
+    ``+ -``, parentheses, calls ``f(expr)``, identifiers, decimal literals.
+
+    Operator precedence with explicit operand and operator stacks, so
+    nesting depth is bounded by memory alone."""
+    tokens = _tokenize(text)
+    operands: list[Expr] = []
+    # (precedence, symbol, line, column); "(" or a function name opens a group.
+    ops: list[tuple[int, str, int, int]] = []
+    i = 0
+    while True:
+        # An operand is due: prefix "-" and group openers come first.
+        kind, lexeme, line, col = tokens[i]
+        i += 1
+        if kind == _TOKEN_OP and lexeme == "-":
+            ops.append((_PREC_UNARY, "neg", line, col))
+            continue
+        if kind == _TOKEN_OP and lexeme == "(":
+            ops.append((0, "(", line, col))
+            continue
+        if kind == _TOKEN_IDENT and tokens[i][:2] == (_TOKEN_OP, "("):
+            if lexeme not in FUNCTIONS:
+                raise UnknownFunctionError(f"unknown function {lexeme!r}", line, col)
+            ops.append((0, lexeme, line, col))
+            i += 1
+            continue
+        if kind == _TOKEN_NUM:
+            operands.append(Const(float(lexeme)))
+        elif kind == _TOKEN_IDENT:
+            operands.append(Var(lexeme))
+        else:
+            raise ExprSyntaxError("expected expression", line, col)
+        # An operand is complete: a binary operator, ")" or the end follows.
+        while True:
+            kind, lexeme, line, col = tokens[i]
+            i += 1
+            if kind == _TOKEN_OP and lexeme in _BINARY:
+                prec, floor = _BINARY[lexeme]
+                _reduce(operands, ops, floor)
+                ops.append((prec, lexeme, line, col))
+                break
+            _reduce(operands, ops, 1)
+            if not ops:
+                if kind == _TOKEN_EOF:
+                    return operands[0]
+                raise ExprSyntaxError(f"unexpected trailing input {lexeme!r}", line, col)
+            if kind != _TOKEN_OP or lexeme != ")":
+                raise ExprSyntaxError("expected ')'", line, col)
+            _, opener, _, _ = ops.pop()
+            if opener != "(":
+                operands[-1] = call(opener, operands[-1])

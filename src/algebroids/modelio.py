@@ -24,6 +24,7 @@ adjugate over determinant for rank <= 4.
 
 from __future__ import annotations
 
+import json
 import math
 import re
 from dataclasses import dataclass, field
@@ -710,8 +711,7 @@ def _emit_json(obj) -> str:
     if obj is False:
         return "false"
     if isinstance(obj, str):
-        escaped = obj.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
+        return json.dumps(obj)
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):

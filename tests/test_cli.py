@@ -15,6 +15,16 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def classical_with_lagrangian(models_dir, tmp_path, lagrangian):
+    """A copy of the classical model with ``L = lagrangian``: its path
+    and the line of ``L``."""
+    text = (models_dir / "classical.model").read_text(encoding="utf-8")
+    line = text.splitlines().index("L = 1/2*(y1^2 + y2^2)") + 1
+    path = tmp_path / "changed.model"
+    path.write_text(text.replace("L = 1/2*(y1^2 + y2^2)", f"L = {lagrangian}"), encoding="utf-8")
+    return str(path), line
+
+
 class TestValidate:
     def test_valid_models_exit_zero(self, capsys, models_dir):
         for name in ("classical", "lie_algebroid", "generalized"):
@@ -221,6 +231,13 @@ class TestCheckCommands:
         assert code == 2 and out == ""
         assert "bad-value" in err and err.count("\n") == 1
 
+    def test_overflowing_constant_exits_two(self, capsys, models_dir, tmp_path):
+        path, line = classical_with_lagrangian(models_dir, tmp_path, "1e308*10*y1^2")
+        code, out, err = run(capsys, "validate", path)
+        assert code == 2 and out == ""
+        assert err.startswith("error: [expression-syntax]") and err.count("\n") == 1
+        assert f"(line {line})" in err
+
     def test_usage_error_exits_two(self, capsys):
         assert main(["lift"]) == 2
         capsys.readouterr()
@@ -285,8 +302,40 @@ class TestJsonValidityEverywhere:
             assert main(argv) == 0
             json.loads(capsys.readouterr().out)
 
+    def test_control_characters_in_section_name(self, capsys, models_dir, tmp_path):
+        name = "u\x01\x1b"
+        text = (models_dir / "classical.model").read_text(encoding="utf-8")
+        path = tmp_path / "control.model"
+        path.write_text(text.replace("[section u]", f"[section {name}]"), encoding="utf-8")
+        assert main(["lift", str(path), name, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["section"] == name
+
     def test_negative_corpus_exit_codes(self, capsys, models_dir):
         for path in sorted((models_dir / "negative").glob("*.model")):
             code = main(["validate", str(path)])
             capsys.readouterr()
             assert code == 2, path.name
+
+
+def run_cli_fresh(*argv):
+    """Run the CLI in a new interpreter, at its default recursion limit."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+    command = [sys.executable, "-m", "algebroids.cli", *argv]
+    return subprocess.run(command, env=env, capture_output=True, text=True, timeout=120)
+
+
+class TestDeepNesting:
+    DEPTH = 30000
+
+    def test_deeply_parenthesized_model_validates(self, models_dir, tmp_path):
+        lagrangian = "(" * self.DEPTH + "1/2*(y1^2 + y2^2)" + ")" * self.DEPTH
+        path, _ = classical_with_lagrangian(models_dir, tmp_path, lagrangian)
+        done = run_cli_fresh("validate", path)
+        assert done.returncode == 0, done.stderr[-2000:]
+
+    def test_unclosed_parentheses_exit_two(self, models_dir, tmp_path):
+        path, _ = classical_with_lagrangian(models_dir, tmp_path, "(" * self.DEPTH)
+        done = run_cli_fresh("validate", path)
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.startswith("error: [expression-syntax]") and done.stderr.count("\n") == 1

@@ -1,8 +1,11 @@
 import copy
 import gc
 import math
+import os
+import pathlib
 import pickle
 import random
+import subprocess
 import sys
 import threading
 import time
@@ -77,6 +80,123 @@ def binding_for(e):
     return {name: 0.7 + 0.31 * i for i, name in enumerate(sorted(E.free_variables(e)))}
 
 
+class ReferenceParser:
+    """The recursive-descent parser that :func:`algebroids.expr.parse`
+    replaced, kept as the reference the operator-precedence parser must
+    match node for node and error for error."""
+
+    def __init__(self, tokens):
+        self.tokens = tokens
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def next(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect_op(self, op: str):
+        kind, lexeme, line, col = self.peek()
+        if kind != E._TOKEN_OP or lexeme != op:
+            raise E.ExprSyntaxError(f"expected {op!r}", line, col)
+        return self.next()
+
+    def parse_expr(self):
+        out = self.parse_term()
+        while True:
+            kind, lexeme, _, _ = self.peek()
+            if kind == E._TOKEN_OP and lexeme in "+-":
+                self.next()
+                rhs = self.parse_term()
+                out = E.add(out, rhs) if lexeme == "+" else E.add(out, E.neg(rhs))
+            else:
+                return out
+
+    def parse_term(self):
+        out = self.parse_unary()
+        while True:
+            kind, lexeme, _, _ = self.peek()
+            if kind == E._TOKEN_OP and lexeme in "*/":
+                self.next()
+                rhs = self.parse_unary()
+                out = E.mul(out, rhs) if lexeme == "*" else E.mul(out, E.power(rhs, E.Const(-1.0)))
+            else:
+                return out
+
+    def parse_unary(self):
+        kind, lexeme, _, _ = self.peek()
+        if kind == E._TOKEN_OP and lexeme == "-":
+            self.next()
+            return E.neg(self.parse_unary())
+        return self.parse_power()
+
+    def parse_power(self):
+        base = self.parse_atom()
+        kind, lexeme, _, _ = self.peek()
+        if kind == E._TOKEN_OP and lexeme == "^":
+            self.next()
+            return E.power(base, self.parse_unary())
+        return base
+
+    def parse_atom(self):
+        kind, lexeme, line, col = self.peek()
+        if kind == E._TOKEN_NUM:
+            self.next()
+            return E.Const(float(lexeme))
+        if kind == E._TOKEN_IDENT:
+            self.next()
+            nkind, nlex, _, _ = self.peek()
+            if nkind == E._TOKEN_OP and nlex == "(":
+                if lexeme not in E.FUNCTIONS:
+                    raise E.UnknownFunctionError(f"unknown function {lexeme!r}", line, col)
+                self.next()
+                arg = self.parse_expr()
+                self.expect_op(")")
+                return E.call(lexeme, arg)
+            return E.Var(lexeme)
+        if kind == E._TOKEN_OP and lexeme == "(":
+            self.next()
+            out = self.parse_expr()
+            self.expect_op(")")
+            return out
+        raise E.ExprSyntaxError("expected expression", line, col)
+
+
+def reference_parse(text):
+    parser = ReferenceParser(E._tokenize(text))
+    out = parser.parse_expr()
+    kind, lexeme, line, col = parser.peek()
+    if kind != E._TOKEN_EOF:
+        raise E.ExprSyntaxError(f"unexpected trailing input {lexeme!r}", line, col)
+    return out
+
+
+def parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except (E.ExprSyntaxError, ValueError) as err:
+        return err
+
+
+def assert_parses_like_reference(text):
+    ref, new = parse_outcome(reference_parse, text), parse_outcome(E.parse, text)
+    if isinstance(ref, E.Expr):
+        assert new is ref
+    elif type(ref) is ValueError:
+        # The reference lets a folded constant overflow out of Const.
+        assert type(new) is E.ExprSyntaxError
+    else:
+        assert (type(new), str(new), new.line, new.column) == (type(ref), str(ref), ref.line, ref.column)
+
+
+TOKENS = (
+    "0", "1", "2", "0.1", "0.2", "0.3", "10", "1e308", "1e-320", "x1", "x2",
+    "sin", "sin(", "log(", "tan(", "+", "-", "*", "/", "^", "(", ")", " ",
+)
+
+
 class TestParse:
     def test_sum_of_power_and_product(self):
         tree = E.parse("x1^2 + 3*x2")
@@ -100,6 +220,14 @@ class TestParse:
         assert E.parse("2*x1 + x2") == E.add(E.mul(2, E.var("x1")), E.var("x2"))
         # right associative power: 2^3^2 = 2^9
         assert E.parse("2^3^2") == E.const(512)
+        x1, x2, x3 = E.var("x1"), E.var("x2"), E.var("x3")
+        assert E.parse("x1^x2^x3") is E.power(x1, E.power(x2, x3))
+        assert E.parse("2^-3^2") is E.const(2.0**-9)
+        assert E.parse("x1*-x2") is E.neg(E.mul(x1, x2))
+        assert E.parse("x1-x2-x3") is E.add(E.add(x1, E.neg(x2)), E.neg(x3))
+        # constants fold left to right
+        assert E.parse("0.1+0.2+0.3") is E.const(0.6000000000000001)
+        assert E.parse("sin") is E.var("sin")
 
     def test_division_normalizes_to_inverse_power(self):
         assert E.parse("x1/x2") == E.mul(E.var("x1"), E.power(E.var("x2"), E.const(-1)))
@@ -108,6 +236,39 @@ class TestParse:
     @settings(max_examples=150)
     def test_print_parse_round_trip(self, tree):
         assert E.parse(E.to_string(tree)) is tree
+
+    @given(st.lists(st.sampled_from(TOKENS), max_size=16).map("".join))
+    @settings(max_examples=800)
+    def test_matches_reference_parser(self, text):
+        assert_parses_like_reference(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "0.1+0.2+0.3", "2^3^2", "2^-3^2", "-x1^2", "x1-x2-x3", "x1/x2/x3",
+            "x1*-x2", "--x1", "sin x1", "tan(x1)", "(x1", "x1)", "()",
+            "1e308*10", "x1*1e308*10", "1e308*10 x1", "(1e308+1e308",
+        ],
+    )
+    def test_matches_reference_parser_on(self, text):
+        assert_parses_like_reference(text)
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("1e999", "bad number '1e999' at 1:1"),
+            ("x1 + 2e400", "bad number '2e400' at 1:6"),
+            ("1e308*10", "constant overflow at 1:6"),
+            ("1e308+1e308", "constant overflow at 1:6"),
+            ("x1*1e308*10", "constant overflow at 1:9"),
+            ("1e308/0.1", "constant overflow at 1:6"),
+            ("x1 +\n  (1e308 + 1e308)", "constant overflow at 2:10"),
+        ],
+    )
+    def test_out_of_range_constant_is_a_syntax_error(self, text, message):
+        with pytest.raises(E.ExprSyntaxError) as err:
+            E.parse(text)
+        assert str(err.value) == message
 
     def test_deep_power_tower_prints_in_linear_time(self):
         x = E.var("x1")
@@ -231,6 +392,65 @@ class TestInterning:
         del node
         gc.collect()
         assert [ref() for ref in refs] == [None, None]
+
+
+def run_fresh(script):
+    """Run ``script`` in a new interpreter, at its default recursion limit."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+
+
+DEEP_CHAIN = """
+import math, sys
+limit = sys.getrecursionlimit()
+from algebroids import expr as E
+# Hold every pass to the default limit, whatever the import did to it.
+sys.setrecursionlimit(limit)
+
+depth = 3000
+x1, x2 = E.var("x1"), E.var("x2")
+e, shifted = x1, x2
+for _ in range(depth):
+    e, shifted = E.sin(e), E.sin(shifted)
+assert E.substitute(e, {"x1": x2}) is shifted
+assert E.free_variables(e) == {"x1"}
+
+value = 0.3
+for _ in range(depth):
+    value = math.sin(value)
+assert E.evaluate(e, {"x1": 0.3}) == value
+
+d = E.differentiate(e, "x1")
+assert isinstance(d, E.Prod) and len(d.factors) == depth
+assert abs(E.evaluate(d, {"x1": 0.3}) - E.central_difference(e, "x1", {"x1": 0.3})) < 1e-6
+
+text = E.to_string(e)
+assert text == "sin(" * depth + "x1" + ")" * depth
+assert E.parse(text) is e
+assert E.max_residual(e, shifted, E.Sampler(points=5, seed=1), names=("x1", "x2"))[0] > 0
+assert E.max_residual(e, e, E.Sampler(points=5, seed=1)) == (0.0, None)
+print("ok")
+"""
+
+
+class TestDeepInput:
+    """Deep trees need no raised recursion limit, and importing the
+    package leaves the limit alone."""
+
+    def test_import_leaves_recursion_limit_unchanged(self):
+        done = run_fresh(
+            "import sys; before = sys.getrecursionlimit(); import algebroids; "
+            "print(before, sys.getrecursionlimit())"
+        )
+        assert done.returncode == 0, done.stderr
+        before, after = done.stdout.split()
+        assert before == after
+
+    def test_every_pass_walks_a_deep_chain(self):
+        done = run_fresh(DEEP_CHAIN)
+        assert done.returncode == 0, done.stderr[-2000:]
+        assert done.stdout == "ok\n"
 
 
 class TestEvaluate:

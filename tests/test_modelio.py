@@ -180,6 +180,19 @@ class TestNegativeCorpus:
         assert names == set(NEGATIVE_EXPECTATIONS)
 
 
+class TestExpressionErrors:
+    def test_overflowing_constant_is_an_expression_syntax_error(self, tmp_path):
+        text = (MODELS / "classical.model").read_text(encoding="utf-8")
+        line = text.splitlines().index("L = 1/2*(y1^2 + y2^2)") + 1
+        path = tmp_path / "overflow.model"
+        path.write_text(text.replace("L = 1/2*(y1^2 + y2^2)", "L = 1e308*10*y1^2"), encoding="utf-8")
+        with pytest.raises(ModelError) as err:
+            load_model(path)
+        assert err.value.code == "expression-syntax"
+        assert err.value.line == line
+        assert "constant overflow" in str(err.value)
+
+
 class TestSymbolicInverse:
     def test_two_by_two(self):
         sampler = Sampler(points=25, seed=4)
@@ -215,6 +228,10 @@ class TestReportEmission:
     def test_seventeen_significant_digits(self):
         text = emit_report([], {"value": 0.1})
         assert "0.10000000000000001" in text
+
+    def test_control_characters_round_trip(self):
+        text = "".join(map(chr, range(32))) + '\x7f"\\u\u00e9'
+        assert json.loads(emit_report([], {"section": text})) == {"checks": [], "section": text}
 
     def test_valid_json_round_trip(self):
         payload = emit_report([], {"nested": {"a": [1, 2.5, None, True, "s"]}})
