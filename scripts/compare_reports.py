@@ -1,16 +1,19 @@
 #!/usr/bin/env python3
-"""Compare ``algebroids report-all --json``, ``lift`` and ``format_model``
-between two source trees.
+"""Compare what two source trees print for the same commands.
 
-Runs ``report-all --json --seed S`` on every bundled model plus
-``benchmark/models/rotation.model``, ``lift u``, ``lift u --gh`` and
-``lift u --vertical`` on each of those models that defines section
-``u``, and prints ``format_model(load_model(path))`` of each model, once
-with each ``src/`` directory on ``PYTHONPATH``.  Prints one
-line per run: whether stdout is byte-identical, both exit codes and,
-where the outputs differ, the first differing row.  The model files
-come from this checkout, so only the program differs.  Exits 0 when
-every run is identical with the same exit code, 1 otherwise.
+At each seed S, runs ``report-all``, ``validate``,
+``check-lift-brackets`` and ``check-duality`` with ``--json --seed S``
+on every bundled model plus ``benchmark/models/rotation.model``.
+``check-lift-brackets`` runs its default 10 pairs, so it reaches rows
+that the 3 trials of ``report-all`` never build.  Then runs ``lift u``,
+``lift u --gh`` and ``lift u --vertical`` on each of those models that
+defines section ``u``, and prints ``format_model(load_model(path))`` of
+each model.  Every run happens once with each ``src/`` directory on
+``PYTHONPATH``.  Prints one line per run: whether stdout is
+byte-identical, both exit codes and, where the outputs differ, the
+first differing row.  The model files come from this checkout, so only
+the program differs.  Exits 0 when every run is identical with the
+same exit code, 1 otherwise.
 
 Usage: python scripts/compare_reports.py SRC_A SRC_B [--seeds 1 5]
 """
@@ -26,6 +29,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 MODELS = sorted((ROOT / "models").glob("*.model")) + [ROOT / "benchmark" / "models" / "rotation.model"]
 
 
+CHECKS = ("report-all", "validate", "check-lift-brackets", "check-duality")
 LIFT_FLAGS = ((), ("--gh",), ("--vertical",))
 CLI = ["-m", "algebroids.cli"]
 FORMAT = [
@@ -44,8 +48,9 @@ def runs(seeds: list[int]) -> list[tuple[str, list[str]]]:
     out = []
     for seed in seeds:
         for model in MODELS:
-            argv = [*CLI, "report-all", str(model), "--json", "--seed", str(seed)]
-            out.append((f"seed {seed}  {model.relative_to(ROOT)}", argv))
+            for check in CHECKS:
+                argv = [*CLI, check, str(model), "--json", "--seed", str(seed)]
+                out.append((f"seed {seed}  {check}  {model.relative_to(ROOT)}", argv))
     for model in MODELS:
         lines = model.read_text(encoding="utf-8").splitlines()
         if any(line.split("#")[0].strip() == "[section u]" for line in lines):

@@ -28,7 +28,7 @@ from .prolong import (
     random_prolong_section,
     vertical_lift,
 )
-from .reporting import CheckReport, residual_row
+from .reporting import CheckReport, residual_row, residual_rows
 
 Side = Literal["lagrangian", "hamiltonian"]
 
@@ -271,10 +271,8 @@ def bracket_commutation(
         W = random_prolong_section(source, rng, degree=1)
         lhs = _tangent_legendre(pair, bracket_prolong(Z, W), side)
         rhs = bracket_prolong(_tangent_legendre(pair, Z, side), _tangent_legendre(pair, W, side))
-        for alpha, (a, b) in enumerate(zip(lhs.horizontal, rhs.horizontal)):
-            residual_row(report, "horizontal", (trial, alpha + 1), a, b, sampler, tol)
-        for idx, (a, b) in enumerate(zip(lhs.vertical, rhs.vertical)):
-            residual_row(report, "vertical", (trial, idx + 1), a, b, sampler, tol)
+        residual_rows(report, "horizontal", (trial,), lhs.horizontal, rhs.horizontal, sampler, tol)
+        residual_rows(report, "vertical", (trial,), lhs.vertical, rhs.vertical, sampler, tol)
     return report
 
 
@@ -343,34 +341,22 @@ def check_lift_transport(
     if which == "vertical":
         got = _tangent_legendre(pair, vertical_lift(u), side)
         want = vertical_lift(w)
-        for b, (a, bb) in enumerate(zip(got.vertical, want.vertical)):
-            residual_row(premise, "vertical-image", (b + 1,), a, bb, sampler, tol)
+        residual_rows(premise, "vertical-image", (), got.vertical, want.vertical, sampler, tol)
         along = dict(zip(fn.fiber_vars, u.coefficients))
         for a in range(source.rank):
             residual_row(conclusions, "section-transport", (a + 1,), transport(u.coefficients[a]), u.coefficients[a], sampler, tol)
-            for b in range(source.rank):
-                residual_row(
-                    conclusions,
-                    "hessian-transport",
-                    (a + 1, b + 1),
-                    transport(fn.hessian[a][b]),
-                    substitute(fn.hessian[a][b], along),
-                    sampler,
-                    tol,
-                )
+            got_row = [transport(entry) for entry in fn.hessian[a]]
+            want_row = [substitute(entry, along) for entry in fn.hessian[a]]
+            residual_rows(conclusions, "hessian-transport", (a + 1,), got_row, want_row, sampler, tol)
     else:
         got = _tangent_legendre(pair, complete_lift(u), side)
         want = complete_lift(w)
-        for alpha, (a, b) in enumerate(zip(got.horizontal, want.horizontal)):
-            residual_row(premise, "horizontal-image", (alpha + 1,), a, b, sampler, tol)
-        for idx, (a, b) in enumerate(zip(got.vertical, want.vertical)):
-            residual_row(premise, "vertical-image", (idx + 1,), a, b, sampler, tol)
+        residual_rows(premise, "horizontal-image", (), got.horizontal, want.horizontal, sampler, tol)
+        residual_rows(premise, "vertical-image", (), got.vertical, want.vertical, sampler, tol)
         # displayed equalities: anchored-image transport and the
         # fiber-contracted bracket-coefficient transport
-        for alpha, (a, b) in enumerate(zip(want.horizontal, got.horizontal)):
-            residual_row(conclusions, "pushed-section-transport", (alpha + 1,), a, b, sampler, tol)
-        for idx, (a, b) in enumerate(zip(want.vertical, got.vertical)):
-            residual_row(conclusions, "bracket-coefficient-transport", (idx + 1,), a, b, sampler, tol)
+        residual_rows(conclusions, "pushed-section-transport", (), want.horizontal, got.horizontal, sampler, tol)
+        residual_rows(conclusions, "bracket-coefficient-transport", (), want.vertical, got.vertical, sampler, tol)
     return LiftCompatibilityReport(premise, conclusions)
 
 

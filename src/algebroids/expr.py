@@ -88,7 +88,7 @@ class Expr:
         return neg(self)
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, slot) for slot in self.__slots__)
+        return _from_tape, (_tape(self),)
 
     def __str__(self):
         return to_string(self)
@@ -372,6 +372,41 @@ def _postorder(roots: Iterable[Expr]) -> tuple[list[Expr], list[int]]:
             stack.extend(children)
         ends.append(len(order))
     return order, ends
+
+
+def _tape(e: Expr) -> list[tuple]:
+    """``e`` as a flat post-order list with one ``(class, *slots)``
+    entry per distinct node, ``e`` last.  A child is replaced by its
+    position in the list (an int; constants hold floats), so pickling
+    and copying need no recursion and write a shared subtree once."""
+    order, _ = _postorder((e,))
+    position = {node: k for k, node in enumerate(order)}
+
+    def encode(value):
+        if isinstance(value, Expr):
+            return position[value]
+        if isinstance(value, tuple):
+            return tuple(position[v] for v in value)
+        return value
+
+    return [(type(node), *(encode(getattr(node, slot)) for slot in node.__slots__)) for node in order]
+
+
+def _from_tape(tape: list[tuple]) -> Expr:
+    """The node :func:`_tape` wrote, rebuilt through the node
+    constructors, so it is the interned node itself."""
+    nodes: list[Expr] = []
+
+    def decode(value):
+        if type(value) is int:
+            return nodes[value]
+        if type(value) is tuple:
+            return tuple(nodes[k] for k in value)
+        return value
+
+    for kind, *fields in tape:
+        nodes.append(kind(*map(decode, fields)))
+    return nodes[-1]
 
 
 def free_variables(e: Expr) -> frozenset[str]:
@@ -688,17 +723,22 @@ class Sampler:
         tag = zlib.crc32(",".join(names).encode("utf-8"))
         return np.random.default_rng((self.seed, tag))
 
-    def columns(self, names: Iterable[str], count: int | None = None) -> np.ndarray:
-        """The sampled points as an array, one row per point and one
-        column per name: ``lo + (hi - lo) * u`` for uniform draws ``u``."""
-        names = tuple(names)
-        n = self.points if count is None else count
-        raw = self._rng(names).random((n, len(names)))
+    def _draw(self, rng: np.random.Generator, names: tuple[str, ...], n: int) -> np.ndarray:
+        """``n`` rows from ``rng``, one column per name: ``lo + (hi -
+        lo) * u`` for uniform draws ``u``, taken row by row."""
+        raw = rng.random((n, len(names)))
         out = np.empty_like(raw)
         for j, name in enumerate(names):
             lo, hi = self.ranges.get(name, (self.lo, self.hi))
             out[:, j] = lo + (hi - lo) * raw[:, j]
         return out
+
+    def columns(self, names: Iterable[str], count: int | None = None) -> np.ndarray:
+        """The sampled points as an array, one row per point and one
+        column per name."""
+        names = tuple(names)
+        n = self.points if count is None else count
+        return self._draw(self._rng(names), names, n)
 
     def sample(self, names: Iterable[str], count: int | None = None) -> list[dict[str, float]]:
         """The points of :meth:`columns`, one dict per row."""
@@ -719,29 +759,36 @@ class Sampler:
         floor_names = tuple(floor_names)
         n = self.points if count is None else count
         rng = self._rng(names + ("floor",))
-        out = []
-        attempts = 0
-        while len(out) < n:
-            attempts += 1
-            if attempts > 1000 * max(n, 1):
-                raise ValueError(
-                    f"could not sample points with max-norm floor {floor} over {floor_names}"
-                )
-            point = {}
-            for name in names:
-                lo, hi = self.ranges.get(name, (self.lo, self.hi))
-                point[name] = lo + (hi - lo) * float(rng.random())
-            if floor_names and max(abs(point[f]) for f in floor_names) < floor:
-                continue
-            out.append(point)
-        return out
-
-    def with_seed(self, seed: int) -> "Sampler":
-        return Sampler(self.points, seed, self.lo, self.hi, dict(self.ranges))
+        block = [names.index(f) for f in floor_names]
+        kept = np.empty((0, len(names)))
+        # At most 1000 blocks of n rows: the draws of one point at a
+        # time, in the same order and under the same limit.
+        for _ in range(1000):
+            if len(kept) >= n:
+                break
+            rows = self._draw(rng, names, n)
+            if block:
+                rows = rows[~(np.abs(rows[:, block]).max(axis=1) < floor)]
+            kept = np.concatenate((kept, rows))
+        if len(kept) < n:
+            raise ValueError(f"could not sample points with max-norm floor {floor} over {floor_names}")
+        return [dict(zip(names, row)) for row in kept[:n].tolist()]
 
 
 def relative_gap(a: float, b: float) -> float:
     return abs(a - b) / (1.0 + max(abs(a), abs(b)))
+
+
+def worst_gap(gaps: Iterable[float]) -> tuple[float, int | None]:
+    """The largest gap and the index of its first occurrence: the one
+    witness rule of every sampled check.  A NaN counts as the largest
+    gap, so the row it lands in fails.  The index is ``None`` when no
+    gap is above 0, and no gaps give ``(0.0, None)``."""
+    # max keeps the first of equal keys; a NaN's key beats any number's.
+    index, worst = max(enumerate(gaps), key=lambda item: (math.isnan(item[1]), item[1]), default=(None, 0.0))
+    if worst > 0.0 or math.isnan(worst):
+        return worst, index
+    return 0.0, None
 
 
 def max_residual(
@@ -751,8 +798,7 @@ def max_residual(
     names: Iterable[str] | None = None,
 ) -> tuple[float, dict[str, float] | None]:
     """Worst relative gap between two expressions over sampled points,
-    with the witness point: the first point where the gap is largest,
-    ``None`` when every gap is 0."""
+    with the witness point that :func:`worst_gap` picks."""
     roots = (e1, e2)
     order, ends = _postorder(roots)
     if names is None:
@@ -762,9 +808,8 @@ def max_residual(
     v1, v2 = _evaluate_order(roots, order, ends, names, columns)
     with np.errstate(over="ignore"):
         gap = np.abs(v1 - v2) / (1.0 + np.maximum(np.abs(v1), np.abs(v2)))
-    row = int(np.argmax(gap))
-    witness = dict(zip(names, columns[row].tolist())) if gap[row] > 0.0 else None
-    return float(gap[row]), witness
+    worst, row = worst_gap(gap.tolist())
+    return worst, None if row is None else dict(zip(names, columns[row].tolist()))
 
 
 def equivalent(
@@ -776,8 +821,7 @@ def equivalent(
 ) -> bool:
     """Randomized identity test: true iff |e1-e2| <= tol*(1+max(|e1|,|e2|))
     at every sampled point."""
-    worst, _ = max_residual(e1, e2, sampler, names)
-    return worst <= tol
+    return max_residual(e1, e2, sampler, names)[0] <= tol
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from .expr import (
     mul,
     substitute,
     var,
+    worst_gap,
 )
 from .prolong import AnchoredBundle
 from .reporting import CheckReport
@@ -350,34 +351,30 @@ def check_round_trip(L: Lagrangian, H: Hamiltonian, sampler: Sampler, tol: float
     """Both compositions of the two Legendre morphisms against the
     identity, plus the Hessian-inverse matching conditions."""
     report = CheckReport("legendre-round-trip")
-    worst_ll = worst_hh = worst_lt = worst_ht = 0.0
-    w_ll = w_hh = w_lt = w_ht = None
+    # (gap, point) pairs of each row; the Hessian rows skip singular points.
+    ll, lt, hh, ht = [], [], [], []
     for x, y in _fiber_points(L, sampler):
         p = phi_l(L, x, y)
         back = phi_h(H, x, p)
-        gap = float(np.abs(back - y).max()) / (1.0 + float(np.abs(y).max()))
-        if gap > worst_ll:
-            worst_ll, w_ll = gap, L.binding(x, y)
+        ll.append((float(np.abs(back - y).max()) / (1.0 + float(np.abs(y).max())), L.binding(x, y)))
         hess = L.fiber_hessian(x, y)
         if hess.regular:
-            gap = float(np.abs(hess.inverse - H.hessian_at(x, p)).max())
-            if gap > worst_lt:
-                worst_lt, w_lt = gap, L.binding(x, y)
+            lt.append((float(np.abs(hess.inverse - H.hessian_at(x, p)).max()), L.binding(x, y)))
     for x, p in _fiber_points(H, sampler):
         y = phi_h(H, x, p)
         back = phi_l(L, x, y)
-        gap = float(np.abs(back - p).max()) / (1.0 + float(np.abs(p).max()))
-        if gap > worst_hh:
-            worst_hh, w_hh = gap, H.binding(x, p)
+        hh.append((float(np.abs(back - p).max()) / (1.0 + float(np.abs(p).max())), H.binding(x, p)))
         hess = H.fiber_hessian(x, p)
         if hess.regular:
-            gap = float(np.abs(hess.inverse - L.hessian_at(x, y)).max())
-            if gap > worst_ht:
-                worst_ht, w_ht = gap, H.binding(x, p)
-    report.add("phiH-after-phiL", (), worst_ll, tol, w_ll)
-    report.add("phiL-after-phiH", (), worst_hh, tol, w_hh)
-    report.add("L-inverse-hessian-matches-H", (), worst_lt, tol, w_lt)
-    report.add("H-inverse-hessian-matches-L", (), worst_ht, tol, w_ht)
+            ht.append((float(np.abs(hess.inverse - L.hessian_at(x, y)).max()), H.binding(x, p)))
+    for name, pairs in (
+        ("phiH-after-phiL", ll),
+        ("phiL-after-phiH", hh),
+        ("L-inverse-hessian-matches-H", lt),
+        ("H-inverse-hessian-matches-L", ht),
+    ):
+        worst, index = worst_gap([gap for gap, _ in pairs])
+        report.add(name, (), worst, tol, None if index is None else pairs[index][1])
     return report
 
 
@@ -421,17 +418,16 @@ def check_homogeneity(
 ) -> HomogeneityReport:
     """Euler identity fiber.grad = degree * f plus positive-definiteness
     of the fiber Hessian, sampled away from the zero section."""
-    worst = 0.0
-    witness = None
+    pairs = []  # (gap, point)
     pd = True
     regular = True
     for x, fiber in _fiber_points(f, sampler):
         value = f.value(x, fiber)
         euler = float(fiber @ f.gradient(x, fiber)) - degree * value
-        gap = abs(euler) / (1.0 + abs(degree * value))
-        if gap > worst:
-            worst, witness = gap, f.binding(x, fiber)
+        pairs.append((abs(euler) / (1.0 + abs(degree * value)), f.binding(x, fiber)))
         hess = f.fiber_hessian(x, fiber)
         regular = regular and hess.regular
         pd = pd and _is_positive_definite(hess.matrix)
+    worst, index = worst_gap([gap for gap, _ in pairs])
+    witness = None if index is None else pairs[index][1]
     return HomogeneityReport(degree, worst, worst <= tol, pd, regular, witness)

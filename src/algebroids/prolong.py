@@ -417,18 +417,22 @@ def vertical_lift(u: Section) -> ProlongSection:
     )
 
 
+def _gu(u: Section) -> tuple[Expr, ...]:
+    """``gu[alpha] = sum_c g[alpha][c] u^c``: the image of the section
+    through the fiber morphism, still on M."""
+    bundle = u.bundle
+    return tuple(
+        add(*[mul(bundle.g[alpha][c], u.coefficients[c]) for c in range(bundle.rank)])
+        for alpha in range(bundle.algebroid.rank)
+    )
+
+
 def push_to_algebroid(u: Section) -> SectionF:
     """Image of the section through the fiber morphism, on N."""
     bundle = u.bundle
     bundle._need_g()
     h = bundle.algebroid.h
-    coeffs = []
-    for alpha in range(bundle.algebroid.rank):
-        total = add(
-            *[mul(bundle.g[alpha][b], u.coefficients[b]) for b in range(bundle.rank)]
-        )
-        coeffs.append(h.push(total))
-    return SectionF(bundle.algebroid, tuple(coeffs))
+    return SectionF(bundle.algebroid, tuple(h.push(e) for e in _gu(u)))
 
 
 def pull_from_algebroid(bundle: AnchoredBundle, w: SectionF) -> Section:
@@ -457,12 +461,8 @@ def k_coefficients(u: Section) -> tuple[tuple[Expr, ...], ...]:
     h = alg.h
     p, m = alg.rank, alg.base_m.dim
     xs = alg.base_m.variables
-    # gu[alpha] = sum_c g[alpha][c] u^c on M
-    gu = [
-        add(*[mul(bundle.g[alpha][c], u.coefficients[c]) for c in range(bundle.rank)])
-        for alpha in range(p)
-    ]
-    gu_n = [h.push(e) for e in gu]
+    gu = _gu(u)
+    gu_n = push_to_algebroid(u).coefficients
     g_n = [[h.push(bundle.g[alpha][a]) for a in range(bundle.rank)] for alpha in range(p)]
     dg_n = [
         [[h.push(differentiate(bundle.g[gamma][a], xs[j])) for j in range(m)] for a in range(bundle.rank)]
@@ -517,10 +517,7 @@ def complete_lift_vf(u: Section) -> VectorFieldOnE:
     bundle._need_g()
     alg = bundle.algebroid
     K = k_coefficients(u)
-    gu = [
-        add(*[mul(bundle.g[alpha][c], u.coefficients[c]) for c in range(bundle.rank)])
-        for alpha in range(alg.rank)
-    ]
+    gu = _gu(u)
     d_base = []
     for i in range(alg.base_m.dim):
         pieces = []
@@ -551,15 +548,8 @@ def complete_lift_vf(u: Section) -> VectorFieldOnE:
 
 def complete_lift(u: Section) -> ProlongSection:
     """Complete lift into the generalized tangent bundle."""
-    bundle = u.bundle
-    bundle._need_g()
-    alg = bundle.algebroid
     vf = complete_lift_vf(u)
-    horizontal = [
-        add(*[mul(bundle.g[alpha][c], u.coefficients[c]) for c in range(bundle.rank)])
-        for alpha in range(alg.rank)
-    ]
-    return ProlongSection(bundle, tuple(horizontal), vf.d_fiber)
+    return ProlongSection(u.bundle, _gu(u), vf.d_fiber)
 
 
 def hat_form(bundle: AnchoredBundle, omega: FormQ) -> Expr:

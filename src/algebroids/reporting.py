@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Iterable
 
 if TYPE_CHECKING:
     from .expr import Expr, Sampler
@@ -77,12 +77,28 @@ def residual_row(
     sampler: "Sampler",
     tol: float,
 ) -> None:
-    """Record the worst sampled gap between two expressions, with a
-    structural-zero fast path."""
-    from .expr import is_zero, max_residual
+    """Decide one expression row.  Nodes are interned, so identical
+    sides are a proof of equality: residual 0.0, no witness, nothing
+    evaluated.  Otherwise the worst sampled gap and its witness."""
+    from .expr import max_residual
 
-    if is_zero(lhs - rhs):
+    if lhs is rhs:
         report.add(name, indices, 0.0, tol)
         return
     worst, witness = max_residual(lhs, rhs, sampler)
     report.add(name, indices, worst, tol, witness)
+
+
+def residual_rows(
+    report: CheckReport,
+    name: str,
+    prefix: tuple,
+    lhs: Iterable["Expr"],
+    rhs: Iterable["Expr"],
+    sampler: "Sampler",
+    tol: float,
+) -> None:
+    """:func:`residual_row` for each pair of components, indexed by
+    ``prefix`` and the 1-based component number."""
+    for k, (a, b) in enumerate(zip(lhs, rhs), 1):
+        residual_row(report, name, (*prefix, k), a, b, sampler, tol)

@@ -31,13 +31,13 @@ from .expr import (
     is_zero,
     mul,
     relative_gap,
+    worst_gap,
 )
 from .exterior import FormQ, gh_lie_derivative, one_form
 from .legendre import check_homogeneity, check_round_trip
 from .modelio import Model
 from .prolong import (
     AnchoredBundle,
-    ProlongSection,
     almost_tangent,
     bracket_prolong,
     complete_lift,
@@ -54,7 +54,7 @@ from .prolong import (
     vertical_lift_function,
     vertical_lift_vf,
 )
-from .reporting import CheckReport, residual_row
+from .reporting import CheckReport, residual_row, residual_rows
 
 
 def _random_one_form(bundle: AnchoredBundle, rng: np.random.Generator) -> FormQ:
@@ -135,17 +135,7 @@ def lift_bracket_report(
     alg = bundle.algebroid
     report = CheckReport(f"lift-brackets {bundle.name}")
     rng = np.random.default_rng(sampler.seed + 2002)
-    zero = ProlongSection(
-        bundle,
-        tuple(add() for _ in range(alg.rank)),
-        tuple(add() for _ in range(bundle.rank)),
-    )
-
-    def rows(name: str, trial: int, got: ProlongSection, want: ProlongSection):
-        for idx, (a, b) in enumerate(zip(got.horizontal, want.horizontal)):
-            residual_row(report, f"{name}-horizontal", (trial, idx + 1), a, b, sampler, tol)
-        for idx, (a, b) in enumerate(zip(got.vertical, want.vertical)):
-            residual_row(report, f"{name}-vertical", (trial, idx + 1), a, b, sampler, tol)
+    zero = vertical_lift(bundle.section((add(),) * bundle.rank))
 
     for trial in range(trials):
         u = random_bundle_section(bundle, rng)
@@ -155,9 +145,13 @@ def lift_bracket_report(
         w = pull_from_algebroid(
             bundle, alg.bracket(push_to_algebroid(u), push_to_algebroid(v))
         )
-        rows("vertical-vertical", trial, bracket_prolong(uV, vV), zero)
-        rows("vertical-complete", trial, bracket_prolong(uV, vC), vertical_lift(w))
-        rows("complete-complete", trial, bracket_prolong(uC, vC), complete_lift(w))
+        for name, got, want in (
+            ("vertical-vertical", bracket_prolong(uV, vV), zero),
+            ("vertical-complete", bracket_prolong(uV, vC), vertical_lift(w)),
+            ("complete-complete", bracket_prolong(uC, vC), complete_lift(w)),
+        ):
+            residual_rows(report, f"{name}-horizontal", (trial,), got.horizontal, want.horizontal, sampler, tol)
+            residual_rows(report, f"{name}-vertical", (trial,), got.vertical, want.vertical, sampler, tol)
     return report
 
 
@@ -177,12 +171,11 @@ def function_lift_rules_report(
         f2 = random_polynomial(alg.base_n.variables, rng)
         got = vertical_lift_vf(u + v)
         want = vertical_lift_vf(u) + vertical_lift_vf(v)
-        for idx, (a, b) in enumerate(zip(got.d_fiber, want.d_fiber)):
-            residual_row(report, "vertical-additive", (trial, idx + 1), a, b, sampler, tol)
+        residual_rows(report, "vertical-additive", (trial,), got.d_fiber, want.d_fiber, sampler, tol)
         got = vertical_lift_vf(u.scaled(f_m))
         fv = vertical_lift_function(bundle, f_m, "M")
-        for idx, (a, b) in enumerate(zip(got.d_fiber, vertical_lift_vf(u).d_fiber)):
-            residual_row(report, "vertical-module", (trial, idx + 1), a, mul(fv, b), sampler, tol)
+        want = [mul(fv, b) for b in vertical_lift_vf(u).d_fiber]
+        residual_rows(report, "vertical-module", (trial,), got.d_fiber, want, sampler, tol)
         residual_row(
             report,
             "vertical-kills-vertical-lifts",
@@ -243,24 +236,20 @@ def tangent_structure_report(
     the complete-lift vector field."""
     report = CheckReport(f"tangent-structure {bundle.name}")
     rng = np.random.default_rng(sampler.seed + 4004)
+    zero = vertical_lift(bundle.section((add(),) * bundle.rank))
     for trial in range(trials):
         u = random_bundle_section(bundle, rng)
         uC = complete_lift(u)
         uV = vertical_lift(u)
         J = almost_tangent(uC)
-        for idx, (a, b) in enumerate(zip(J.vertical, uV.vertical)):
-            residual_row(report, "tangent-of-complete-is-vertical", (trial, idx + 1), a, b, sampler, tol)
-        for idx, a in enumerate(J.horizontal):
-            residual_row(report, "tangent-image-is-vertical", (trial, idx + 1), a, add(), sampler, tol)
+        residual_rows(report, "tangent-of-complete-is-vertical", (trial,), J.vertical, uV.vertical, sampler, tol)
+        residual_rows(report, "tangent-image-is-vertical", (trial,), J.horizontal, zero.horizontal, sampler, tol)
         uc = complete_lift_vf(u)
         rt = rho_tilde(uC)
-        for idx, (a, b) in enumerate(zip(rt.d_base, uc.d_base)):
-            residual_row(report, "anchored-projection-base", (trial, idx + 1), a, b, sampler, tol)
-        for idx, (a, b) in enumerate(zip(rt.d_fiber, uc.d_fiber)):
-            residual_row(report, "anchored-projection-fiber", (trial, idx + 1), a, b, sampler, tol)
+        residual_rows(report, "anchored-projection-base", (trial,), rt.d_base, uc.d_base, sampler, tol)
+        residual_rows(report, "anchored-projection-fiber", (trial,), rt.d_fiber, uc.d_fiber, sampler, tol)
         JJ = almost_tangent(J)
-        for idx, a in enumerate(JJ.vertical):
-            residual_row(report, "tangent-squares-to-zero", (trial, idx + 1), a, add(), sampler, tol)
+        residual_rows(report, "tangent-squares-to-zero", (trial,), JJ.vertical, zero.vertical, sampler, tol)
     return report
 
 
@@ -299,16 +288,7 @@ def k_oracle_report(bundle: AnchoredBundle, sampler: Sampler, tol: float = 1e-10
         closed = k_coefficients(u)
         direct = k_coefficients_via_bracket(u)
         for gamma in range(bundle.algebroid.rank):
-            for a in range(bundle.rank):
-                residual_row(
-                    report,
-                    "closed-form-vs-bracket",
-                    (trial, gamma + 1, a + 1),
-                    closed[gamma][a],
-                    direct[gamma][a],
-                    sampler,
-                    tol,
-                )
+            residual_rows(report, "closed-form-vs-bracket", (trial, gamma + 1), closed[gamma], direct[gamma], sampler, tol)
     return report
 
 
@@ -364,17 +344,10 @@ def derivative_oracle_report(
             continue
         points = sampler.sample(tuple(names))
         for v in names:
-            d = differentiate(expression, v)
-            dfn = compiled(d)
-            worst = 0.0
-            witness = None
-            for point in points:
-                sym = dfn(point)
-                fd = central_difference(expression, v, point, step)
-                gap = relative_gap(sym, fd)
-                if gap > worst:
-                    worst, witness = gap, point
-            report.add(f"d/d{v} {name}", (), worst, tol, witness)
+            dfn = compiled(differentiate(expression, v))
+            gaps = [relative_gap(dfn(point), central_difference(expression, v, point, step)) for point in points]
+            worst, index = worst_gap(gaps)
+            report.add(f"d/d{v} {name}", (), worst, tol, None if index is None else points[index])
     return report
 
 

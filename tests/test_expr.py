@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from algebroids import expr as E
 from algebroids.algebroid import coords, identity_map
+from algebroids.reporting import CheckReport
 
 VARS = ("x1", "x2", "k1")
 
@@ -402,7 +403,7 @@ def run_fresh(script):
 
 
 DEEP_CHAIN = """
-import math, sys
+import copy, math, pickle, sys
 limit = sys.getrecursionlimit()
 from algebroids import expr as E
 # Hold every pass to the default limit, whatever the import did to it.
@@ -430,6 +431,8 @@ assert text == "sin(" * depth + "x1" + ")" * depth
 assert E.parse(text) is e
 assert E.max_residual(e, shifted, E.Sampler(points=5, seed=1), names=("x1", "x2"))[0] > 0
 assert E.max_residual(e, e, E.Sampler(points=5, seed=1)) == (0.0, None)
+assert pickle.loads(pickle.dumps(e)) is e
+assert copy.deepcopy(e) is e
 print("ok")
 """
 
@@ -603,6 +606,52 @@ class TestEquivalent:
         for point in sampler.sample_with_floor(("x1", "y1", "y2"), ("y1", "y2"), 0.1):
             assert max(abs(point["y1"]), abs(point["y2"])) >= 0.1
 
+    @pytest.mark.parametrize("seed", [0, 1, 5, 23])
+    @pytest.mark.parametrize("floor", [0.0, 0.1, 1.2, 1.9])
+    def test_floor_sampling_matches_per_point_draws(self, seed, floor):
+        sampler = E.Sampler(points=30, seed=seed, lo=-3, hi=1, ranges={"y1": (-1.0, 2.0)})
+        names, block = ("x1", "y1", "y2"), ("y1", "y2")
+        want, attempts = reference_floor_sample(sampler, names, block, floor)
+        assert sampler.sample_with_floor(names, block, floor) == want
+        if floor >= 1.2:
+            assert attempts > sampler.points  # rejections reach a second block
+
+    def test_floor_sampling_count_and_no_floor_names(self):
+        sampler = E.Sampler(points=10, seed=2)
+        for count in (0, 1, 7):
+            want, _ = reference_floor_sample(sampler, ("x1", "y1"), ("y1",), 0.5, count)
+            assert sampler.sample_with_floor(("x1", "y1"), ("y1",), 0.5, count) == want
+        want, _ = reference_floor_sample(sampler, ("x1", "y1"), (), 0.5)
+        assert sampler.sample_with_floor(("x1", "y1"), (), 0.5) == want
+
+    def test_floor_out_of_reach_raises(self):
+        sampler = E.Sampler(points=3, seed=2)
+        with pytest.raises(ValueError, match="max-norm floor"):
+            reference_floor_sample(sampler, ("x1", "y1"), ("y1",), 2.5)
+        with pytest.raises(ValueError, match="max-norm floor"):
+            sampler.sample_with_floor(("x1", "y1"), ("y1",), 2.5)
+
+
+def reference_floor_sample(sampler, names, floor_names, floor, count=None):
+    """The point-at-a-time floor sampler that the block sampler
+    replaced: the accepted points and the number of points drawn."""
+    n = sampler.points if count is None else count
+    rng = sampler._rng(tuple(names) + ("floor",))
+    out = []
+    attempts = 0
+    while len(out) < n:
+        attempts += 1
+        if attempts > 1000 * max(n, 1):
+            raise ValueError(f"could not sample points with max-norm floor {floor} over {floor_names}")
+        point = {}
+        for name in names:
+            lo, hi = sampler.ranges.get(name, (sampler.lo, sampler.hi))
+            point[name] = lo + (hi - lo) * float(rng.random())
+        if floor_names and max(abs(point[f]) for f in floor_names) < floor:
+            continue
+        out.append(point)
+    return out, attempts
+
 
 def compiled_loop(roots, names, sampler):
     """Reference for the column evaluator: every root compiled, called
@@ -706,3 +755,36 @@ class TestColumnEvaluator:
     def test_identical_sides_have_no_witness(self):
         e = E.parse("sin(x1)*x2")
         assert E.max_residual(e, e, E.Sampler(points=10, seed=1)) == (0.0, None)
+
+    @given(trees(), trees(), st.integers(0, 1000))
+    @settings(max_examples=100)
+    def test_witness_is_worst_gap_of_per_point_loop(self, e1, e2, seed):
+        sampler = E.Sampler(points=25, seed=seed, lo=-2, hi=2)
+        names = sorted(E.free_variables(e1) | E.free_variables(e2))
+        points = sampler.sample(names)
+        f1, f2 = E.compiled(e1), E.compiled(e2)
+        try:
+            gaps = [E.relative_gap(f1(point), f2(point)) for point in points]
+        except E.EvaluationError:
+            return
+        worst, index = E.worst_gap(gaps)
+        assert E.max_residual(e1, e2, sampler) == (worst, None if index is None else points[index])
+
+
+class TestWorstGap:
+    def test_first_of_tied_gaps_is_the_witness(self):
+        assert E.worst_gap([0.1, 0.3, 0.2, 0.3]) == (0.3, 1)
+
+    @pytest.mark.parametrize("gaps", [[], [0.0, 0.0, 0.0]], ids=["empty", "all-zero"])
+    def test_no_gap_above_zero_has_no_witness(self, gaps):
+        assert E.worst_gap(gaps) == (0.0, None)
+
+    def test_nan_is_the_worst_gap_and_fails_its_row(self):
+        worst, index = E.worst_gap([0.5, math.inf, math.nan, 0.2])
+        assert math.isnan(worst) and index == 2
+        report = CheckReport("nan")
+        report.add("row", (), worst, 1e-8)
+        assert not report.passed
+
+    def test_infinite_gap_beats_finite_gaps(self):
+        assert E.worst_gap(iter([0.5, math.inf, 2.0])) == (math.inf, 1)
