@@ -11,9 +11,10 @@ defines section ``u``, and prints ``format_model(load_model(path))`` of
 each model.  Every run happens once with each ``src/`` directory on
 ``PYTHONPATH``.  Prints one line per run: whether stdout is
 byte-identical, both exit codes and, where the outputs differ, the
-first differing row.  The model files come from this checkout, so only
-the program differs.  Exits 0 when every run is identical with the
-same exit code, 1 otherwise.
+first differing row and, for each report whose rows differ, how many
+rows differ and how many ``pass`` flags changed.  The model files come
+from this checkout, so only the program differs.  Exits 0 when every
+run is identical with the same exit code, 1 otherwise.
 
 Usage: python scripts/compare_reports.py SRC_A SRC_B [--seeds 1 5]
 """
@@ -87,6 +88,24 @@ def first_difference(a: bytes, b: bytes) -> str:
     return f"row counts differ: {len(left)} against {len(right)}"
 
 
+def report_differences(a: bytes, b: bytes) -> list[str]:
+    """One line per report whose rows differ: its name, how many of its
+    rows differ and how many of its ``pass`` flags (rows and report)
+    changed."""
+    try:
+        left, right = json.loads(a), json.loads(b)
+    except ValueError:
+        return []
+    out = []
+    for x, y in zip(left.get("checks", []), right.get("checks", [])):
+        pairs = list(zip(x.get("rows", []), y.get("rows", [])))
+        differing = sum(r != s for r, s in pairs) + abs(len(x.get("rows", [])) - len(y.get("rows", [])))
+        if differing:
+            flips = sum(r.get("pass") != s.get("pass") for r, s in pairs) + (x.get("pass") != y.get("pass"))
+            out.append(f"{x['name']}: {differing} rows differ, {flips} pass flags changed")
+    return out
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("src_a", type=pathlib.Path, help="first src/ directory")
@@ -109,6 +128,8 @@ def main() -> int:
         print(f"{verdict}  {label}  exit {code_a}/{code_b}  {len(out_a)}/{len(out_b)} bytes")
         if out_a != out_b:
             print(f"  first difference: {first_difference(out_a, out_b)}")
+            for line in report_differences(out_a, out_b):
+                print(f"  {line}")
         if err_a != err_b:
             print(f"  stderr A: {err_a.decode('utf-8', 'replace').strip()}")
             print(f"  stderr B: {err_b.decode('utf-8', 'replace').strip()}")

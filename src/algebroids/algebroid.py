@@ -222,14 +222,18 @@ class GeneralizedLieAlgebroid:
         if bad:
             raise ValueError(f"anchor action expects a function on N, got variables {sorted(bad)}")
         f_on_m = self.h.pull(f)
+        # Pushed derivatives d f_on_m / d x_i, None where the derivative is zero.
+        pushed = []
+        for xi in self.base_m.variables:
+            d = differentiate(f_on_m, xi)
+            pushed.append(None if is_zero(d) else self.h.push(d))
         terms = []
         for alpha in range(self.rank):
-            inner = []
-            for i, xi in enumerate(self.base_m.variables):
-                d = differentiate(f_on_m, xi)
-                if is_zero(d) or is_zero(self.rho[alpha][i]):
-                    continue
-                inner.append(mul(self.rho[alpha][i], self.h.push(d)))
+            inner = [
+                mul(self.rho[alpha][i], p)
+                for i, p in enumerate(pushed)
+                if p is not None and not is_zero(self.rho[alpha][i])
+            ]
             if inner:
                 terms.append(mul(z.coefficients[alpha], add(*inner)))
         return add(*terms)

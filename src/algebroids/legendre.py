@@ -20,6 +20,7 @@ from .expr import (
     Sampler,
     add,
     compiled,
+    compiled_many,
     differentiate,
     free_variables,
     mul,
@@ -68,7 +69,8 @@ class HessianResult:
 
 class FiberFunction:
     """A fundamental function on the total space of an anchored bundle,
-    with cached symbolic fiber derivatives and compiled evaluators."""
+    with cached symbolic fiber derivatives and one compiled program each
+    for its value, gradient, Hessian and Newton Jacobian."""
 
     variance = "primal"
 
@@ -105,11 +107,13 @@ class FiberFunction:
             for a in range(r)
         )
         self._fn = compiled(expression)
-        self._grad_fn = tuple(compiled(e) for e in self.grad)
-        self._hess_fn = tuple(tuple(compiled(e) for e in row) for row in self.hessian)
-        self._dhess_fn = tuple(
-            tuple(tuple(compiled(e) for e in row) for row in block)
-            for block in self.hessian_fiber_d
+        self._grad_fn = compiled_many(self.grad)
+        self._hess_fn = compiled_many(e for row in self.hessian for e in row)
+        # Entry J[row, col] of the Newton Jacobian is H[col][row] plus
+        # sum_a fiber[a] * dH[a][row][col]: its r + 1 terms in turn.
+        self._newton_fn = compiled_many(
+            e for row in range(r) for col in range(r)
+            for e in (self.hessian[col][row], *(self.hessian_fiber_d[a][row][col] for a in range(r)))
         )
 
     def binding(self, x: Sequence[float], fiber: Sequence[float]) -> dict[str, float]:
@@ -121,12 +125,10 @@ class FiberFunction:
         return self._fn(self.binding(x, fiber))
 
     def gradient(self, x: Sequence[float], fiber: Sequence[float]) -> np.ndarray:
-        b = self.binding(x, fiber)
-        return np.array([fn(b) for fn in self._grad_fn])
+        return np.array(self._grad_fn(self.binding(x, fiber)))
 
     def hessian_at(self, x: Sequence[float], fiber: Sequence[float]) -> np.ndarray:
-        b = self.binding(x, fiber)
-        return np.array([[fn(b) for fn in row] for row in self._hess_fn])
+        return np.array(self._hess_fn(self.binding(x, fiber))).reshape(self.rank, self.rank)
 
     def fiber_hessian(self, x: Sequence[float], fiber: Sequence[float]) -> HessianResult:
         """Fiber Hessian with inverse and a determinant-based regularity
@@ -140,12 +142,15 @@ class FiberFunction:
 
     def _newton_jacobian(self, b: Binding, fiber: np.ndarray) -> np.ndarray:
         r = self.rank
+        # Python floats round as numpy's float64 scalars do, only faster.
+        fiber = fiber.tolist()
+        terms = iter(self._newton_fn(b))
         J = np.empty((r, r))
         for row in range(r):
             for col in range(r):
-                acc = self._hess_fn[col][row](b)
+                acc = next(terms)
                 for a in range(r):
-                    acc += fiber[a] * self._dhess_fn[a][row][col](b)
+                    acc += fiber[a] * next(terms)
                 J[row, col] = acc
         return J
 
@@ -205,13 +210,9 @@ def _solve_fiber_system(
     threshold = tol * (1.0 + float(np.abs(target).max(initial=0.0)))
 
     def residual(vec: np.ndarray) -> np.ndarray:
-        b = f.binding(x, vec)
-        return np.array(
-            [
-                sum(vec[a] * f._hess_fn[a][c](b) for a in range(f.rank)) - target[c]
-                for c in range(f.rank)
-            ]
-        )
+        h = f._hess_fn(f.binding(x, vec))
+        v, r = vec.tolist(), f.rank
+        return np.array([sum(v[a] * h[a * r + c] for a in range(r)) - target[c] for c in range(r)])
 
     res = residual(fiber)
     for iterations in range(1, maxiter + 1):
@@ -351,22 +352,22 @@ def check_round_trip(L: Lagrangian, H: Hamiltonian, sampler: Sampler, tol: float
     """Both compositions of the two Legendre morphisms against the
     identity, plus the Hessian-inverse matching conditions."""
     report = CheckReport("legendre-round-trip")
-    # (gap, point) pairs of each row; the Hessian rows skip singular points.
-    ll, lt, hh, ht = [], [], [], []
-    for x, y in _fiber_points(L, sampler):
-        p = phi_l(L, x, y)
-        back = phi_h(H, x, p)
-        ll.append((float(np.abs(back - y).max()) / (1.0 + float(np.abs(y).max())), L.binding(x, y)))
-        hess = L.fiber_hessian(x, y)
-        if hess.regular:
-            lt.append((float(np.abs(hess.inverse - H.hessian_at(x, p)).max()), L.binding(x, y)))
-    for x, p in _fiber_points(H, sampler):
-        y = phi_h(H, x, p)
-        back = phi_l(L, x, y)
-        hh.append((float(np.abs(back - p).max()) / (1.0 + float(np.abs(p).max())), H.binding(x, p)))
-        hess = H.fiber_hessian(x, p)
-        if hess.regular:
-            ht.append((float(np.abs(hess.inverse - L.hessian_at(x, y)).max()), H.binding(x, p)))
+
+    def direction(f: FiberFunction, g: FiberFunction):
+        """(gap, point) pairs of g's morphism after f's, and of f's inverse
+        Hessian against g's at the image, skipping singular points."""
+        back_pairs, hessian_pairs = [], []
+        for x, v in _fiber_points(f, sampler):
+            w = phi_l(f, x, v)
+            back = phi_l(g, x, w)
+            back_pairs.append((float(np.abs(back - v).max()) / (1.0 + float(np.abs(v).max())), f.binding(x, v)))
+            hess = f.fiber_hessian(x, v)
+            if hess.regular:
+                hessian_pairs.append((float(np.abs(hess.inverse - g.hessian_at(x, w)).max()), f.binding(x, v)))
+        return back_pairs, hessian_pairs
+
+    ll, lt = direction(L, H)
+    hh, ht = direction(H, L)
     for name, pairs in (
         ("phiH-after-phiL", ll),
         ("phiL-after-phiH", hh),

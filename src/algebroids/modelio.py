@@ -102,7 +102,7 @@ class Model:
 # ---------------------------------------------------------------------------
 # Block lexer
 
-_HEADER_RE = re.compile(r"^\[([A-Za-z][A-Za-z0-9_]*)((?:\s+\S+)*)\]$")
+_HEADER = r"\[([A-Za-z][A-Za-z0-9_]*)((?:\s+\S+)*)\]"
 
 
 @dataclass
@@ -124,7 +124,7 @@ def _lex_blocks(text: str) -> list[_Block]:
         if not line:
             continue
         if line.startswith("["):
-            m = _HEADER_RE.match(line)
+            m = re.fullmatch(_HEADER, line)
             if not m:
                 raise ModelError("bad-block", f"malformed block header {line!r}", lineno)
             args = tuple(m.group(2).split())
@@ -164,10 +164,10 @@ class _Entries:
             raise ModelError("missing-key", f"block [{' '.join(self.block.key())}] needs {key!r}", self.block.line)
         return got
 
-    def take_matching(self, pattern: re.Pattern) -> list[tuple[re.Match, str, int]]:
+    def take_matching(self, pattern: str) -> list[tuple[re.Match, str, int]]:
         out = []
         for key in list(self.map):
-            m = pattern.fullmatch(key)
+            m = re.fullmatch(pattern, key)
             if m:
                 self.unused.discard(key)
                 value, line = self.map[key]
@@ -342,13 +342,13 @@ def parse_model(text: str) -> Model:
     value, line = entries.require("rank")
     rank = _parse_int(value, line)
     rho = [[add() for _ in range(base_m.dim)] for _ in range(rank)]
-    for m, value, line in entries.take_matching(re.compile(r"rho\[(\d+)\]\[(\d+)\]")):
+    for m, value, line in entries.take_matching(r"rho\[(\d+)\]\[(\d+)\]"):
         a = _index_in(m.group(1), line, rank, "anchor row")
         i = _index_in(m.group(2), line, base_m.dim, "anchor column")
         rho[a][i] = _parse_scoped(value, line, base_n.variables, f"rho[{a + 1}][{i + 1}]")
     structure: dict[tuple[int, int, int], Expr] = {}
     raw_structure: dict[tuple[int, int, int], tuple[Expr, int]] = {}
-    for m, value, line in entries.take_matching(re.compile(r"L\[(\d+),(\d+)\]\^(\d+)")):
+    for m, value, line in entries.take_matching(r"L\[(\d+),(\d+)\]\^(\d+)"):
         a = _index_in(m.group(1), line, rank, "structure")
         b = _index_in(m.group(2), line, rank, "structure")
         g = _index_in(m.group(3), line, rank, "structure")
@@ -390,7 +390,7 @@ def parse_model(text: str) -> Model:
                 raise ModelError("dimension-mismatch", "g = identity needs bundle rank equal to algebroid rank", ident[1])
             g_mat = [[add(1.0) if i == j else add() for j in range(brank)] for i in range(rank)]
             ginv_mat = [[add(1.0) if i == j else add() for j in range(rank)] for i in range(brank)]
-        g_entries = entries.take_matching(re.compile(r"g\[(\d+)\]\[(\d+)\]"))
+        g_entries = entries.take_matching(r"g\[(\d+)\]\[(\d+)\]")
         if g_entries:
             if g_mat is not None:
                 raise ModelError("duplicate-key", "both g = identity and explicit g entries given", g_entries[0][2])
@@ -414,7 +414,7 @@ def parse_model(text: str) -> Model:
             if brank > 4:
                 raise ModelError("ginv-auto-too-large", "symbolic inversion is limited to rank <= 4", auto[1])
             ginv_mat = [list(row) for row in symbolic_inverse(g_mat)]
-        ginv_entries = entries.take_matching(re.compile(r"ginv\[(\d+)\]\[(\d+)\]"))
+        ginv_entries = entries.take_matching(r"ginv\[(\d+)\]\[(\d+)\]")
         if ginv_entries:
             if ginv_mat is not None:
                 raise ModelError("duplicate-key", "conflicting ginv specifications", ginv_entries[0][2])
@@ -454,13 +454,13 @@ def parse_model(text: str) -> Model:
                     raise ModelError("unknown-bundle", f"section {name!r} lives on missing bundle {target}", line)
                 bundle = bundles[target]
                 coeffs = [add() for _ in range(bundle.rank)]
-                for m, v, ln in entries.take_matching(re.compile(r"c\[(\d+)\]")):
+                for m, v, ln in entries.take_matching(r"c\[(\d+)\]"):
                     a = _index_in(m.group(1), ln, bundle.rank, "section")
                     coeffs[a] = _parse_scoped(v, ln, base_m.variables, f"section {name} c[{a + 1}]")
                 sections[name] = Section(bundle, tuple(coeffs))
             elif target == "F":
                 coeffs = [add() for _ in range(rank)]
-                for m, v, ln in entries.take_matching(re.compile(r"c\[(\d+)\]")):
+                for m, v, ln in entries.take_matching(r"c\[(\d+)\]"):
                     a = _index_in(m.group(1), ln, rank, "section")
                     coeffs[a] = _parse_scoped(v, ln, base_n.variables, f"section {name} c[{a + 1}]")
                 sections[name] = SectionF(algebroid, tuple(coeffs))
@@ -472,10 +472,10 @@ def parse_model(text: str) -> Model:
                 hor = [add() for _ in range(rank)]
                 ver = [add() for _ in range(bundle.rank)]
                 scope = bundle.total_variables
-                for m, v, ln in entries.take_matching(re.compile(r"h\[(\d+)\]")):
+                for m, v, ln in entries.take_matching(r"h\[(\d+)\]"):
                     a = _index_in(m.group(1), ln, rank, "horizontal")
                     hor[a] = _parse_scoped(v, ln, scope, f"section {name} h[{a + 1}]")
-                for m, v, ln in entries.take_matching(re.compile(r"v\[(\d+)\]")):
+                for m, v, ln in entries.take_matching(r"v\[(\d+)\]"):
                     a = _index_in(m.group(1), ln, bundle.rank, "vertical")
                     ver[a] = _parse_scoped(v, ln, scope, f"section {name} v[{a + 1}]")
                 sections[name] = ProlongSection(bundle, tuple(hor), tuple(ver))
@@ -496,7 +496,7 @@ def parse_model(text: str) -> Model:
             if degree > bundle.rank:
                 raise ModelError("dimension-mismatch", f"degree {degree} exceeds bundle rank {bundle.rank}", line)
             coeffs: dict[tuple[int, ...], Expr] = {}
-            for m, v, ln in entries.take_matching(re.compile(r"c\[([0-9,]*)\]")):
+            for m, v, ln in entries.take_matching(r"c\[([0-9,]*)\]"):
                 raw = tuple(part for part in m.group(1).split(",") if part)
                 if len(raw) != degree:
                     raise ModelError("dimension-mismatch", f"form {name} entry c[{m.group(1)}] does not match degree {degree}", ln)
@@ -550,7 +550,7 @@ def parse_model(text: str) -> Model:
         got = entries.take("domain")
         if got:
             lo, hi = _parse_domain(got[0], got[1])
-        for m, value, line in entries.take_matching(re.compile(r"domain ([A-Za-z][A-Za-z0-9_]*)")):
+        for m, value, line in entries.take_matching(r"domain ([A-Za-z][A-Za-z0-9_]*)"):
             ranges[m.group(1)] = _parse_domain(value, line)
         entries.finish()
     sampler = Sampler(points=points, seed=seed, lo=lo, hi=hi, ranges=ranges)

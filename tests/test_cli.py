@@ -334,6 +334,15 @@ class TestDeepNesting:
         done = run_cli_fresh("validate", path)
         assert done.returncode == 0, done.stderr[-2000:]
 
+    def test_wide_lagrangian_validates(self, models_dir, tmp_path):
+        """A 3,000-term sum is one program entry, so building the fiber
+        function's evaluators needs no recursion."""
+        lagrangian = " + ".join(f"x1^{k}*y1^2" for k in range(1, 3001))
+        path, _ = classical_with_lagrangian(models_dir, tmp_path, lagrangian)
+        done = run_cli_fresh("validate", path)
+        assert done.returncode == 0, done.stderr[-2000:]
+        assert "Traceback" not in done.stderr
+
     def test_unclosed_parentheses_exit_two(self, models_dir, tmp_path):
         path, _ = classical_with_lagrangian(models_dir, tmp_path, "(" * self.DEPTH)
         done = run_cli_fresh("validate", path)

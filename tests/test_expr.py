@@ -404,6 +404,7 @@ def run_fresh(script):
 
 DEEP_CHAIN = """
 import copy, math, pickle, sys
+import numpy as np
 limit = sys.getrecursionlimit()
 from algebroids import expr as E
 # Hold every pass to the default limit, whatever the import did to it.
@@ -425,6 +426,8 @@ assert E.evaluate(e, {"x1": 0.3}) == value
 d = E.differentiate(e, "x1")
 assert isinstance(d, E.Prod) and len(d.factors) == depth
 assert abs(E.evaluate(d, {"x1": 0.3}) - E.central_difference(e, "x1", {"x1": 0.3})) < 1e-6
+slope = E.compiled(d)({"x1": 0.3})
+assert slope == E.evaluate(d, {"x1": 0.3}) == E.evaluate_columns((d,), ("x1",), np.array([[0.3]]))[0][0]
 
 text = E.to_string(e)
 assert text == "sin(" * depth + "x1" + ")" * depth
@@ -475,12 +478,35 @@ class TestEvaluate:
     @given(trees())
     @settings(max_examples=100)
     def test_compiled_matches_reference(self, tree):
+        """``compiled``, ``evaluate`` and a one-row ``evaluate_columns``
+        give the same value, or the same error at the same point."""
         b = binding_for(tree)
-        try:
-            want = E.evaluate(tree, b)
-        except E.EvaluationError:
-            return
-        assert E.compiled(tree)(b) == pytest.approx(want, rel=1e-12, abs=1e-12)
+        names = tuple(b)
+        want = outcome(E.evaluate, tree, b)
+        assert outcome(E.compiled(tree), b) == want
+        column = outcome(E.evaluate_columns, (tree,), names, np.array([[b[n] for n in names]]))
+        assert column == want if isinstance(want, tuple) else column[0].tolist() == [want]
+
+    def test_overflowed_intermediate_is_no_error(self):
+        e = E.parse("1/(x1*x1)")
+        assert E.evaluate(e, {"x1": 1e200}) == E.compiled(e)({"x1": 1e200}) == 0.0
+
+    @pytest.mark.parametrize("text, x", [("log(x1)", -1.0), ("x1^0.5", -1.0), ("x1^(-1)", 0.0)])
+    def test_domain_errors_share_one_message(self, text, x):
+        with pytest.raises(E.EvaluationError, match="^domain error: math domain error at point"):
+            E.evaluate(E.parse(text), {"x1": x})
+
+    @given(trees(), trees(), st.floats(-2, 2, allow_nan=False))
+    @settings(max_examples=100)
+    def test_compiled_many_is_each_root_in_turn(self, e1, e2, shift):
+        roots = (e1, E.exp(E.mul(200, e2)), e1, E.log(E.add(e2, shift)))
+        b = {name: 0.3 - 0.4 * i for i, name in enumerate(VARS)}
+        want = outcome(lambda: [E.evaluate(root, b) for root in roots])
+        assert outcome(E.compiled_many(roots), b) == want
+
+    def test_finite_roots_whose_sum_overflows(self):
+        e = E.parse("x1*1e308")
+        assert E.compiled_many((e, e))({"x1": 1.5}) == [1.5e308, 1.5e308]
 
 
 class TestDifferentiate:

@@ -1,3 +1,5 @@
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,8 +12,10 @@ from algebroids import (
     SingularJacobianError,
     check_homogeneity,
     check_round_trip,
+    evaluate,
     legendre_transform,
     legendre_transform_h,
+    load_model,
     parse,
     phi_h,
     phi_l,
@@ -20,6 +24,7 @@ from algebroids import (
     var,
 )
 
+MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
 CUBE_ROOT_4_OVER_3 = 1.1006424163623729  # real root of 3 y^3 = 4
 CUBE_ROOT_4 = 1.5874010519681994
 
@@ -313,3 +318,30 @@ class TestHomogeneity:
         assert report.witness is None or max(
             abs(report.witness["y1"]), abs(report.witness["y2"])
         ) >= 0.1
+
+
+@pytest.mark.parametrize("name", sorted(path.stem for path in MODELS.glob("*.model")))
+def test_programs_equal_per_entry_evaluate(name):
+    """The flat Hessian and Newton programs give, entry for entry and
+    bit for bit, what evaluating each symbolic derivative does."""
+    model = load_model(MODELS / f"{name}.model")
+    for f in (model.lagrangian, model.hamiltonian):
+        if f is None:
+            continue
+        r = f.rank
+        for point in Sampler(points=15, seed=2).sample(f.base_vars + f.fiber_vars):
+            x = [point[v] for v in f.base_vars]
+            fiber = np.array([point[v] for v in f.fiber_vars])
+            b = f.binding(x, fiber)
+            want = [[evaluate(f.hessian[a][c], b).hex() for c in range(r)] for a in range(r)]
+            assert [[v.hex() for v in row] for row in f.hessian_at(x, fiber).tolist()] == want
+            want = []
+            for row in range(r):
+                for col in range(r):
+                    acc = evaluate(f.hessian[col][row], b)
+                    for a in range(r):
+                        acc += fiber[a] * evaluate(f.hessian_fiber_d[a][row][col], b)
+                    want.append(float(acc).hex())
+            assert [v.hex() for v in f._newton_jacobian(b, fiber).ravel().tolist()] == want
+            assert f.gradient(x, fiber).tolist() == [evaluate(g, b) for g in f.grad]
+            assert f.value(x, fiber) == evaluate(f.expr, b)
