@@ -7,8 +7,10 @@ on every bundled model plus ``benchmark/models/rotation.model``.
 ``check-lift-brackets`` runs its default 10 pairs, so it reaches rows
 that the 3 trials of ``report-all`` never build.  Then runs ``lift u``,
 ``lift u --gh`` and ``lift u --vertical`` on each of those models that
-defines section ``u``, and prints ``format_model(load_model(path))`` of
-each model.  Every run happens once with each ``src/`` directory on
+defines section ``u``, ``bracket w w`` on each that defines section
+``w`` on TE, ``legendre --forward`` and ``legendre --backward`` at one
+fixed point on each with a fundamental function, and prints
+``format_model(load_model(path))`` of each model.  Every run happens once with each ``src/`` directory on
 ``PYTHONPATH``.  Prints one line per run: whether stdout is
 byte-identical, both exit codes and, where the outputs differ, the
 first differing row and, for each report whose rows differ, how many
@@ -44,6 +46,31 @@ def start(src: pathlib.Path, argv: list[str]) -> subprocess.Popen:
     return subprocess.Popen([sys.executable, *argv], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
 
 
+def blocks(model: pathlib.Path) -> dict[str, dict[str, str]]:
+    """``key = value`` entries of each ``[block]`` header of a model file."""
+    out: dict[str, dict[str, str]] = {}
+    current: dict[str, str] = {}
+    for line in model.read_text(encoding="utf-8").splitlines():
+        line = line.split("#")[0].strip()
+        if line.startswith("["):
+            current = out.setdefault(line, {})
+        elif "=" in line:
+            key, value = line.split("=", 1)
+            current[key.strip()] = value.strip()
+    return out
+
+
+def legendre_point(spec: dict[str, dict[str, str]], fiber: str) -> str:
+    """A fixed ``--at`` point away from the fiber origin, where the
+    bundled Hessians are regular: every x_i = 0.5, fiber coordinates
+    alternating 0.8 and -0.6."""
+    bundle = spec.get("[bundle E]") or spec["[bundle Edual]"]
+    dim, rank = int(spec["[base M]"]["dim"]), int(bundle["rank"])
+    xs = [f"x{i + 1}=0.5" for i in range(dim)]
+    fibers = [f"{fiber}{a + 1}={0.8 if a % 2 == 0 else -0.6}" for a in range(rank)]
+    return ",".join(xs + fibers)
+
+
 def runs(seeds: list[int]) -> list[tuple[str, list[str]]]:
     """(label, interpreter arguments) of every run to compare."""
     out = []
@@ -53,11 +80,17 @@ def runs(seeds: list[int]) -> list[tuple[str, list[str]]]:
                 argv = [*CLI, check, str(model), "--json", "--seed", str(seed)]
                 out.append((f"seed {seed}  {check}  {model.relative_to(ROOT)}", argv))
     for model in MODELS:
-        lines = model.read_text(encoding="utf-8").splitlines()
-        if any(line.split("#")[0].strip() == "[section u]" for line in lines):
+        spec, name = blocks(model), model.relative_to(ROOT)
+        if "[section u]" in spec:
             for flags in LIFT_FLAGS:
                 label = " ".join(("lift u", *flags))
-                out.append((f"{label}  {model.relative_to(ROOT)}", [*CLI, "lift", str(model), "u", *flags]))
+                out.append((f"{label}  {name}", [*CLI, "lift", str(model), "u", *flags]))
+        if spec.get("[section w]", {}).get("on") == "TE":
+            out.append((f"bracket w w  {name}", [*CLI, "bracket", str(model), "w", "w"]))
+        if "[lagrangian]" in spec or "[hamiltonian]" in spec:
+            for flag, fiber in (("--forward", "y"), ("--backward", "p")):
+                at = legendre_point(spec, fiber)
+                out.append((f"legendre {flag} --at {at}  {name}", [*CLI, "legendre", str(model), flag, "--at", at]))
     for model in MODELS:
         out.append((f"format_model  {model.relative_to(ROOT)}", [*FORMAT, str(model)]))
     return out

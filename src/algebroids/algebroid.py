@@ -119,7 +119,9 @@ class GeneralizedLieAlgebroid:
 
     ``rho[alpha][i]`` and the structure functions live on N.  Structure
     storage keeps only alpha < beta entries; antisymmetry holds by
-    construction and alpha == beta entries are forced to zero.
+    construction and alpha == beta entries are forced to zero.  Both are
+    pulled to M through h once, here: ``rho_m[alpha][i]`` is
+    ``h.pull(rho[alpha][i])`` and ``L_m(a, b, g)`` is ``h.pull(L(a, b, g))``.
     """
 
     base_m: CoordSystem
@@ -129,6 +131,8 @@ class GeneralizedLieAlgebroid:
     rank: int
     rho: tuple[tuple[Expr, ...], ...]
     structure: Mapping[tuple[int, int, int], Expr] = field(default_factory=dict)
+    rho_m: tuple[tuple[Expr, ...], ...] = field(init=False, repr=False, compare=False)
+    _structure_m: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.base_m.dim != self.base_n.dim:
@@ -164,6 +168,13 @@ class GeneralizedLieAlgebroid:
                 raise ValueError(f"inconsistent structure entries for {key}: antisymmetry violated")
             canon[key] = entry
         object.__setattr__(self, "structure", canon)
+        pull, ranks = self.h.pull, range(self.rank)
+        object.__setattr__(self, "rho_m", tuple(tuple(pull(e) for e in row) for row in self.rho))
+        object.__setattr__(
+            self,
+            "_structure_m",
+            tuple(tuple(tuple(pull(self.L(a, b, g)) for g in ranks) for b in ranks) for a in ranks),
+        )
 
     @classmethod
     def from_full_structure(
@@ -205,6 +216,10 @@ class GeneralizedLieAlgebroid:
             return self.structure.get((a, b, g), add())
         return neg(self.structure.get((b, a, g), add()))
 
+    def L_m(self, a: int, b: int, g: int) -> Expr:
+        """``L(a, b, g)`` pulled to M through h."""
+        return self._structure_m[a][b][g]
+
     def basis_section(self, alpha: int) -> "SectionF":
         coeffs = tuple(add(1.0) if i == alpha else add() for i in range(self.rank))
         return SectionF(self, coeffs)
@@ -222,40 +237,30 @@ class GeneralizedLieAlgebroid:
         if bad:
             raise ValueError(f"anchor action expects a function on N, got variables {sorted(bad)}")
         f_on_m = self.h.pull(f)
-        # Pushed derivatives d f_on_m / d x_i, None where the derivative is zero.
-        pushed = []
-        for xi in self.base_m.variables:
-            d = differentiate(f_on_m, xi)
-            pushed.append(None if is_zero(d) else self.h.push(d))
-        terms = []
-        for alpha in range(self.rank):
-            inner = [
-                mul(self.rho[alpha][i], p)
-                for i, p in enumerate(pushed)
-                if p is not None and not is_zero(self.rho[alpha][i])
+        pushed = [self.h.push(differentiate(f_on_m, xi)) for xi in self.base_m.variables]
+        return add(
+            *[
+                mul(z.coefficients[alpha], add(*[mul(self.rho[alpha][i], d) for i, d in enumerate(pushed)]))
+                for alpha in range(self.rank)
             ]
-            if inner:
-                terms.append(mul(z.coefficients[alpha], add(*inner)))
-        return add(*terms)
+        )
 
     def bracket(self, u: "SectionF", v: "SectionF") -> "SectionF":
         """Section bracket: anchor derivations of the coefficients plus
         the structure-function contraction."""
         out = []
         for g in range(self.rank):
-            pieces = [
-                self.anchor_action(u, v.coefficients[g]),
-                neg(self.anchor_action(v, u.coefficients[g])),
-            ]
-            for a in range(self.rank):
-                for b in range(self.rank):
-                    if a == b:
-                        continue
-                    struct = self.L(a, b, g)
-                    if is_zero(struct):
-                        continue
-                    pieces.append(mul(u.coefficients[a], v.coefficients[b], struct))
-            out.append(add(*pieces))
+            out.append(
+                add(
+                    self.anchor_action(u, v.coefficients[g]),
+                    neg(self.anchor_action(v, u.coefficients[g])),
+                    *[
+                        mul(u.coefficients[a], v.coefficients[b], self.L(a, b, g))
+                        for a in range(self.rank)
+                        for b in range(self.rank)
+                    ],
+                )
+            )
         return SectionF(self, tuple(out))
 
 
@@ -292,17 +297,12 @@ def check_compatibility(
     composed with h so both sides live on M."""
     report = CheckReport("anchor-compatibility")
     p, m = algebroid.rank, algebroid.base_m.dim
-    rho_m = [[algebroid.h.pull(algebroid.rho[a][i]) for i in range(m)] for a in range(p)]
+    rho_m = algebroid.rho_m
     xs = algebroid.base_m.variables
     for a in range(p):
         for b in range(a + 1, p):
             for k in range(m):
-                lhs = add(
-                    *[
-                        mul(algebroid.h.pull(algebroid.L(a, b, g)), rho_m[g][k])
-                        for g in range(p)
-                    ]
-                )
+                lhs = add(*[mul(algebroid.L_m(a, b, g), rho_m[g][k]) for g in range(p)])
                 rhs = add(
                     *[
                         mul(rho_m[a][i], differentiate(rho_m[b][k], xs[i]))

@@ -17,7 +17,7 @@ from typing import Literal
 
 import numpy as np
 
-from .expr import Expr, Sampler, add, differentiate, is_zero, mul, neg, substitute
+from .expr import Expr, Sampler, add, differentiate, mul, neg, substitute
 from .legendre import Hamiltonian, Lagrangian, legendre_fiber_exprs
 from .prolong import (
     AnchoredBundle,
@@ -75,15 +75,6 @@ class LegendrePair:
         return substitute(f, self.phi_l_substitution())
 
 
-def _anchored_rho(bundle: AnchoredBundle) -> list[list[Expr]]:
-    """(anchor o h o projection), on the total space; x-only."""
-    alg = bundle.algebroid
-    return [
-        [bundle.lift_from_n(alg.rho[alpha][i]) for i in range(alg.base_m.dim)]
-        for alpha in range(alg.rank)
-    ]
-
-
 def _sides(pair: LegendrePair, side: Side):
     if side == "lagrangian":
         return pair.primal, pair.dual, pair.lagrangian, pair.to_dual
@@ -94,25 +85,23 @@ def _tangent_legendre(pair: LegendrePair, Z: ProlongSection, side: Side) -> Prol
     source, target, fn, transport = _sides(pair, side)
     if Z.bundle != source:
         raise ValueError(f"section must live on the {source.variance} bundle")
-    rho = _anchored_rho(source)
-    m = source.algebroid.base_m.dim
-    p = source.algebroid.rank
-    r = source.rank
+    alg = source.algebroid
+    p, r, m = alg.rank, source.rank, alg.base_m.dim
     horizontal = tuple(transport(Z.horizontal[alpha]) for alpha in range(p))
-    vertical = []
-    for b in range(r):
-        pieces = []
-        for alpha in range(p):
-            for i in range(m):
-                if is_zero(rho[alpha][i]) or is_zero(fn.mixed[i][b]):
-                    continue
-                pieces.append(mul(rho[alpha][i], Z.horizontal[alpha], fn.mixed[i][b]))
-        for a in range(r):
-            if is_zero(Z.vertical[a]) or is_zero(fn.hessian[a][b]):
-                continue
-            pieces.append(mul(Z.vertical[a], fn.hessian[a][b]))
-        vertical.append(transport(add(*pieces)))
-    return ProlongSection(target, horizontal, tuple(vertical))
+    vertical = tuple(
+        transport(
+            add(
+                *[
+                    mul(alg.rho_m[alpha][i], Z.horizontal[alpha], fn.mixed[i][b])
+                    for alpha in range(p)
+                    for i in range(m)
+                ],
+                *[mul(Z.vertical[a], fn.hessian[a][b]) for a in range(r)],
+            )
+        )
+        for b in range(r)
+    )
+    return ProlongSection(target, horizontal, vertical)
 
 
 def tangent_legendre_l(pair: LegendrePair, Z: ProlongSection) -> ProlongSection:
@@ -144,7 +133,7 @@ def morphism_conditions(
     source, target, fn, transport = _sides(pair, side)
     alg = source.algebroid
     p, r, m = alg.rank, source.rank, alg.base_m.dim
-    rho = _anchored_rho(source)
+    rho = alg.rho_m
     xs = alg.base_m.variables
     target_fiber = target.fiber_variables
     # P[alpha][b]: vertical image of the anchored frame; Q[a][b]: of the fiber frame.
@@ -157,26 +146,16 @@ def morphism_conditions(
     ]
     Q = [[transport(fn.hessian[a][b]) for b in range(r)] for a in range(r)]
     report = CheckReport(f"legendre-morphism-conditions-{side}")
-    struct_lift = {
-        (a, b, g): source.lift_from_n(alg.L(a, b, g))
-        for a in range(p)
-        for b in range(p)
-        for g in range(p)
-    }
     for alpha, beta in itertools.combinations(range(p), 2):
         for gamma in range(p):
-            lhs = transport(struct_lift[(alpha, beta, gamma)])
-            rhs = target.lift_from_n(alg.L(alpha, beta, gamma))
+            lhs = transport(alg.L_m(alpha, beta, gamma))
+            rhs = alg.L_m(alpha, beta, gamma)
             residual_row(report, "structure-transport", (alpha + 1, beta + 1, gamma + 1), lhs, rhs, sampler, tol)
         for b in range(r):
             lhs = transport(
                 add(
                     *[
-                        mul(
-                            struct_lift[(alpha, beta, gamma)],
-                            rho[gamma][k],
-                            fn.mixed[k][b],
-                        )
+                        mul(alg.L_m(alpha, beta, gamma), rho[gamma][k], fn.mixed[k][b])
                         for gamma in range(p)
                         for k in range(m)
                     ]

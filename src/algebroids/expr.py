@@ -197,11 +197,16 @@ def _coerce(x) -> Expr:
 # Smart constructors.  They establish the (weak) canonical form the
 # printer relies on: constants folded, nested sums/products flattened,
 # no unit factors, Neg never wrapping Const/Neg, products carrying at
-# most one leading constant and no Neg factors.  Every node is built
-# through them, and re-applying a constructor to a node's children
-# gives the same node back, so the form is already canonical: is_zero
-# relies on this and never rebuilds a tree.  Build Sum, Prod, Neg, Pow
-# and Call nodes only here.
+# most one leading constant and no Neg factors.  Zero is absorbed: a
+# product with a zero factor is ZERO, and add drops ZERO terms, so the
+# builders write every sum of products in full and never test a factor
+# first.  is_zero belongs where a zero saves real work (a skipped
+# differentiation) or changes what is stored or shown (sparse forms,
+# printers, validations).  Every node is built through them, and
+# re-applying a constructor to a node's children gives the same node
+# back, so the form is already canonical: is_zero relies on this and
+# never rebuilds a tree.  Build Sum, Prod, Neg, Pow and Call nodes only
+# here.
 
 
 def const(value: float) -> Expr:
@@ -251,8 +256,10 @@ def mul(*factors) -> Expr:
                 acc *= p.value
             else:
                 flat.append(p)
-    if acc == 0.0:
-        return Const(0.0)
+    if acc == 0.0 or acc != acc:
+        # A zero factor absorbs the product, even where other constants
+        # overflowed first: inf * 0 is nan, the one float unequal to itself.
+        return ZERO
     if negative:
         acc = -acc
     if not flat:

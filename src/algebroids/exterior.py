@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .algebroid import CoordSystem, GeneralizedLieAlgebroid, SectionF, SmoothMap
+from .algebroid import CoordSystem, GeneralizedLieAlgebroid, SectionF, SmoothMap, identity_map
 from .expr import Expr, add, free_variables, is_zero, mul, neg
 
 
@@ -127,12 +127,9 @@ def wedge(omega: FormQ, theta: FormQ) -> FormQ:
             sign = (-1) ** (sum(positions) - q * (q - 1) // 2)
             left = omega.coeff(tuple(key[i] for i in positions))
             right = theta.coeff(tuple(key[i] for i in rest))
-            if is_zero(left) or is_zero(right):
-                continue
             term = mul(left, right)
             pieces.append(term if sign > 0 else neg(term))
-        if pieces:
-            out[key] = add(*pieces)
+        out[key] = add(*pieces)
     return FormQ(omega.bundle, q + r, out)
 
 
@@ -167,7 +164,7 @@ class BundleMorphism:
 
 
 def identity_morphism(bundle: VectorBundle) -> BundleMorphism:
-    base = SmoothMap(bundle.base, bundle.base, bundle.base.vars(), bundle.base.vars())
+    base = identity_map(bundle.base, bundle.base)
     comps = tuple(
         tuple(add(1.0) if a == b else add() for a in range(bundle.rank))
         for b in range(bundle.rank)
@@ -203,13 +200,9 @@ def pullback_form(morphism: BundleMorphism, omega: FormQ) -> FormQ:
     for key in itertools.combinations(range(morphism.source.rank), q):
         pieces = []
         for alphas in itertools.product(range(morphism.target.rank), repeat=q):
-            base = omega.coeff(alphas)
-            if is_zero(base):
-                continue
             factors = [morphism.components[alphas[j]][key[j]] for j in range(q)]
-            pieces.append(mul(*factors, morphism.base_map.pull(base)))
-        if pieces:
-            out[key] = add(*pieces)
+            pieces.append(mul(*factors, morphism.base_map.pull(omega.coeff(alphas))))
+        out[key] = add(*pieces)
     return FormQ(morphism.source, q, out)
 
 
@@ -232,18 +225,14 @@ def lie_derivative(
     ]
     out: dict[tuple[int, ...], Expr] = {}
     for key in itertools.combinations(range(algebroid.rank), theta.degree):
-        pieces = [algebroid.anchor_action(z, theta.coeff(key))]
-        for slot, a in enumerate(key):
-            for g in range(algebroid.rank):
-                factor = brackets[a][g]
-                if is_zero(factor):
-                    continue
-                replaced = key[:slot] + (g,) + key[slot + 1 :]
-                value = theta.coeff(replaced)
-                if is_zero(value):
-                    continue
-                pieces.append(neg(mul(factor, value)))
-        out[key] = add(*pieces)
+        out[key] = add(
+            algebroid.anchor_action(z, theta.coeff(key)),
+            *[
+                neg(mul(brackets[a][g], theta.coeff(key[:slot] + (g,) + key[slot + 1 :])))
+                for slot, a in enumerate(key)
+                for g in range(algebroid.rank)
+            ],
+        )
     return FormQ(theta.bundle, theta.degree, out)
 
 

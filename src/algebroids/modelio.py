@@ -30,7 +30,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
-from .algebroid import CoordSystem, GeneralizedLieAlgebroid, SectionF, SmoothMap, coords
+from .algebroid import CoordSystem, GeneralizedLieAlgebroid, SectionF, SmoothMap, coords, identity_map
 from .expr import (
     Expr,
     ExprSyntaxError,
@@ -320,7 +320,7 @@ def parse_model(text: str) -> Model:
     def parse_map(name: str, domain: CoordSystem, codomain: CoordSystem) -> SmoothMap:
         block = get("map", name)
         if block is None:
-            return SmoothMap(domain, codomain, domain.vars(), codomain.vars())
+            return identity_map(domain, codomain)
         entries = _Entries(block)
         forward = []
         for v in codomain.variables:
@@ -605,8 +605,7 @@ def format_model(model: Model) -> str:
     out += [f"[base M]", f"dim = {alg.base_m.dim}", "", f"[base N]", f"dim = {alg.base_n.dim}", ""]
 
     def emit_map(name: str, mp: SmoothMap):
-        ident = SmoothMap(mp.domain, mp.codomain, mp.domain.vars(), mp.codomain.vars())
-        if mp == ident:
+        if mp == identity_map(mp.domain, mp.codomain):
             return
         out.append(f"[map {name}]")
         for v, e in zip(mp.codomain.variables, mp.forward):

@@ -214,20 +214,14 @@ class VectorFieldOnE:
 
     def apply(self, f: Expr) -> Expr:
         """Act as a derivation on a function on the total space."""
-        pieces = []
-        for coeff, x in zip(self.d_base, self.bundle.algebroid.base_m.variables):
-            if is_zero(coeff):
-                continue
-            d = differentiate(f, x)
-            if not is_zero(d):
-                pieces.append(mul(coeff, d))
-        for coeff, y in zip(self.d_fiber, self.bundle.fiber_variables):
-            if is_zero(coeff):
-                continue
-            d = differentiate(f, y)
-            if not is_zero(d):
-                pieces.append(mul(coeff, d))
-        return add(*pieces)
+        # A zero coefficient skips a whole differentiation.
+        return add(
+            *[
+                mul(coeff, differentiate(f, x))
+                for coeff, x in zip(self.d_base + self.d_fiber, self.bundle.total_variables)
+                if not is_zero(coeff)
+            ]
+        )
 
     def __add__(self, other: "VectorFieldOnE") -> "VectorFieldOnE":
         return VectorFieldOnE(
@@ -316,18 +310,12 @@ def vertical_basis(bundle: AnchoredBundle, a: int) -> ProlongSection:
 def rho_tilde(Z: ProlongSection) -> VectorFieldOnE:
     """Anchor of the generalized tangent bundle: horizontal coefficients
     contract with (anchor o h o projection), vertical pass through."""
-    bundle = Z.bundle
-    alg = bundle.algebroid
-    d_base = []
-    for i in range(alg.base_m.dim):
-        pieces = []
-        for alpha in range(alg.rank):
-            rho_e = alg.rho[alpha][i]
-            if is_zero(rho_e) or is_zero(Z.horizontal[alpha]):
-                continue
-            pieces.append(mul(Z.horizontal[alpha], bundle.lift_from_n(rho_e)))
-        d_base.append(add(*pieces))
-    return VectorFieldOnE(bundle, tuple(d_base), Z.vertical)
+    alg = Z.bundle.algebroid
+    d_base = tuple(
+        add(*[mul(Z.horizontal[alpha], alg.rho_m[alpha][i]) for alpha in range(alg.rank)])
+        for i in range(alg.base_m.dim)
+    )
+    return VectorFieldOnE(Z.bundle, d_base, Z.vertical)
 
 
 def bracket_prolong(Z: ProlongSection, W: ProlongSection) -> ProlongSection:
@@ -339,20 +327,18 @@ def bracket_prolong(Z: ProlongSection, W: ProlongSection) -> ProlongSection:
     alg = bundle.algebroid
     rz = rho_tilde(Z)
     rw = rho_tilde(W)
-    horizontal = []
-    for g in range(alg.rank):
-        pieces = [rz.apply(W.horizontal[g]), neg(rw.apply(Z.horizontal[g]))]
-        for a in range(alg.rank):
-            for b in range(alg.rank):
-                if a == b:
-                    continue
-                struct = alg.L(a, b, g)
-                if is_zero(struct):
-                    continue
-                pieces.append(
-                    mul(Z.horizontal[a], W.horizontal[b], bundle.lift_from_n(struct))
-                )
-        horizontal.append(add(*pieces))
+    horizontal = [
+        add(
+            rz.apply(W.horizontal[g]),
+            neg(rw.apply(Z.horizontal[g])),
+            *[
+                mul(Z.horizontal[a], W.horizontal[b], alg.L_m(a, b, g))
+                for a in range(alg.rank)
+                for b in range(alg.rank)
+            ],
+        )
+        for g in range(alg.rank)
+    ]
     vertical = [
         add(rz.apply(W.vertical[a]), neg(rw.apply(Z.vertical[a])))
         for a in range(bundle.rank)
@@ -380,21 +366,21 @@ def complete_lift_function(bundle: AnchoredBundle, f: Expr) -> Expr:
     alg = bundle.algebroid
     f_lift = bundle.lift_from_n(f)
     d = [differentiate(f_lift, x) for x in alg.base_m.variables]
-    pieces = []
-    for a in range(bundle.rank):
-        inner = []
-        for alpha in range(alg.rank):
-            if is_zero(bundle.g[alpha][a]):
-                continue
-            for i in range(alg.base_m.dim):
-                if is_zero(d[i]) or is_zero(alg.rho[alpha][i]):
-                    continue
-                inner.append(
-                    mul(bundle.g[alpha][a], bundle.lift_from_n(alg.rho[alpha][i]), d[i])
-                )
-        if inner:
-            pieces.append(mul(bundle.fiber_var(a), add(*inner)))
-    return add(*pieces)
+    return add(
+        *[
+            mul(
+                bundle.fiber_var(a),
+                add(
+                    *[
+                        mul(bundle.g[alpha][a], alg.rho_m[alpha][i], d[i])
+                        for alpha in range(alg.rank)
+                        for i in range(alg.base_m.dim)
+                    ]
+                ),
+            )
+            for a in range(bundle.rank)
+        ]
+    )
 
 
 def vertical_lift_vf(u: Section) -> VectorFieldOnE:
@@ -469,30 +455,17 @@ def k_coefficients(u: Section) -> tuple[tuple[Expr, ...], ...]:
         for gamma in range(p)
     ]
     dgu_n = [[h.push(differentiate(gu[gamma], xs[i])) for i in range(m)] for gamma in range(p)]
-    out = []
-    for gamma in range(p):
-        row = []
-        for a in range(bundle.rank):
-            pieces = []
-            for beta in range(p):
-                for j in range(m):
-                    if is_zero(alg.rho[beta][j]) or is_zero(dg_n[gamma][a][j]):
-                        continue
-                    pieces.append(mul(gu_n[beta], alg.rho[beta][j], dg_n[gamma][a][j]))
-            for alpha in range(p):
-                for i in range(m):
-                    if is_zero(alg.rho[alpha][i]) or is_zero(dgu_n[gamma][i]):
-                        continue
-                    pieces.append(neg(mul(g_n[alpha][a], alg.rho[alpha][i], dgu_n[gamma][i])))
-            for alpha in range(p):
-                for beta in range(p):
-                    struct = alg.L(alpha, beta, gamma)
-                    if is_zero(struct):
-                        continue
-                    pieces.append(mul(gu_n[alpha], g_n[beta][a], struct))
-            row.append(add(*pieces))
-        out.append(tuple(row))
-    return tuple(out)
+    return tuple(
+        tuple(
+            add(
+                *[mul(gu_n[beta], alg.rho[beta][j], dg_n[gamma][a][j]) for beta in range(p) for j in range(m)],
+                *[neg(mul(g_n[alpha][a], alg.rho[alpha][i], dgu_n[gamma][i])) for alpha in range(p) for i in range(m)],
+                *[mul(gu_n[alpha], g_n[beta][a], alg.L(alpha, beta, gamma)) for alpha in range(p) for beta in range(p)],
+            )
+            for a in range(bundle.rank)
+        )
+        for gamma in range(p)
+    )
 
 
 def k_coefficients_via_bracket(u: Section) -> tuple[tuple[Expr, ...], ...]:
@@ -516,34 +489,24 @@ def complete_lift_vf(u: Section) -> VectorFieldOnE:
     bundle = u.bundle
     bundle._need_g()
     alg = bundle.algebroid
-    K = k_coefficients(u)
     gu = _gu(u)
-    d_base = []
-    for i in range(alg.base_m.dim):
-        pieces = []
-        for alpha in range(alg.rank):
-            if is_zero(gu[alpha]) or is_zero(alg.rho[alpha][i]):
-                continue
-            pieces.append(mul(gu[alpha], bundle.lift_from_n(alg.rho[alpha][i])))
-        d_base.append(add(*pieces))
-    d_fiber = []
-    for b in range(bundle.rank):
-        pieces = []
-        for a in range(bundle.rank):
-            for gamma in range(alg.rank):
-                if is_zero(K[gamma][a]) or is_zero(bundle.g_inv[b][gamma]):
-                    continue
-                pieces.append(
-                    neg(
-                        mul(
-                            bundle.fiber_var(a),
-                            bundle.lift_from_n(K[gamma][a]),
-                            bundle.g_inv[b][gamma],
-                        )
-                    )
-                )
-        d_fiber.append(add(*pieces))
-    return VectorFieldOnE(bundle, tuple(d_base), tuple(d_fiber))
+    d_base = tuple(
+        add(*[mul(gu[alpha], alg.rho_m[alpha][i]) for alpha in range(alg.rank)])
+        for i in range(alg.base_m.dim)
+    )
+    # Lift each K[gamma][a] once, outside the sum over b.
+    K_m = [[bundle.lift_from_n(k) for k in row] for row in k_coefficients(u)]
+    d_fiber = tuple(
+        add(
+            *[
+                neg(mul(bundle.fiber_var(a), K_m[gamma][a], bundle.g_inv[b][gamma]))
+                for a in range(bundle.rank)
+                for gamma in range(alg.rank)
+            ]
+        )
+        for b in range(bundle.rank)
+    )
+    return VectorFieldOnE(bundle, d_base, d_fiber)
 
 
 def complete_lift(u: Section) -> ProlongSection:

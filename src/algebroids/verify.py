@@ -28,7 +28,6 @@ from .expr import (
     differentiate,
     evaluate_columns,
     free_variables,
-    is_zero,
     mul,
 )
 from .exterior import FormQ, gh_lie_derivative, one_form
@@ -292,13 +291,13 @@ def k_oracle_report(bundle: AnchoredBundle, sampler: Sampler, tol: float = 1e-10
 
 def model_expressions(model: Model) -> list[tuple[str, Expr]]:
     """The expressions a model is built from, plus first-order derived
-    data, for oracle cross-checks."""
+    data, for oracle cross-checks.  Zero entries are listed too; like
+    every constant they have no variable to differentiate by."""
     alg = model.algebroid
     out: list[tuple[str, Expr]] = []
     for a in range(alg.rank):
         for i in range(alg.base_m.dim):
-            if not is_zero(alg.rho[a][i]):
-                out.append((f"rho[{a + 1}][{i + 1}]", alg.rho[a][i]))
+            out.append((f"rho[{a + 1}][{i + 1}]", alg.rho[a][i]))
     for (a, b, g), entry in alg.structure.items():
         out.append((f"L[{a + 1},{b + 1}]^{g + 1}", entry))
     for name, mp in (("h", alg.h), ("eta", alg.eta)):
@@ -311,10 +310,8 @@ def model_expressions(model: Model) -> list[tuple[str, Expr]]:
             continue
         for alpha in range(alg.rank):
             for b in range(bundle.rank):
-                if not is_zero(bundle.g[alpha][b]):
-                    out.append((f"{bname}.g[{alpha + 1}][{b + 1}]", bundle.g[alpha][b]))
-                if not is_zero(bundle.g_inv[b][alpha]):
-                    out.append((f"{bname}.ginv[{b + 1}][{alpha + 1}]", bundle.g_inv[b][alpha]))
+                out.append((f"{bname}.g[{alpha + 1}][{b + 1}]", bundle.g[alpha][b]))
+                out.append((f"{bname}.ginv[{b + 1}][{alpha + 1}]", bundle.g_inv[b][alpha]))
         rng = np.random.default_rng(model.sampler.seed + 7007)
         u = random_bundle_section(bundle, rng)
         K = k_coefficients(u)

@@ -1,3 +1,5 @@
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from algebroids import (
     coords,
     equivalent,
     identity_map,
+    load_model,
     mul,
     parse,
     var,
@@ -209,6 +212,22 @@ class TestConstruction:
         assert good.check_inverse(sampler).passed
         bad = SmoothMap(M, N, (parse("x1+1"),), (parse("k1+1"),))
         assert not bad.check_inverse(sampler).passed
+
+
+MODEL_FILES = sorted((pathlib.Path(__file__).resolve().parent.parent / "models").glob("*.model")) + [
+    pathlib.Path(__file__).resolve().parent.parent / "benchmark" / "models" / "rotation.model"
+]
+
+
+@pytest.mark.parametrize("path", MODEL_FILES, ids=lambda path: path.stem)
+def test_anchor_and_structure_pulled_to_m_once(path):
+    alg = load_model(path).algebroid
+    for a in range(alg.rank):
+        for i in range(alg.base_m.dim):
+            assert alg.rho_m[a][i] is alg.h.pull(alg.rho[a][i])
+        for b in range(alg.rank):
+            for g in range(alg.rank):
+                assert alg.L_m(a, b, g) is alg.h.pull(alg.L(a, b, g))
 
 
 def test_random_polynomial_uses_declared_variables():

@@ -146,7 +146,7 @@ class TestMorphismConditions:
         # commutation (the fundamental function is not 2-homogeneous),
         # so the frame conditions alone cannot decide equivalence
         from algebroids import Hamiltonian, Lagrangian, mul
-        from algebroids.duality import _anchored_rho, _sides
+        from algebroids.duality import _sides
         from algebroids.expr import max_residual
 
         E, Ed = lie_algebroid.bundles["E"], lie_algebroid.bundles["Edual"]
@@ -156,7 +156,7 @@ class TestMorphismConditions:
         )
         source, _, fn, transport = _sides(pair, "lagrangian")
         alg = source.algebroid
-        rho = _anchored_rho(source)
+        rho = alg.rho_m
         lhs = add(
             *[
                 mul(source.lift_from_n(alg.L(0, 1, g)), rho[g][k], fn.mixed[k][0])

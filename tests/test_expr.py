@@ -307,6 +307,33 @@ class TestCanonicalForm:
         for sub in nodes(node):
             assert rebuild(sub) == sub
 
+    def test_zero_factor_absorbs_overflowing_constants(self):
+        big, x = E.const(1e200), E.var("x1")
+        for factors in [
+            (big, big, E.ZERO),
+            (big, x, big, E.ZERO),
+            (E.neg(big), E.mul(2, x), big, E.ZERO, big),
+            (E.ZERO, big, big),
+        ]:
+            assert E.mul(*factors) is E.ZERO
+
+    @given(
+        st.lists(trees(), max_size=4),
+        st.lists(st.floats(-1e300, 1e300, allow_nan=False).map(E.const), max_size=3),
+        st.lists(st.integers(0, 8), min_size=1, max_size=3),
+    )
+    @settings(max_examples=200)
+    def test_zero_is_absorbed_anywhere(self, terms, big, places):
+        # The rule every builder relies on instead of testing is_zero.
+        def with_zeros(items):
+            items = list(items)
+            for place in places:
+                items.insert(place % (len(items) + 1), E.ZERO)
+            return items
+
+        assert E.add(*with_zeros(terms)) is E.add(*terms)
+        assert E.mul(*with_zeros(terms + big)) is E.ZERO
+
     def test_is_zero_is_sufficient_not_complete(self):
         x = E.var("x1")
         assert E.is_zero(E.mul(0, x)) and E.is_zero(E.neg(E.const(0)))
