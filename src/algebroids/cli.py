@@ -107,6 +107,7 @@ def _parse_point(text: str, allowed: Sequence[str]) -> dict[str, float]:
     point = {name: 0.0 for name in allowed}
     if not text.strip():
         return point
+    given: set[str] = set()
     for item in text.split(","):
         if "=" not in item:
             raise ValueError(f"expected name=value, got {item!r}")
@@ -114,6 +115,9 @@ def _parse_point(text: str, allowed: Sequence[str]) -> dict[str, float]:
         name = name.strip()
         if name not in point:
             raise ValueError(f"unknown coordinate {name!r}; expected one of {list(allowed)}")
+        if name in given:
+            raise ValueError(f"coordinate {name!r} given twice")
+        given.add(name)
         point[name] = float(value)
         if not math.isfinite(point[name]):
             raise ValueError(f"coordinate {name!r} must be finite, got {value.strip()!r}")
@@ -243,6 +247,9 @@ def _cmd_legendre(args) -> int:
 
 
 def _cmd_lift_brackets(args) -> int:
+    # No pairs would pass vacuously.
+    if args.pairs < 1:
+        raise ValueError(f"--pairs must be at least 1, got {args.pairs}")
     model, sampler, tol = _load(args)
     reports = []
     for bundle in model.bundles.values():

@@ -11,10 +11,13 @@ sampling.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 import threading
 import weakref
 import zlib
+from _weakref import _remove_dead_weakref
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
@@ -100,21 +103,35 @@ class Expr:
 # Hash-consing: every node is interned, so equal structure means the
 # same object, and ``==``/``hash`` are the inherited identity ones.  The
 # key holds the children themselves, so no id can be reused while an
-# entry lives; an entry goes when its node is no longer referenced.
-_NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+# entry lives.  Each entry is a weak reference to its node; when the node
+# goes, the reference's callback removes the entry, but only while the
+# entry still holds that dead reference, so a node re-made under the same
+# key keeps its own.  A hit reads the table without the lock; a miss
+# looks again and inserts under it.
+_NODES: dict[tuple, weakref.KeyedRef] = {}
 _NODES_LOCK = threading.Lock()
+
+
+def _forget(ref: weakref.KeyedRef) -> None:
+    _remove_dead_weakref(_NODES, ref.key)
 
 
 def _interned(cls, *fields):
     """The one node of class ``cls`` whose slots hold ``fields``."""
     key = (cls, *fields)
+    ref = _NODES.get(key)
+    if ref is not None:
+        node = ref()
+        if node is not None:
+            return node
     with _NODES_LOCK:
-        node = _NODES.get(key)
+        ref = _NODES.get(key)
+        node = None if ref is None else ref()
         if node is None:
             node = object.__new__(cls)
             for slot, value in zip(cls.__slots__, fields):
                 setattr(node, slot, value)
-            _NODES[key] = node
+            _NODES[key] = weakref.KeyedRef(node, _forget, key)
     return node
 
 
@@ -239,6 +256,8 @@ def add(*terms) -> Expr:
 
 
 def mul(*factors) -> Expr:
+    if ZERO in factors:
+        return ZERO
     flat: list[Expr] = []
     acc = 1.0
     negative = False
@@ -417,81 +436,156 @@ def _from_tape(tape: list[tuple]) -> Expr:
     return nodes[-1]
 
 
+# Shared walks.  free_variables, substitute and differentiate each give
+# every distinct node under their argument one value, children first, in
+# a table kept per pass and per variable name or mapping.  Outside a
+# shared_walks() block each call starts with empty tables, as a lone call
+# must.  Inside one, a call stops at every node the block's earlier calls
+# of the same pass already valued.  Nodes are interned, so a kept value is
+# the very node a fresh walk builds.
+_WALKS: contextvars.ContextVar[dict | None] = contextvars.ContextVar("algebroids.expr.walks", default=None)
+
+
+@contextlib.contextmanager
+def shared_walks():
+    """Keep the tables of :func:`free_variables`, :func:`substitute` and
+    :func:`differentiate` for the block, and drop them when it ends.  A
+    nested block joins the outermost one.  The tables belong to the
+    current context, so a thread started inside the block sees none."""
+    if _WALKS.get() is not None:
+        yield
+        return
+    token = _WALKS.set({})
+    try:
+        yield
+    finally:
+        _WALKS.reset(token)
+
+
+def _walk(root: Expr, rule, key, arg):
+    """The value of ``root`` in the table ``out`` of ``(rule, key)``.
+    Every node under ``root`` that the table lacks gets
+    ``out[node] = rule(node, children, out, arg)``, children first, on an
+    explicit stack, so deep trees need no recursion."""
+    tables = _WALKS.get()
+    if tables is None:
+        out: dict = {}
+    else:
+        out = tables.setdefault((rule, key), {})
+        if root in out:
+            return out[root]
+    # A (node, children) pair means: every child is valued, so the node
+    # goes next.
+    stack: list = [root]
+    while stack:
+        node = stack.pop()
+        if type(node) is tuple:
+            out[node[0]] = rule(node[0], node[1], out, arg)
+            continue
+        if node in out:
+            continue
+        kind = type(node)
+        if kind is Sum:
+            children = node.terms
+        elif kind is Prod:
+            children = node.factors
+        elif kind is Pow:
+            children = (node.base, node.exponent)
+        elif kind is Neg or kind is Call:
+            children = (node.arg,)
+        else:
+            out[node] = rule(node, (), out, arg)
+            continue
+        stack.append((node, children))
+        stack.extend(children)
+    return out[root]
+
+
+def _free_rule(node, children, out, _):
+    # A node shares its widest child's set when that covers the others.
+    if not children:
+        return frozenset((node.name,)) if type(node) is Var else frozenset()
+    if len(children) == 1:
+        return out[children[0]]
+    sets = [out[c] for c in children]
+    widest = max(sets, key=len)
+    for s in sets:
+        if not s <= widest:
+            return widest.union(*sets)
+    return widest
+
+
 def free_variables(e: Expr) -> frozenset[str]:
-    order, _ = _postorder((e,))
-    return frozenset(node.name for node in order if isinstance(node, Var))
+    return _walk(e, _free_rule, None, None)
+
+
+def _substitute_rule(node, children, out, mapping):
+    kind = type(node)
+    if kind is Var:
+        return mapping.get(node.name, node)
+    if kind is Const:
+        return node
+    if kind is Sum:
+        return add(*[out[t] for t in children])
+    if kind is Prod:
+        return mul(*[out[f] for f in children])
+    if kind is Pow:
+        return power(out[node.base], out[node.exponent])
+    if kind is Neg:
+        return neg(out[node.arg])
+    return call(node.fn, out[node.arg])
 
 
 def substitute(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
     """Simultaneous substitution of variables by expressions."""
-    out: dict[Expr, Expr] = {}
-    for node in _postorder((e,))[0]:
-        kind = type(node)
-        if kind is Var:
-            new = mapping.get(node.name, node)
-        elif kind is Const:
-            new = node
-        elif kind is Sum:
-            new = add(*[out[t] for t in node.terms])
-        elif kind is Prod:
-            new = mul(*[out[f] for f in node.factors])
-        elif kind is Pow:
-            new = power(out[node.base], out[node.exponent])
-        elif kind is Neg:
-            new = neg(out[node.arg])
-        else:
-            new = call(node.fn, out[node.arg])
-        out[node] = new
-    return out[e]
+    return _walk(e, _substitute_rule, tuple(sorted(mapping.items())), mapping)
+
+
+def _derivative_rule(node, children, out, name):
+    kind = type(node)
+    if kind is Const:
+        return ZERO
+    if kind is Var:
+        return ONE if node.name == name else ZERO
+    if kind is Sum:
+        return add(*[out[t] for t in children])
+    if kind is Prod:
+        pieces = []
+        for i, f in enumerate(children):
+            df = out[f]
+            if is_zero(df):
+                continue
+            rest = children[:i] + children[i + 1 :]
+            pieces.append(mul(df, *rest))
+        return add(*pieces) if pieces else ZERO
+    if kind is Pow:
+        b, ex = node.base, node.exponent
+        db = out[b]
+        if isinstance(ex, Const):
+            return mul(ex, power(b, Const(ex.value - 1.0)), db)
+        # d(b^e) = b^e * (e' log b + e b'/b)
+        return mul(
+            power(b, ex),
+            add(mul(out[ex], call("log", b)), mul(ex, db, power(b, Const(-1.0)))),
+        )
+    if kind is Neg:
+        return neg(out[node.arg])
+    u, du = node.arg, out[node.arg]
+    if node.fn == "sin":
+        return mul(call("cos", u), du)
+    if node.fn == "cos":
+        return neg(mul(call("sin", u), du))
+    if node.fn == "exp":
+        return mul(call("exp", u), du)
+    if node.fn == "log":
+        return mul(du, power(u, Const(-1.0)))
+    # sqrt
+    return mul(du, power(mul(2.0, call("sqrt", u)), Const(-1.0)))
 
 
 def differentiate(e: Expr, name: str) -> Expr:
     """Exact symbolic partial derivative with respect to ``name``."""
-    out: dict[Expr, Expr] = {}
-    for node in _postorder((e,))[0]:
-        kind = type(node)
-        if kind is Const:
-            d: Expr = ZERO
-        elif kind is Var:
-            d = ONE if node.name == name else ZERO
-        elif kind is Sum:
-            d = add(*[out[t] for t in node.terms])
-        elif kind is Prod:
-            pieces = []
-            for i, f in enumerate(node.factors):
-                df = out[f]
-                if is_zero(df):
-                    continue
-                rest = node.factors[:i] + node.factors[i + 1 :]
-                pieces.append(mul(df, *rest))
-            d = add(*pieces) if pieces else ZERO
-        elif kind is Pow:
-            b, ex = node.base, node.exponent
-            db = out[b]
-            if isinstance(ex, Const):
-                d = mul(ex, power(b, Const(ex.value - 1.0)), db)
-            else:
-                # d(b^e) = b^e * (e' log b + e b'/b)
-                d = mul(
-                    power(b, ex),
-                    add(mul(out[ex], call("log", b)), mul(ex, db, power(b, Const(-1.0)))),
-                )
-        elif kind is Neg:
-            d = neg(out[node.arg])
-        else:
-            u, du = node.arg, out[node.arg]
-            if node.fn == "sin":
-                d = mul(call("cos", u), du)
-            elif node.fn == "cos":
-                d = neg(mul(call("sin", u), du))
-            elif node.fn == "exp":
-                d = mul(call("exp", u), du)
-            elif node.fn == "log":
-                d = mul(du, power(u, Const(-1.0)))
-            else:  # sqrt
-                d = mul(du, power(mul(2.0, call("sqrt", u)), Const(-1.0)))
-        out[node] = d
-    return out[e]
+    return _walk(e, _derivative_rule, name, name)
 
 
 def is_zero(e: Expr) -> bool:

@@ -4,7 +4,10 @@ Each function returns check reports with relative residuals.
 :func:`report_all` is the one plan behind ``algebroids report-all`` and
 the model survey script; the acceptance harness assembles its own runs
 with its own tolerances.  Randomized data is drawn deterministically
-from the sampler seed so failures reproduce.
+from the sampler seed so failures reproduce.  Each suite runs in one
+:func:`~algebroids.expr.shared_walks` block, so within a suite no
+subtree is differentiated by the same variable, substituted into under
+the same mapping, or searched for free variables twice.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .expr import (
     evaluate_columns,
     free_variables,
     mul,
+    shared_walks,
 )
 from .exterior import FormQ, gh_lie_derivative, one_form
 from .legendre import check_homogeneity, check_round_trip
@@ -64,6 +68,7 @@ def _random_one_form(bundle: AnchoredBundle, rng: np.random.Generator) -> FormQ:
     )
 
 
+@shared_walks()
 def axiom_reports(model: Model, sampler: Sampler, tol: float) -> list[CheckReport]:
     """Algebroid axioms plus the declared-inverse checks."""
     alg = model.algebroid
@@ -82,6 +87,7 @@ def axiom_reports(model: Model, sampler: Sampler, tol: float) -> list[CheckRepor
     return out
 
 
+@shared_walks()
 def complete_lift_conditions_report(
     bundle: AnchoredBundle, sampler: Sampler, tol: float, trials: int = 10
 ) -> CheckReport:
@@ -125,6 +131,7 @@ def complete_lift_conditions_report(
     return report
 
 
+@shared_walks()
 def lift_bracket_report(
     bundle: AnchoredBundle, sampler: Sampler, tol: float, trials: int = 10
 ) -> CheckReport:
@@ -152,6 +159,7 @@ def lift_bracket_report(
     return report
 
 
+@shared_walks()
 def function_lift_rules_report(
     bundle: AnchoredBundle, sampler: Sampler, tol: float, trials: int = 5
 ) -> CheckReport:
@@ -225,6 +233,7 @@ def function_lift_rules_report(
     return report
 
 
+@shared_walks()
 def tangent_structure_report(
     bundle: AnchoredBundle, sampler: Sampler, tol: float, trials: int = 10
 ) -> CheckReport:
@@ -250,6 +259,7 @@ def tangent_structure_report(
     return report
 
 
+@shared_walks()
 def prolong_bracket_axioms_report(
     bundle: AnchoredBundle, sampler: Sampler, tol: float, trials: int = 2
 ) -> CheckReport:
@@ -276,6 +286,7 @@ def prolong_bracket_axioms_report(
     return report
 
 
+@shared_walks()
 def k_oracle_report(bundle: AnchoredBundle, sampler: Sampler, tol: float = 1e-10, trials: int = 3) -> CheckReport:
     """Closed-form bracket coefficients against the defining bracket."""
     report = CheckReport(f"k-coefficients-oracle {bundle.name}")
@@ -327,6 +338,7 @@ def model_expressions(model: Model) -> list[tuple[str, Expr]]:
     return out
 
 
+@shared_walks()
 def derivative_oracle_report(
     model: Model, sampler: Sampler, tol: float = 1e-5, step: float = 1e-6
 ) -> CheckReport:
@@ -353,6 +365,7 @@ def derivative_oracle_report(
     return report
 
 
+@shared_walks()
 def legendre_reports(model: Model, sampler: Sampler, tol: float) -> tuple[list[CheckReport], dict]:
     """Round-trip checks (gating) plus homogeneity verdicts, which are
     diagnostics rather than pass/fail checks."""
@@ -368,6 +381,7 @@ def legendre_reports(model: Model, sampler: Sampler, tol: float) -> tuple[list[C
     return out, extra
 
 
+@shared_walks()
 def duality_reports(
     model: Model,
     sampler: Sampler,

@@ -130,6 +130,13 @@ class TestLegendreCommand:
         )
         assert code == 2 and "unknown coordinate" in err
 
+    def test_repeated_coordinate_exits_two(self, capsys, models_dir):
+        code, out, err = run(
+            capsys, "legendre", str(models_dir / "classical.model"), "--at", "x1=1,x1=2,y1=1"
+        )
+        assert code == 2 and out == ""
+        assert err == "error: coordinate 'x1' given twice\n"
+
     def test_non_finite_point_exits_two(self, capsys, models_dir):
         for model, at in (("classical.model", "x1=nan"), ("quartic.model", "x1=nan,y1=inf")):
             code, out, err = run(capsys, "legendre", str(models_dir / model), "--at", at)
@@ -166,6 +173,14 @@ class TestCheckCommands:
             )
             assert code == 0
             assert "lift-brackets" in out
+
+    @pytest.mark.parametrize("command", ["check-theorem18", "check-lift-brackets"])
+    @pytest.mark.parametrize("pairs", ["0", "-1"])
+    def test_no_pairs_exits_two(self, capsys, models_dir, command, pairs):
+        """Zero pairs would give reports without rows that pass."""
+        code, out, err = run(capsys, command, str(models_dir / "classical.model"), "--pairs", pairs, "--json")
+        assert code == 2 and out == ""
+        assert err == f"error: --pairs must be at least 1, got {pairs}\n"
 
     def test_duality_equivalent(self, capsys, models_dir):
         code, out, _ = run(capsys, "check-duality", str(models_dir / "classical.model"), "--json")

@@ -422,6 +422,89 @@ class TestInterning:
         assert [ref() for ref in refs] == [None, None]
 
 
+class TestSharedWalks:
+    """Inside a ``shared_walks`` block, differentiate, substitute and
+    free_variables keep their tables for the block: their values are
+    those of fresh walks, and the tables go when the block ends."""
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=60)
+    def test_shared_results_are_fresh_results(self, seed):
+        rng = random.Random(seed)
+        trees = [seeded_tree(rng, 5, "w") for _ in range(3)]
+        names = [f"w{k}" for k in range(6)]
+        mappings = [
+            {"w0": trees[1], "w3": E.const(2.0)},
+            {"w0": trees[2], "w3": E.const(2.0)},
+            {"w1": E.var("w2"), "w2": E.var("w1")},
+            {},
+        ]
+
+        def every_call(order):
+            return (
+                [E.differentiate(trees[t], name) for t in order for name in names],
+                [E.substitute(trees[t], m) for t in order for m in mappings],
+                [E.free_variables(trees[t]) for t in order],
+            )
+
+        fresh = every_call([0, 1, 2])
+        with E.shared_walks():
+            # Subtrees and whole trees met again, in another order.
+            every_call([2, 1, 0])
+            shared = every_call([0, 1, 2])
+        for got, want in zip(shared[:2], fresh[:2]):
+            assert all(a is b for a, b in zip(got, want, strict=True))
+        assert shared[2] == fresh[2]
+
+    def test_tables_go_with_the_block(self):
+        gc.disable()
+        try:
+            with E.shared_walks():
+                node = E.mul(E.var("walk_probe"), E.sin(E.var("walk_probe")))
+                refs = [
+                    weakref.ref(node),
+                    weakref.ref(E.differentiate(node, "walk_probe")),
+                    weakref.ref(E.substitute(node, {"walk_probe": E.var("walk_image")})),
+                ]
+                assert E.free_variables(node) == {"walk_probe"}
+            del node
+            # Reference counting alone freed them: no cycle holds a node.
+            assert [ref() for ref in refs] == [None, None, None]
+        finally:
+            gc.enable()
+
+    def test_nested_block_joins_the_outer_one(self):
+        e = E.parse("x1*sin(x2)")
+        with E.shared_walks():
+            outer = E._WALKS.get()
+            with E.shared_walks():
+                assert E._WALKS.get() is outer
+                d = E.differentiate(e, "x1")
+            assert E._WALKS.get() is outer
+            assert outer[E._derivative_rule, "x1"][e] is d
+        assert E._WALKS.get() is None
+
+    def test_thread_started_inside_a_block_sees_no_tables(self):
+        seen = []
+        e = E.parse("x1*sin(x2)")
+        with E.shared_walks():
+            worker = threading.Thread(target=lambda: seen.append((E._WALKS.get(), E.differentiate(e, "x2"))))
+            worker.start()
+            worker.join(timeout=60)
+        assert seen == [(None, E.differentiate(e, "x2"))]
+
+    def test_deep_chain_differentiates_in_a_block(self):
+        depth = 3000
+        e = E.var("x1")
+        for _ in range(depth):
+            e = E.sin(e)
+        with E.shared_walks():
+            d = E.differentiate(e, "x1")
+            assert E.differentiate(e, "x1") is d
+        assert isinstance(d, E.Prod) and len(d.factors) == depth
+        assert E.differentiate(e, "x1") is d
+
+
 def run_fresh(script):
     """Run ``script`` in a new interpreter, at its default recursion limit."""
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
