@@ -3,7 +3,10 @@
 
 At each seed S, runs ``report-all``, ``validate``,
 ``check-lift-brackets`` and ``check-duality`` with ``--json --seed S``
-on every bundled model plus ``benchmark/models/rotation.model``.
+on every bundled model plus ``benchmark/models/rotation.model``, and
+``report-all``, ``validate`` and ``check-lift-brackets`` on the models
+under ``models/domain``, whose anchors leave a function's domain at
+sampled points, so that the error each run raises is compared too.
 ``check-lift-brackets`` runs its default 10 pairs, so it reaches rows
 that the 3 trials of ``report-all`` never build.  Then runs ``lift u``,
 ``lift u --gh`` and ``lift u --vertical`` on each of those models that
@@ -30,9 +33,11 @@ import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 MODELS = sorted((ROOT / "models").glob("*.model")) + [ROOT / "benchmark" / "models" / "rotation.model"]
+DOMAIN_MODELS = sorted((ROOT / "models" / "domain").glob("*.model"))
 
 
 CHECKS = ("report-all", "validate", "check-lift-brackets", "check-duality")
+DOMAIN_CHECKS = ("report-all", "validate", "check-lift-brackets")
 LIFT_FLAGS = ((), ("--gh",), ("--vertical",))
 CLI = ["-m", "algebroids.cli"]
 FORMAT = [
@@ -75,10 +80,11 @@ def runs(seeds: list[int]) -> list[tuple[str, list[str]]]:
     """(label, interpreter arguments) of every run to compare."""
     out = []
     for seed in seeds:
-        for model in MODELS:
-            for check in CHECKS:
-                argv = [*CLI, check, str(model), "--json", "--seed", str(seed)]
-                out.append((f"seed {seed}  {check}  {model.relative_to(ROOT)}", argv))
+        for models, checks in ((MODELS, CHECKS), (DOMAIN_MODELS, DOMAIN_CHECKS)):
+            for model in models:
+                for check in checks:
+                    argv = [*CLI, check, str(model), "--json", "--seed", str(seed)]
+                    out.append((f"seed {seed}  {check}  {model.relative_to(ROOT)}", argv))
     for model in MODELS:
         spec, name = blocks(model), model.relative_to(ROOT)
         if "[section u]" in spec:

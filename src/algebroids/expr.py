@@ -403,8 +403,8 @@ def _tape(roots: Iterable[Expr]) -> tuple[list[tuple], list[int], list[int]]:
     """The one flat program of ``roots``: a ``(class, *slots)`` entry per
     node of :func:`_postorder`, children replaced by their positions, then
     its segment ends and each root's own position (a root may repeat or lie
-    in an earlier segment).  Pickling and both evaluators read it, so none
-    recurses and each handles a shared subtree once."""
+    in an earlier segment).  Pickling and the point driver read it, so
+    neither recurses and each handles a shared subtree once."""
     order, ends = _postorder(roots)
     position = {node: k for k, node in enumerate(order)}
 
@@ -436,22 +436,23 @@ def _from_tape(tape: list[tuple]) -> Expr:
     return nodes[-1]
 
 
-# Shared walks.  free_variables, substitute and differentiate each give
-# every distinct node under their argument one value, children first, in
-# a table kept per pass and per variable name or mapping.  Outside a
-# shared_walks() block each call starts with empty tables, as a lone call
-# must.  Inside one, a call stops at every node the block's earlier calls
-# of the same pass already valued.  Nodes are interned, so a kept value is
-# the very node a fresh walk builds.
+# Shared walks.  free_variables, substitute, differentiate and the column
+# pass each give every distinct node under their argument one value,
+# children first, in a table kept per pass and per variable name, mapping
+# or point set.  Outside a shared_walks() block each call starts with
+# empty tables, as a lone call must.  Inside one, a call stops at every
+# node the block's earlier calls of the same pass already valued.  Nodes
+# are interned, so a kept value is the very node a fresh walk builds.
 _WALKS: contextvars.ContextVar[dict | None] = contextvars.ContextVar("algebroids.expr.walks", default=None)
 
 
 @contextlib.contextmanager
 def shared_walks():
-    """Keep the tables of :func:`free_variables`, :func:`substitute` and
-    :func:`differentiate` for the block, and drop them when it ends.  A
-    nested block joins the outermost one.  The tables belong to the
-    current context, so a thread started inside the block sees none."""
+    """Keep the tables of :func:`free_variables`, :func:`substitute`,
+    :func:`differentiate` and :func:`max_residual` for the block, and drop
+    them when it ends.  A nested block joins the outermost one.  The tables
+    belong to the current context, so a thread started inside the block
+    sees none."""
     if _WALKS.get() is not None:
         yield
         return
@@ -462,18 +463,25 @@ def shared_walks():
         _WALKS.reset(token)
 
 
-def _walk(root: Expr, rule, key, arg):
-    """The value of ``root`` in the table ``out`` of ``(rule, key)``.
-    Every node under ``root`` that the table lacks gets
-    ``out[node] = rule(node, children, out, arg)``, children first, on an
-    explicit stack, so deep trees need no recursion."""
+def _kept(key, make):
+    """The block's value under ``key``, made by ``make()`` on first use,
+    or a fresh ``make()`` outside any block."""
     tables = _WALKS.get()
     if tables is None:
-        out: dict = {}
-    else:
-        out = tables.setdefault((rule, key), {})
-        if root in out:
-            return out[root]
+        return make()
+    value = tables.get(key)
+    if value is None:
+        value = tables[key] = make()
+    return value
+
+
+def _walk(root: Expr, rule, out: dict, arg):
+    """The value of ``root`` in the table ``out``.  Every node under
+    ``root`` that the table lacks gets ``out[node] = rule(node, children,
+    out, arg)``, children first, on an explicit stack, so deep trees need
+    no recursion.  Nodes are valued in :func:`_postorder`'s order."""
+    if root in out:
+        return out[root]
     # A (node, children) pair means: every child is valued, so the node
     # goes next.
     stack: list = [root]
@@ -516,7 +524,7 @@ def _free_rule(node, children, out, _):
 
 
 def free_variables(e: Expr) -> frozenset[str]:
-    return _walk(e, _free_rule, None, None)
+    return _walk(e, _free_rule, _kept((_free_rule, None), dict), None)
 
 
 def _substitute_rule(node, children, out, mapping):
@@ -538,7 +546,7 @@ def _substitute_rule(node, children, out, mapping):
 
 def substitute(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
     """Simultaneous substitution of variables by expressions."""
-    return _walk(e, _substitute_rule, tuple(sorted(mapping.items())), mapping)
+    return _walk(e, _substitute_rule, _kept((_substitute_rule, tuple(sorted(mapping.items()))), dict), mapping)
 
 
 def _derivative_rule(node, children, out, name):
@@ -585,7 +593,7 @@ def _derivative_rule(node, children, out, name):
 
 def differentiate(e: Expr, name: str) -> Expr:
     """Exact symbolic partial derivative with respect to ``name``."""
-    return _walk(e, _derivative_rule, name, name)
+    return _walk(e, _derivative_rule, _kept((_derivative_rule, name), dict), name)
 
 
 def is_zero(e: Expr) -> bool:
@@ -674,9 +682,31 @@ def compiled(e: Expr) -> Callable[[Binding], float]:
     return lambda binding: run(binding)[0]
 
 
-def _libm_column(fn, args: tuple[np.ndarray, ...], pos: int, failed: dict) -> np.ndarray:
+class _Columns:
+    """One point set of the column pass: the sampled ``columns``, one per
+    name of ``names``, the table of node columns over them, and what
+    evaluating nodes met.  ``failed`` maps a row to (position, error
+    class, message) of its first failing node; ``marked`` holds every
+    node whose column met a domain error or an unbound variable, itself
+    or below."""
+
+    __slots__ = ("index", "columns", "values", "failed", "marked")
+
+    def __init__(self, names: tuple[str, ...], columns: np.ndarray):
+        self.index = {name: j for j, name in enumerate(names)}
+        self.columns = columns
+        self.values: dict[Expr, np.ndarray] = {}
+        self.failed: dict[int, tuple[float, type, str]] = {}
+        self.marked: set[Expr] = set()
+
+    def fail(self, node: Expr, row: int, pos: float, kind: type, message: str) -> None:
+        self.marked.add(node)
+        self.failed.setdefault(row, (pos, kind, message))
+
+
+def _libm_column(fn, args: tuple[np.ndarray, ...], node: Expr, pos: int, group: _Columns) -> np.ndarray:
     """Apply the scalar ``fn`` row by row, as the point driver does.
-    Rows where it raises become NaN and are recorded in ``failed``."""
+    Rows where it raises become NaN and fail ``node`` in ``group``."""
     lists = [a.tolist() for a in args]
     try:
         return np.array(list(map(fn, *lists)), dtype=float)
@@ -687,62 +717,46 @@ def _libm_column(fn, args: tuple[np.ndarray, ...], pos: int, failed: dict) -> np
         try:
             out.append(fn(*xs))
         except (ValueError, ZeroDivisionError, OverflowError) as err:
-            failed.setdefault(row, (pos, EvaluationError, f"domain error: {err}"))
+            group.fail(node, row, pos, EvaluationError, f"domain error: {err}")
             out.append(math.nan)
     return np.array(out, dtype=float)
 
 
-def _column_values(tape: tuple[list[tuple], list[int], list[int]], names: tuple[str, ...], columns) -> list[np.ndarray]:
-    """The column driver: :func:`evaluate_columns` over a :func:`_tape` program."""
-    code, ends, outs = tape
-    n = columns.shape[0]
-    index = {name: j for j, name in enumerate(names)}
-    values: list[np.ndarray] = []
-    # row -> (position, error class, message) of its first failing node
-    failed: dict[int, tuple[float, type, str]] = {}
-    with np.errstate(all="ignore"):
-        for pos, entry in enumerate(code):
-            kind = entry[0]
-            if kind is Const:
-                out = np.full(n, entry[1])
-            elif kind is Var:
-                j = index.get(entry[1])
-                if j is None:
-                    # Fails at every row, so the first row decides.
-                    if n:
-                        failed.setdefault(0, (pos, UnboundVariableError, f"unbound variable {entry[1]!r}"))
-                    out = np.full(n, math.nan)
-                else:
-                    out = columns[:, j]
-            elif kind is Sum:
-                terms = entry[1]
-                out = values[terms[0]] + values[terms[1]]
-                for k in terms[2:]:
-                    out += values[k]
-            elif kind is Prod:
-                factors = entry[1]
-                out = values[factors[0]] * values[factors[1]]
-                for k in factors[2:]:
-                    out *= values[k]
-            elif kind is Pow:
-                out = _libm_column(math.pow, (values[entry[1]], values[entry[2]]), pos, failed)
-            elif kind is Neg:
-                out = -values[entry[1]]
-            else:
-                out = _libm_column(FUNCTIONS[entry[1]], (values[entry[2]],), pos, failed)
-            values.append(out)
-    roots = [values[k] for k in outs]
-    # The point driver tests a root for finiteness after its own nodes
-    # and before the next root's, hence the half position.
-    for end, col in zip(ends, roots):
-        for row in np.flatnonzero(~np.isfinite(col)).tolist():
-            if row not in failed or failed[row][0] >= end:
-                failed[row] = (end - 0.5, EvaluationError, "overflow to non-finite value")
-    if failed:
-        row = min(failed)
-        _, kind, message = failed[row]
-        raise kind(message, dict(zip(names, columns[row].tolist())))
-    return roots
+def _column_rule(node, children, out, group: _Columns) -> np.ndarray:
+    """The column pass: ``node``'s float64 column over every row of
+    ``group``, in the point driver's arithmetic.  A node is numbered by
+    the count of nodes its table valued before it.  Callers ignore
+    floating-point warnings: overflow is tested on the roots."""
+    kind = type(node)
+    if children:
+        if group.marked and not group.marked.isdisjoint(children):
+            group.marked.add(node)
+        if kind is Prod:
+            # A fresh array, so *= and += never write into a child's column.
+            column = out[children[0]] * out[children[1]]
+            for f in children[2:]:
+                column *= out[f]
+            return column
+        if kind is Sum:
+            column = out[children[0]] + out[children[1]]
+            for t in children[2:]:
+                column += out[t]
+            return column
+        if kind is Neg:
+            return -out[node.arg]
+        if kind is Pow:
+            return _libm_column(math.pow, (out[node.base], out[node.exponent]), node, len(out), group)
+        return _libm_column(FUNCTIONS[node.fn], (out[node.arg],), node, len(out), group)
+    n = group.columns.shape[0]
+    if kind is Const:
+        return np.full(n, node.value)
+    j = group.index.get(node.name)
+    if j is not None:
+        return group.columns[:, j]
+    # An unbound variable fails at every row, so the first row decides.
+    if n:
+        group.fail(node, 0, len(out), UnboundVariableError, f"unbound variable {node.name!r}")
+    return np.full(n, math.nan)
 
 
 def evaluate_columns(
@@ -757,8 +771,31 @@ def evaluate_columns(
     right in term order, powers and calls apply the libm scalar to each
     row, and the first row at which evaluating ``roots[0]``,
     ``roots[1]``, ... in turn would raise raises the same error, with
-    that row as its point."""
-    return _column_values(_tape(tuple(roots)), tuple(names), columns)
+    that row as its point.  The walk has a table of its own, never a
+    :func:`shared_walks` block's, since its columns are the caller's."""
+    names = tuple(names)
+    group = _Columns(names, columns)
+    roots = tuple(roots)
+    # The walk numbers nodes in the point driver's order, so each root's
+    # segment ends where the table stands after it.
+    ends = []
+    with np.errstate(all="ignore"):
+        for root in roots:
+            _walk(root, _column_rule, group.values, group)
+            ends.append(len(group.values))
+    values = [group.values[root] for root in roots]
+    failed = group.failed
+    # The point driver tests a root for finiteness after its own nodes
+    # and before the next root's, hence the half position.
+    for end, col in zip(ends, values):
+        for row in np.flatnonzero(~np.isfinite(col)).tolist():
+            if row not in failed or failed[row][0] >= end:
+                failed[row] = (end - 0.5, EvaluationError, "overflow to non-finite value")
+    if failed:
+        row = min(failed)
+        _, kind, message = failed[row]
+        raise kind(message, dict(zip(names, columns[row].tolist())))
+    return values
 
 
 def central_difference(e: Expr, name: str, point: Binding, step: float = 1e-6) -> float:
@@ -874,14 +911,22 @@ def max_residual(
     names: Iterable[str] | None = None,
 ) -> tuple[float, dict[str, float] | None]:
     """Worst relative gap between two expressions over sampled points,
-    with the witness point that :func:`worst_gap` picks."""
-    tape = _tape((e1, e2))
+    with the witness point that :func:`worst_gap` picks.  Inside a
+    :func:`shared_walks` block, calls on the same point set share one
+    draw and one column table, so each distinct node is valued once."""
     if names is None:
-        names = sorted({entry[1] for entry in tape[0] if entry[0] is Var})
+        names = sorted(free_variables(e1) | free_variables(e2))
     names = tuple(names)
-    columns = sampler.columns(names)
-    v1, v2 = _column_values(tape, names, columns)
-    return column_residual(v1, v2, names, columns)
+    # Sampler holds a dict, so it is no key itself.
+    key = (sampler.points, sampler.seed, sampler.lo, sampler.hi, tuple(sorted(sampler.ranges.items())), names)
+    group = _kept((_column_rule, key), lambda: _Columns(names, sampler.columns(names)))
+    with np.errstate(all="ignore"):
+        v1 = _walk(e1, _column_rule, group.values, group)
+        v2 = _walk(e2, _column_rule, group.values, group)
+    if e1 in group.marked or e2 in group.marked or not (np.isfinite(v1).all() and np.isfinite(v2).all()):
+        # A fresh pass raises the error of evaluating e1, then e2, in turn.
+        v1, v2 = evaluate_columns((e1, e2), names, group.columns)
+    return column_residual(v1, v2, names, group.columns)
 
 
 def column_residual(v1, v2, names: tuple[str, ...], columns: np.ndarray) -> tuple[float, dict[str, float] | None]:

@@ -35,6 +35,8 @@ HESSIAN_DET_FLOOR = 1e-12
 CHOLESKY_PIVOT_TOL = 1e-10
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 50
+# Step halvings tried per Newton iteration before the solve gives up.
+MAX_HALVINGS = 60
 FIBER_FLOOR = 0.1
 
 
@@ -203,7 +205,9 @@ def _solve_fiber_system(
     maxiter: int,
 ) -> NewtonResult:
     """Newton iteration on fiber*Hessian(fiber) = target with step
-    halving; the start defaults to the target (identity preconditioner)."""
+    halving; the start defaults to the target (identity preconditioner).
+    Each iteration takes the longest halved step that lowers the max-norm
+    residual, and raises :class:`NewtonConvergenceError` when none does."""
     x = np.asarray(x, dtype=float)
     target = np.asarray(target, dtype=float)
     fiber = np.array(target if start is None else start, dtype=float)
@@ -228,7 +232,7 @@ def _solve_fiber_system(
             )
         step = np.linalg.solve(J, res)
         scale = 1.0
-        for _ in range(25):
+        for _ in range(MAX_HALVINGS):
             candidate = fiber - scale * step
             cres = residual(candidate)
             if float(np.abs(cres).max()) < norm:
@@ -236,8 +240,14 @@ def _solve_fiber_system(
                 break
             scale *= 0.5
         else:
-            fiber = fiber - step
-            res = residual(fiber)
+            # The full step instead can throw a tiny fiber component out
+            # past the reach of the remaining iterations.
+            raise NewtonConvergenceError(
+                f"no convergence: none of {MAX_HALVINGS} halvings of the Newton step lowers the residual",
+                fiber,
+                iterations,
+                norm,
+            )
     raise NewtonConvergenceError(
         f"no convergence within {maxiter} iterations",
         fiber,

@@ -43,6 +43,14 @@ class TestValidate:
         assert code == 2
         assert "bad-block" in err
 
+    @pytest.mark.parametrize("name", ["log_anchor", "sqrt_anchor"])
+    def test_domain_error_exits_two_with_its_point(self, capsys, models_dir, name):
+        code, out, err = run(capsys, "report-all", str(models_dir / "domain" / f"{name}.model"), "--seed", "3")
+        assert code == 2 and out == ""
+        assert err == (
+            "error: domain error: math domain error at point {'k1': -1.4627630026527756, 'k2': -1.8074344342170527}\n"
+        )
+
     def test_missing_file_exits_two(self, capsys):
         code, _, err = run(capsys, "validate", "no-such-file.model")
         assert code == 2
@@ -148,8 +156,16 @@ class TestLegendreCommand:
         assert code == 2 and out == ""
         assert "domain error" in err and err.count("\n") == 1
 
-    def test_failed_solve_exits_two(self, capsys, models_dir):
+    def test_tiny_fiber_component_solves(self, capsys, models_dir):
         at = "x1=0,x2=0,y1=-0.000633552529,y2=-0.809259391"
+        code, out, err = run(capsys, "legendre", str(models_dir / "quartic.model"), "--forward", "--at", at)
+        assert code == 0 and err == ""
+        assert json.loads(out)["iterations"] == 21
+
+    def test_failed_solve_exits_two(self, capsys, models_dir):
+        # The tiny fiber component's target lies far below the solver's
+        # tolerance, and no halving of the Newton step lowers the residual.
+        at = "x1=0,x2=0,y1=1e-8,y2=-0.809259391"
         code, out, err = run(capsys, "legendre", str(models_dir / "quartic.model"), "--forward", "--at", at)
         assert code == 2 and out == ""
         assert "no convergence" in err and err.count("\n") == 1
@@ -159,7 +175,7 @@ class TestLegendreCommand:
         text = text.replace("[lagrangian]\nL = 1/4*(y1^4 + y2^4)", "[hamiltonian]\nH = 1/4*(p1^4 + p2^4)")
         path = tmp_path / "hamiltonian_only.model"
         path.write_text(text)
-        at = "x1=0,x2=0,p1=-0.000633552529,p2=-0.809259391"
+        at = "x1=0,x2=0,p1=1e-8,p2=-0.809259391"
         code, out, err = run(capsys, "legendre", str(path), "--backward", "--at", at)
         assert code == 2 and out == ""
         assert "no convergence" in err and err.count("\n") == 1

@@ -907,6 +907,97 @@ class TestColumnEvaluator:
         assert E.max_residual(e1, e2, sampler) == (worst, None if index is None else points[index])
 
 
+class TestSharedColumns:
+    """Inside a ``shared_walks`` block, max_residual calls on one point set
+    share a draw and a column table: their results and errors are those of
+    fresh calls, and the table goes when the block ends."""
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=60)
+    def test_shared_residuals_are_fresh_residuals(self, seed):
+        rng = random.Random(seed)
+        wraps = (lambda e: e, lambda e: e, E.log, E.sqrt)
+
+        def side():
+            return rng.choice(wraps)(seeded_tree(rng, 4, "w"))
+
+        rows = [(side(), side()) for _ in range(6)]
+        # A finite root over a failing node: 1^nan is 1.
+        rows.append((E.power(E.ONE, rows[0][0]), E.ONE))
+        # Point sets that differ in one field each must not share columns.
+        base = E.Sampler(points=15, seed=seed % 1000)
+        samplers = (base, replace(base, seed=base.seed + 1), replace(base, lo=-1.0), replace(base, ranges={"w0": (0.5, 1.0)}))
+        checks = [(a, b, sampler) for a, b in rows for sampler in samplers]
+        fresh = [outcome(E.max_residual, *check) for check in checks]
+        with E.shared_walks():
+            # Subtrees and whole rows met again, in another order.
+            for a, b, sampler in reversed(checks):
+                outcome(E.max_residual, b, a, sampler)
+            shared = [outcome(E.max_residual, *check) for check in checks]
+        assert shared == fresh
+
+    def test_finite_root_over_a_failing_node_raises_in_a_block(self):
+        x = E.var("x1")
+        sampler = E.Sampler(points=20, seed=2)
+        want = outcome(E.max_residual, E.power(E.ONE, E.log(x)), E.ONE, sampler)
+        assert want[0] is E.EvaluationError
+        with E.shared_walks():
+            assert outcome(E.max_residual, E.log(x), x, sampler) == want
+            assert outcome(E.max_residual, E.power(E.ONE, E.log(x)), E.ONE, sampler) == want
+
+    def test_sums_and_products_leave_variable_columns_alone(self):
+        x, y = E.var("x1"), E.var("x2")
+        roots = (E.add(x, y, x), E.mul(x, y, x), E.add(E.mul(x, y), x, y), E.mul(E.add(x, y), x, y))
+        sampler = E.Sampler(points=10, seed=4)
+        columns = sampler.columns(("x1", "x2"))
+        drawn = columns.copy()
+        E.evaluate_columns(roots, ("x1", "x2"), columns)
+        assert np.array_equal(columns, drawn)
+        with E.shared_walks():
+            for root in roots:
+                E.max_residual(root, x, sampler)
+            (group,) = [g for key, g in E._WALKS.get().items() if key[0] is E._column_rule]
+            assert np.array_equal(group.columns, drawn)
+            assert np.array_equal(group.values[x], drawn[:, 0]) and np.array_equal(group.values[y], drawn[:, 1])
+
+    @given(
+        trees(),
+        trees(),
+        st.sampled_from([E.log, E.sqrt, lambda e: E.power(e, E.const(-0.5))]),
+        st.integers(0, 1000),
+    )
+    @settings(max_examples=100)
+    def test_evaluate_columns_is_the_same_in_a_block(self, e1, e2, wrap, seed):
+        roots = (E.add(E.log(e1), wrap(e2)), E.exp(E.mul(4, e2)), e1)
+        names = tuple(sorted(E.free_variables(roots[0]) | E.free_variables(roots[1])))
+        sampler = E.Sampler(points=20, seed=seed, lo=-3, hi=3)
+
+        def run():
+            got = outcome(E.evaluate_columns, roots, names, sampler.columns(names))
+            return got if isinstance(got, tuple) else [c.tolist() for c in got]
+
+        fresh = run()
+        with E.shared_walks():
+            outcome(E.max_residual, roots[2], roots[0], sampler, names)
+            outcome(E.max_residual, roots[1], e2, sampler, names)
+            assert run() == fresh
+
+    def test_column_tables_go_with_the_block(self):
+        gc.disable()
+        try:
+            with E.shared_walks():
+                node = E.mul(E.var("column_probe"), E.sin(E.var("column_probe")))
+                refs = [weakref.ref(node), weakref.ref(node.factors[1])]
+                # Names given, so only the column walk meets the node.
+                E.max_residual(node, E.var("column_probe"), E.Sampler(points=5, seed=1), ("column_probe",))
+                del node
+                assert refs[0]() is not None
+            # Reference counting alone freed them: no cycle holds a node.
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
+
+
 class TestWorstGap:
     def test_first_of_tied_gaps_is_the_witness(self):
         assert E.worst_gap([0.1, 0.3, 0.2, 0.3]) == (0.3, 1)

@@ -171,6 +171,43 @@ class TestFiberSolve:
         assert out.solution == pytest.approx(np.linalg.solve(A, p), abs=1e-8)
 
 
+# (x, fiber point) pairs of the quartic model with one tiny fiber
+# component, where a full Newton step after failed halvings used to
+# throw that component out to about 1e9.
+TINY_COMPONENT_POINTS = (
+    ((0.25148674696807305, -0.9517172060921748), (-0.0006335525294218769, -0.8092593911529846)),
+    ((0.8462014501146409, -0.13232356825612035), (1.8389560759148185, 0.00023203640609636977)),
+    ((-0.9802622984722804, -0.8229347930547024), (-0.00034480387515056776, -0.003180360377507796)),
+    ((0.007177073363783926, -0.01471327051998017), (2.5344266412208327e-05, 1.2607156030427262)),
+)
+
+
+class TestQuarticFiberSolve:
+    @pytest.fixture(scope="class")
+    def quartic(self):
+        return load_model(MODELS / "quartic.model").lagrangian
+
+    @pytest.mark.parametrize("x, y", TINY_COMPONENT_POINTS)
+    def test_tiny_fiber_component_converges(self, quartic, x, y):
+        target = phi_l(quartic, x, y)
+        out = solve_fiber(quartic, x, target)
+        image = phi_l(quartic, x, out.solution)
+        assert np.abs(image - target).max() <= 1e-10 * (1.0 + np.abs(target).max())
+
+    def test_matches_scipy_root(self, quartic):
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(20)
+        for _ in range(40):
+            x = rng.uniform(-2.0, 2.0, 2)
+            # Components away from 0, where the fiber map is well conditioned.
+            y = rng.uniform(0.05, 2.0, 2) * rng.choice([-1.0, 1.0], 2)
+            target = phi_l(quartic, x, y)
+            ours = solve_fiber(quartic, x, target).solution
+            ref = optimize.root(lambda v: phi_l(quartic, x, v) - target, target, method="lm")
+            assert ref.success, (x, y)
+            assert ours == pytest.approx(ref.x, abs=1e-7)
+
+
 class TestTransforms:
     def test_euclidean_pair(self, spaces):
         E, _ = spaces
