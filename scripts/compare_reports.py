@@ -12,9 +12,13 @@ that the 3 trials of ``report-all`` never build.  Then runs ``lift u``,
 ``lift u --gh`` and ``lift u --vertical`` on each of those models that
 defines section ``u``, ``bracket w w`` on each that defines section
 ``w`` on TE, ``legendre --forward`` and ``legendre --backward`` at one
-fixed point on each with a fundamental function, and prints
-``format_model(load_model(path))`` of each model.  Every run happens once with each ``src/`` directory on
-``PYTHONPATH``.  Prints one line per run: whether stdout is
+fixed point on each with a fundamental function, and
+``legendre --forward`` of ``models/quartic.model`` at the four points
+with one tiny fiber component (``TINY_COMPONENT_POINTS`` of
+``tests/test_legendre.py``), where the fiber solve halves its Newton
+steps, so that the line search is compared too.  Last, prints
+``format_model(load_model(path))`` of each model.  Every run happens
+once with each ``src/`` directory on ``PYTHONPATH``.  Prints one line per run: whether stdout is
 byte-identical, both exit codes and, where the outputs differ, the
 first differing row and, for each report whose rows differ, how many
 rows differ and how many ``pass`` flags changed.  The model files come
@@ -40,6 +44,14 @@ CHECKS = ("report-all", "validate", "check-lift-brackets", "check-duality")
 DOMAIN_CHECKS = ("report-all", "validate", "check-lift-brackets")
 LIFT_FLAGS = ((), ("--gh",), ("--vertical",))
 CLI = ["-m", "algebroids.cli"]
+# (x, fiber point) pairs of the quartic model with one tiny fiber
+# component, as in tests/test_legendre.py.
+TINY_COMPONENT_POINTS = (
+    ((0.25148674696807305, -0.9517172060921748), (-0.0006335525294218769, -0.8092593911529846)),
+    ((0.8462014501146409, -0.13232356825612035), (1.8389560759148185, 0.00023203640609636977)),
+    ((-0.9802622984722804, -0.8229347930547024), (-0.00034480387515056776, -0.003180360377507796)),
+    ((0.007177073363783926, -0.01471327051998017), (2.5344266412208327e-05, 1.2607156030427262)),
+)
 FORMAT = [
     "-c",
     "import sys; from algebroids import format_model, load_model; print(format_model(load_model(sys.argv[1])))",
@@ -97,6 +109,10 @@ def runs(seeds: list[int]) -> list[tuple[str, list[str]]]:
             for flag, fiber in (("--forward", "y"), ("--backward", "p")):
                 at = legendre_point(spec, fiber)
                 out.append((f"legendre {flag} --at {at}  {name}", [*CLI, "legendre", str(model), flag, "--at", at]))
+    quartic = ROOT / "models" / "quartic.model"
+    for x, y in TINY_COMPONENT_POINTS:
+        at = ",".join(f"{name}{i + 1}={v!r}" for name, vs in (("x", x), ("y", y)) for i, v in enumerate(vs))
+        out.append((f"legendre --forward --at {at}  {quartic.relative_to(ROOT)}", [*CLI, "legendre", str(quartic), "--forward", "--at", at]))
     for model in MODELS:
         out.append((f"format_model  {model.relative_to(ROOT)}", [*FORMAT, str(model)]))
     return out

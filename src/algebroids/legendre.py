@@ -9,6 +9,7 @@ closed-form fiber solution is registered by the caller.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -136,24 +137,25 @@ class FiberFunction:
         """Fiber Hessian with inverse and a determinant-based regularity
         flag; the inverse is absent when the determinant is negligible."""
         matrix = self.hessian_at(x, fiber)
-        scale = max(1.0, float(np.abs(matrix).max())) ** self.rank
-        det = float(np.linalg.det(matrix))
-        if abs(det) <= HESSIAN_DET_FLOOR * scale:
+        # Scaled to entries of at most 1 so that no power of the scale
+        # can overflow; the entries themselves are finite.
+        scale = max(1.0, float(np.abs(matrix).max()))
+        if abs(float(np.linalg.det(matrix / scale))) <= HESSIAN_DET_FLOOR:
             return HessianResult(matrix, None, False)
         return HessianResult(matrix, np.linalg.inv(matrix), True)
 
-    def _newton_jacobian(self, b: Binding, fiber: np.ndarray) -> np.ndarray:
+    def _newton_jacobian(self, b: Binding, fiber: list[float]) -> list[list[float]]:
         r = self.rank
-        # Python floats round as numpy's float64 scalars do, only faster.
-        fiber = fiber.tolist()
         terms = iter(self._newton_fn(b))
-        J = np.empty((r, r))
+        J = []
         for row in range(r):
+            cells = []
             for col in range(r):
                 acc = next(terms)
                 for a in range(r):
                     acc += fiber[a] * next(terms)
-                J[row, col] = acc
+                cells.append(acc)
+            J.append(cells)
         return J
 
 
@@ -186,7 +188,10 @@ def phi_l(f: FiberFunction, x: Sequence[float], fiber: Sequence[float]) -> np.nd
     """Legendre morphism of a fundamental function: base fixed, fiber
     contracted with the fiber Hessian.  The same map serves a Lagrangian
     (``phi_l``) and a Hamiltonian (``phi_h``)."""
-    return np.asarray(fiber, dtype=float) @ f.hessian_at(x, fiber)
+    hessian = f.hessian_at(x, fiber)
+    # An overflowing image is the caller's to report, not numpy's to warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.asarray(fiber, dtype=float) @ hessian
 
 
 phi_h = phi_l
@@ -194,6 +199,78 @@ phi_h = phi_l
 
 # ---------------------------------------------------------------------------
 # Fiber solver
+
+
+def _max_abs(v: Sequence[float]) -> float:
+    """Largest absolute entry, 0.0 for none; a NaN counts as the
+    largest, as with ``np.max``."""
+    out = 0.0
+    for e in v:
+        e = abs(e)
+        if e != e:
+            return e
+        if e > out:
+            out = e
+    return out
+
+
+def _lu_factor(a: list[list[float]]) -> tuple[float, list[list[float]], list[int]]:
+    """LU factorization with partial pivoting of the square matrix ``a``
+    (a list of rows, overwritten): returns its determinant, the rows of
+    L (below the diagonal, unit diagonal implied) and U packed in one
+    matrix, and the row swapped with each row in turn.
+
+    The determinant is computed as ``np.linalg.det`` computes it from
+    LAPACK's factorization, sign * exp(sum log|pivot|), so it is 0.0 at
+    a zero pivot and NaN at a NaN or infinite one.  At a zero pivot the
+    factorization stops, and its factors must not be solved with."""
+    n = len(a)
+    swaps = []
+    sign, logdet = 1.0, 0.0
+    for k in range(n):
+        # The first entry of largest magnitude; a NaN is the pivot only
+        # where it stands on the diagonal.
+        p, best = k, abs(a[k][k])
+        for i in range(k + 1, n):
+            if abs(a[i][k]) > best:
+                p, best = i, abs(a[i][k])
+        swaps.append(p)
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            sign = -sign
+        pivot_row = a[k]
+        pivot = pivot_row[k]
+        if pivot == 0.0:
+            return 0.0, a, swaps
+        sign *= pivot / abs(pivot)
+        logdet += math.log(abs(pivot))
+        for i in range(k + 1, n):
+            row = a[i]
+            l = row[k] = row[k] / pivot
+            for j in range(k + 1, n):
+                row[j] -= l * pivot_row[j]
+    try:
+        return sign * math.exp(logdet), a, swaps
+    except OverflowError:
+        return sign * math.inf, a, swaps
+
+
+def _lu_solve(lu: list[list[float]], swaps: list[int], b: Sequence[float]) -> list[float]:
+    """Solution of a x = b from :func:`_lu_factor`'s factors of a."""
+    x = list(b)
+    n = len(x)
+    for k, p in enumerate(swaps):
+        x[k], x[p] = x[p], x[k]
+    for i in range(n):
+        row = lu[i]
+        for j in range(i):
+            x[i] -= row[j] * x[j]
+    for i in reversed(range(n)):
+        row = lu[i]
+        for j in range(n - 1, i, -1):
+            x[i] -= row[j] * x[j]
+        x[i] /= row[i]
+    return x
 
 
 def _solve_fiber_system(
@@ -207,35 +284,36 @@ def _solve_fiber_system(
     """Newton iteration on fiber*Hessian(fiber) = target with step
     halving; the start defaults to the target (identity preconditioner).
     Each iteration takes the longest halved step that lowers the max-norm
-    residual, and raises :class:`NewtonConvergenceError` when none does."""
-    x = np.asarray(x, dtype=float)
-    target = np.asarray(target, dtype=float)
-    fiber = np.array(target if start is None else start, dtype=float)
-    threshold = tol * (1.0 + float(np.abs(target).max(initial=0.0)))
+    residual, and raises :class:`NewtonConvergenceError` when none does.
+    The iteration runs on Python floats, which round as numpy's float64
+    scalars do; one LU factorization per sweep gives both the singular
+    test and the step."""
+    x = list(map(float, x))
+    target = list(map(float, target))
+    fiber = list(map(float, target if start is None else start))
+    threshold = tol * (1.0 + _max_abs(target))
+    r = f.rank
 
-    def residual(vec: np.ndarray) -> np.ndarray:
+    def residual(vec: list[float]) -> list[float]:
         h = f._hess_fn(f.binding(x, vec))
-        v, r = vec.tolist(), f.rank
-        return np.array([sum(v[a] * h[a * r + c] for a in range(r)) - target[c] for c in range(r)])
+        return [sum(vec[a] * h[a * r + c] for a in range(r)) - target[c] for c in range(r)]
 
     res = residual(fiber)
     for iterations in range(1, maxiter + 1):
-        norm = float(np.abs(res).max())
+        norm = _max_abs(res)
         if norm <= threshold:
-            return NewtonResult(fiber, iterations, norm)
-        b = f.binding(x, fiber)
-        J = f._newton_jacobian(b, fiber)
-        det = float(np.linalg.det(J))
-        if not np.isfinite(det) or abs(det) < 1e-300:
+            return NewtonResult(np.array(fiber), iterations, norm)
+        det, lu, swaps = _lu_factor(f._newton_jacobian(f.binding(x, fiber), fiber))
+        if not math.isfinite(det) or abs(det) < 1e-300:
             raise SingularJacobianError(
-                "singular Newton Jacobian in fiber solve", fiber, iterations
+                "singular Newton Jacobian in fiber solve", np.array(fiber), iterations
             )
-        step = np.linalg.solve(J, res)
+        step = _lu_solve(lu, swaps, res)
         scale = 1.0
         for _ in range(MAX_HALVINGS):
-            candidate = fiber - scale * step
+            candidate = [v - scale * s for v, s in zip(fiber, step)]
             cres = residual(candidate)
-            if float(np.abs(cres).max()) < norm:
+            if _max_abs(cres) < norm:
                 fiber, res = candidate, cres
                 break
             scale *= 0.5
@@ -244,15 +322,15 @@ def _solve_fiber_system(
             # past the reach of the remaining iterations.
             raise NewtonConvergenceError(
                 f"no convergence: none of {MAX_HALVINGS} halvings of the Newton step lowers the residual",
-                fiber,
+                np.array(fiber),
                 iterations,
                 norm,
             )
     raise NewtonConvergenceError(
         f"no convergence within {maxiter} iterations",
-        fiber,
+        np.array(fiber),
         maxiter,
-        float(np.abs(res).max()),
+        _max_abs(res),
     )
 
 

@@ -156,6 +156,13 @@ class TestLegendreCommand:
         assert code == 2 and out == ""
         assert "domain error" in err and err.count("\n") == 1
 
+    def test_overflowing_image_exits_two_with_one_line(self, models_dir):
+        # A fresh interpreter, so that a numpy warning would reach stderr.
+        at = "x1=0,x2=0,y1=1e150,y2=1e-150"
+        done = run_cli_fresh("legendre", str(models_dir / "quartic.model"), "--forward", "--at", at)
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.startswith("error: overflow to non-finite value") and done.stderr.count("\n") == 1
+
     def test_tiny_fiber_component_solves(self, capsys, models_dir):
         at = "x1=0,x2=0,y1=-0.000633552529,y2=-0.809259391"
         code, out, err = run(capsys, "legendre", str(models_dir / "quartic.model"), "--forward", "--at", at)
@@ -354,6 +361,20 @@ def run_cli_fresh(*argv):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]))
     command = [sys.executable, "-m", "algebroids.cli", *argv]
     return subprocess.run(command, env=env, capture_output=True, text=True, timeout=120)
+
+
+class TestLargeHessian:
+    def test_report_all_has_no_traceback(self, models_dir, tmp_path):
+        """Fiber Hessian entries of 1e200 are finite; the regularity test
+        must not overflow on them."""
+        text = (models_dir / "classical.model").read_text(encoding="utf-8")
+        text = text.replace("L = 1/2*(y1^2 + y2^2)", "L = 1/2*1e200*(y1^2 + y2^2)")
+        text = text.replace("H = 1/2*(p1^2 + p2^2)", "H = 1/2*1e-200*(p1^2 + p2^2)")
+        path = tmp_path / "large_hessian.model"
+        path.write_text(text, encoding="utf-8")
+        done = run_cli_fresh("report-all", str(path), "--json")
+        assert done.returncode in (0, 1) and done.stderr == ""
+        assert isinstance(json.loads(done.stdout), dict)
 
 
 class TestDeepNesting:

@@ -689,6 +689,65 @@ class TestSubstitute:
         assert E.evaluate(substituted, b) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
+def to_sympy(sp, e):
+    """The sympy expression of a tree, node for node."""
+    if isinstance(e, E.Const):
+        return sp.Integer(int(e.value)) if e.value.is_integer() else sp.Float(e.value)
+    if isinstance(e, E.Var):
+        return sp.Symbol(e.name)
+    if isinstance(e, E.Sum):
+        return sp.Add(*(to_sympy(sp, t) for t in e.terms))
+    if isinstance(e, E.Prod):
+        return sp.Mul(*(to_sympy(sp, f) for f in e.factors))
+    if isinstance(e, E.Pow):
+        return sp.Pow(to_sympy(sp, e.base), to_sympy(sp, e.exponent))
+    if isinstance(e, E.Neg):
+        return -to_sympy(sp, e.arg)
+    return getattr(sp, e.fn)(to_sympy(sp, e.arg))
+
+
+class TestSympyOracle:
+    """differentiate and substitute against sympy on seeded trees, both
+    alone and inside one ``shared_walks`` block, compared by value at
+    seeded points: an oracle that rests on no finite difference."""
+
+    NAMES = tuple(f"w{k}" for k in range(6)) + tuple(f"v{k}" for k in range(6))
+
+    def assert_close(self, sp, ours, theirs, rng):
+        symbols = sorted(theirs.free_symbols, key=str)
+        fn = sp.lambdify(symbols, theirs, "math")
+        for _ in range(5):
+            point = {name: rng.uniform(-1.5, 1.5) for name in self.NAMES}
+            want = fn(*(point[str(s)] for s in symbols))
+            got = E.evaluate(ours, point)
+            assert E.relative_gap(got, want) <= 1e-9, (E.to_string(ours), point)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_differentiate_and_substitute(self, seed):
+        sp = pytest.importorskip("sympy")
+        rng = random.Random(seed)
+        trees = [seeded_tree(rng, 4, "w") for _ in range(6)]
+        mapping = {f"w{k}": seeded_tree(rng, 2, "v") for k in range(0, 6, 2)}
+        names = [f"w{k}" for k in range(6)]
+
+        def every_call():
+            return (
+                [[E.differentiate(t, name) for name in names] for t in trees],
+                [E.substitute(t, mapping) for t in trees],
+            )
+
+        fresh = every_call()
+        with E.shared_walks():
+            shared = every_call()
+        replace = {sp.Symbol(k): to_sympy(sp, v) for k, v in mapping.items()}
+        for k, tree in enumerate(trees):
+            sym = to_sympy(sp, tree)
+            for results in (fresh, shared):
+                for name, d in zip(names, results[0][k]):
+                    self.assert_close(sp, d, sp.diff(sym, sp.Symbol(name)), rng)
+                self.assert_close(sp, results[1][k], sym.xreplace(replace), rng)
+
+
 class TestEquivalent:
     def test_binomial_square(self, sampler):
         assert E.equivalent(E.parse("(x1+1)^2"), E.parse("x1^2 + 2*x1 + 1"), sampler)

@@ -23,6 +23,7 @@ from algebroids import (
     solve_fiber_h,
     var,
 )
+from algebroids.legendre import _lu_factor, _lu_solve, _max_abs
 
 MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
 CUBE_ROOT_4_OVER_3 = 1.1006424163623729  # real root of 3 y^3 = 4
@@ -150,6 +151,29 @@ class TestFiberSolve:
         out = solve_fiber_h(ham, (0, 0), (1, 1))
         assert out.solution == pytest.approx([2.0, 1.0])
 
+    def test_overflowing_step_is_no_convergence(self, spaces):
+        E, _ = spaces
+        lag = Lagrangian(E, parse("1e300*y1^2 + y2^2"))
+        with pytest.raises(NewtonConvergenceError) as err:
+            solve_fiber(lag, (0, 0), (1e300, 1))
+        assert err.value.iterations == 1
+        assert err.value.last_iterate.tolist() == [1e300, 1.0]
+
+    @pytest.mark.parametrize("target", [(1e300, -1e300), (float("nan"), 1.0)])
+    def test_non_finite_jacobian_is_singular(self, spaces, target):
+        # An overflowing determinant and a NaN Jacobian entry.
+        E, _ = spaces
+        lag = Lagrangian(E, parse("1e300*y1*y2 + y1^2 + y2^2"))
+        with pytest.raises(SingularJacobianError) as err:
+            solve_fiber(lag, (0, 0), target)
+        assert err.value.iterations == 1
+        assert isinstance(err.value.last_iterate, np.ndarray)
+
+    def test_solution_is_a_float_array(self, spaces):
+        E, _ = spaces
+        out = solve_fiber(Lagrangian(E, parse("1/4*(y1^4 + y2^4)")), (0, 0), (2.5, -1.5))
+        assert isinstance(out.solution, np.ndarray) and out.solution.dtype == np.float64
+
     @given(
         st.lists(st.floats(-2, 2, allow_nan=False), min_size=3, max_size=3),
         st.lists(st.floats(-3, 3, allow_nan=False), min_size=2, max_size=2),
@@ -169,6 +193,89 @@ class TestFiberSolve:
         out = solve_fiber(lag, (0.0, 0.0), p)
         assert out.iterations <= 2
         assert out.solution == pytest.approx(np.linalg.solve(A, p), abs=1e-8)
+
+
+def numpy_singular(a):
+    """The solver's singular test on numpy's determinant."""
+    with np.errstate(all="ignore"):
+        det = float(np.linalg.det(a))
+    return not np.isfinite(det) or abs(det) < 1e-300
+
+
+def lu_singular(a):
+    det, _, _ = _lu_factor(a.tolist())
+    return not np.isfinite(det) or abs(det) < 1e-300
+
+
+class TestLUKernel:
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_matches_numpy_on_seeded_matrices(self, r):
+        rng = np.random.default_rng(100 + r)
+        for _ in range(200):
+            a = rng.standard_normal((r, r)) * np.exp(rng.uniform(-3.0, 3.0, (r, r)))
+            b = rng.standard_normal(r)
+            det, lu, swaps = _lu_factor(a.tolist())
+            assert det == pytest.approx(np.linalg.det(a), rel=1e-10)
+            want = np.linalg.solve(a, b)
+            tol = 1e-12 * np.linalg.cond(a) * (1.0 + np.abs(want).max())
+            assert np.abs(np.array(_lu_solve(lu, swaps, b.tolist())) - want).max() <= tol
+
+    @pytest.mark.parametrize("v", [[np.nan, 1.0], [1.0, np.nan], [2.0, np.nan, -3.0], [np.inf, np.nan]])
+    def test_nan_is_the_largest_entry(self, v):
+        # As with np.max; Python's max would drop a NaN after the first entry.
+        assert np.isnan(np.abs(v).max()) and np.isnan(_max_abs(v))
+
+    def test_max_abs(self):
+        assert _max_abs([]) == 0.0
+        assert _max_abs([-3.0, 2.0, -0.0]) == 3.0
+        assert _max_abs([1.0, -np.inf]) == np.inf
+
+    def test_row_swap(self):
+        a = np.array([[1e-3, 1.0, 2.0], [1.0, 1.0, 0.0], [2.0, 0.0, 1.0]])
+        det, lu, swaps = _lu_factor(a.tolist())
+        assert swaps[0] == 2
+        assert det == pytest.approx(np.linalg.det(a), rel=1e-12)
+        b = [1.0, 2.0, 3.0]
+        assert _lu_solve(lu, swaps, b) == pytest.approx(np.linalg.solve(a, b), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            [[0.0]],
+            [[0.0, 0.0], [0.0, 1.0]],
+            [[1.0, 2.0], [2.0, 4.0]],
+            [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [1.0, 0.0, 1.0]],
+        ],
+    )
+    def test_exact_zero_pivot_gives_zero(self, a):
+        assert np.linalg.det(np.array(a)) == 0.0
+        assert _lu_factor(a)[0] == 0.0
+
+    @pytest.mark.parametrize(
+        "a, singular",
+        [
+            ([[1e-150, 0.0], [0.0, 1e-151]], True),
+            ([[1e-150, 0.0], [0.0, 1e-149]], False),
+            ([[1e200, 0.0], [0.0, 1e200]], True),
+            ([[1e200, 0.0], [0.0, 1e100]], False),
+        ],
+    )
+    def test_extreme_determinants(self, a, singular):
+        a = np.array(a)
+        assert numpy_singular(a) is singular
+        assert lu_singular(a) is singular
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_non_finite_entries_decide_as_numpy(self, r):
+        rng = np.random.default_rng(200 + r)
+        specials = (np.nan, np.inf, -np.inf)
+        for _ in range(100):
+            a = rng.standard_normal((r, r))
+            for _ in range(rng.integers(1, r + 1)):
+                a[rng.integers(r), rng.integers(r)] = specials[rng.integers(3)]
+            if rng.random() < 0.3:
+                a[:, rng.integers(r)] = 0.0
+            assert lu_singular(a) is numpy_singular(a), a.tolist()
 
 
 # (x, fiber point) pairs of the quartic model with one tiny fiber
@@ -379,6 +486,6 @@ def test_programs_equal_per_entry_evaluate(name):
                     for a in range(r):
                         acc += fiber[a] * evaluate(f.hessian_fiber_d[a][row][col], b)
                     want.append(float(acc).hex())
-            assert [v.hex() for v in f._newton_jacobian(b, fiber).ravel().tolist()] == want
+            assert [v.hex() for row in f._newton_jacobian(b, fiber.tolist()) for v in row] == want
             assert f.gradient(x, fiber).tolist() == [evaluate(g, b) for g in f.grad]
             assert f.value(x, fiber) == evaluate(f.expr, b)
