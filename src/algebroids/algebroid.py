@@ -16,6 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .expr import (
+    ZERO,
     Expr,
     Sampler,
     add,
@@ -122,6 +123,7 @@ class GeneralizedLieAlgebroid:
     construction and alpha == beta entries are forced to zero.  Both are
     pulled to M through h once, here: ``rho_m[alpha][i]`` is
     ``h.pull(rho[alpha][i])`` and ``L_m(a, b, g)`` is ``h.pull(L(a, b, g))``.
+    The full antisymmetric table behind ``L`` is also built once, here.
     """
 
     base_m: CoordSystem
@@ -132,6 +134,7 @@ class GeneralizedLieAlgebroid:
     rho: tuple[tuple[Expr, ...], ...]
     structure: Mapping[tuple[int, int, int], Expr] = field(default_factory=dict)
     rho_m: tuple[tuple[Expr, ...], ...] = field(init=False, repr=False, compare=False)
+    _structure: tuple = field(init=False, repr=False, compare=False)
     _structure_m: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -168,12 +171,13 @@ class GeneralizedLieAlgebroid:
                 raise ValueError(f"inconsistent structure entries for {key}: antisymmetry violated")
             canon[key] = entry
         object.__setattr__(self, "structure", canon)
+        full = {**canon, **{(b, a, g): neg(entry) for (a, b, g), entry in canon.items()}}
         pull, ranks = self.h.pull, range(self.rank)
+        table = tuple(tuple(tuple(full.get((a, b, g), ZERO) for g in ranks) for b in ranks) for a in ranks)
+        object.__setattr__(self, "_structure", table)
         object.__setattr__(self, "rho_m", tuple(tuple(pull(e) for e in row) for row in self.rho))
         object.__setattr__(
-            self,
-            "_structure_m",
-            tuple(tuple(tuple(pull(self.L(a, b, g)) for g in ranks) for b in ranks) for a in ranks),
+            self, "_structure_m", tuple(tuple(tuple(pull(e) for e in row) for row in plane) for plane in table)
         )
 
     @classmethod
@@ -210,11 +214,7 @@ class GeneralizedLieAlgebroid:
 
     def L(self, a: int, b: int, g: int) -> Expr:
         """Structure function for [t_a, t_b] in the t_g slot (on N)."""
-        if a == b:
-            return add()
-        if a < b:
-            return self.structure.get((a, b, g), add())
-        return neg(self.structure.get((b, a, g), add()))
+        return self._structure[a][b][g]
 
     def L_m(self, a: int, b: int, g: int) -> Expr:
         """``L(a, b, g)`` pulled to M through h."""

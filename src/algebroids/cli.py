@@ -89,6 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> tuple[Model, Sampler, float]:
+    if args.seed is not None and args.seed < 0:
+        raise ValueError(f"--seed must be at least 0, got {args.seed}")
     if args.points is not None and args.points < 1:
         raise ValueError(f"--points must be at least 1, got {args.points}")
     if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0):

@@ -102,36 +102,50 @@ class Expr:
 
 # Hash-consing: every node is interned, so equal structure means the
 # same object, and ``==``/``hash`` are the inherited identity ones.  The
-# key holds the children themselves, so no id can be reused while an
-# entry lives.  Each entry is a weak reference to its node; when the node
-# goes, the reference's callback removes the entry, but only while the
-# entry still holds that dead reference, so a node re-made under the same
-# key keeps its own.  A hit reads the table without the lock; a miss
-# looks again and inserts under it.
-_NODES: dict[tuple, weakref.KeyedRef] = {}
+# key is the node's class followed by its slots, children themselves
+# (not their ids), so no id can be reused while an entry lives.  Each
+# entry is a weak reference to its node that carries its key; when the
+# node goes, the callback removes the entry, but only while the entry
+# still holds that dead reference, so a node re-made under the same key
+# keeps its own.  A hit reads the table without the lock; a miss looks
+# again and inserts under it.
+
+
+class _Entry(weakref.ref):
+    # No Python-level __new__ or __init__, so creating one runs only the
+    # C constructor; _interned sets ``key`` right after.
+    __slots__ = ("key",)
+
+
+_NODES: dict[tuple, _Entry] = {}
 _NODES_LOCK = threading.Lock()
 
 
-def _forget(ref: weakref.KeyedRef) -> None:
-    _remove_dead_weakref(_NODES, ref.key)
+def _forget(entry: _Entry) -> None:
+    _remove_dead_weakref(_NODES, entry.key)
 
 
-def _interned(cls, *fields):
-    """The one node of class ``cls`` whose slots hold ``fields``."""
-    key = (cls, *fields)
-    ref = _NODES.get(key)
-    if ref is not None:
-        node = ref()
+def _interned(key: tuple) -> Expr:
+    """The one node whose class and slots are ``key = (cls, *slots)``."""
+    entry = _NODES.get(key)
+    if entry is not None:
+        node = entry()
         if node is not None:
             return node
     with _NODES_LOCK:
-        ref = _NODES.get(key)
-        node = None if ref is None else ref()
+        entry = _NODES.get(key)
+        node = None if entry is None else entry()
         if node is None:
+            cls = key[0]
             node = object.__new__(cls)
-            for slot, value in zip(cls.__slots__, fields):
-                setattr(node, slot, value)
-            _NODES[key] = weakref.KeyedRef(node, _forget, key)
+            # Every node class has one or two slots.
+            slots = cls.__slots__
+            setattr(node, slots[0], key[1])
+            if len(slots) == 2:
+                setattr(node, slots[1], key[2])
+            entry = _Entry(node, _forget)
+            entry.key = key
+            _NODES[key] = entry
     return node
 
 
@@ -143,7 +157,7 @@ class Const(Expr):
         if not math.isfinite(value):
             raise ValueError(f"constants must be finite, got {value!r}")
         # Keyed by value, so -0.0 and 0.0 are one node.
-        return _interned(cls, value)
+        return _interned((cls, value))
 
 
 class Var(Expr):
@@ -152,42 +166,42 @@ class Var(Expr):
     def __new__(cls, name: str):
         if not name:
             raise ValueError("variable names must be non-empty")
-        return _interned(cls, name)
+        return _interned((cls, name))
 
 
 class Sum(Expr):
     __slots__ = ("terms",)
 
     def __new__(cls, terms: tuple[Expr, ...]):
-        return _interned(cls, terms)
+        return _interned((cls, terms))
 
 
 class Prod(Expr):
     __slots__ = ("factors",)
 
     def __new__(cls, factors: tuple[Expr, ...]):
-        return _interned(cls, factors)
+        return _interned((cls, factors))
 
 
 class Pow(Expr):
     __slots__ = ("base", "exponent")
 
     def __new__(cls, base: Expr, exponent: Expr):
-        return _interned(cls, base, exponent)
+        return _interned((cls, base, exponent))
 
 
 class Neg(Expr):
     __slots__ = ("arg",)
 
     def __new__(cls, arg: Expr):
-        return _interned(cls, arg)
+        return _interned((cls, arg))
 
 
 class Call(Expr):
     __slots__ = ("fn", "arg")
 
     def __new__(cls, fn: str, arg: Expr):
-        return _interned(cls, fn, arg)
+        return _interned((cls, fn, arg))
 
 
 FUNCTIONS: dict[str, Callable[[float], float]] = {
@@ -237,22 +251,30 @@ def var(name: str) -> Expr:
 def add(*terms) -> Expr:
     flat: list[Expr] = []
     acc = 0.0
+    # The last constant term met.  Constants are keyed by value, so when
+    # the folded sum equals its value, Const(acc) is that very node.
+    last = None
     for t in terms:
-        t = _coerce(t)
-        if isinstance(t, Sum):
-            parts: Iterable[Expr] = t.terms
+        if not isinstance(t, Expr):
+            t = _coerce(t)
+        kind = type(t)
+        if kind is Sum:
+            for p in t.terms:
+                if type(p) is Const:
+                    acc += p.value
+                    last = p
+                else:
+                    flat.append(p)
+        elif kind is Const:
+            acc += t.value
+            last = t
         else:
-            parts = (t,)
-        for p in parts:
-            if isinstance(p, Const):
-                acc += p.value
-            else:
-                flat.append(p)
+            flat.append(t)
     if acc != 0.0 or not flat:
-        flat.insert(0, Const(acc))
+        flat.insert(0, last if last is not None and last.value == acc else Const(acc))
     if len(flat) == 1:
         return flat[0]
-    return Sum(tuple(flat))
+    return _interned((Sum, tuple(flat)))
 
 
 def mul(*factors) -> Expr:
@@ -261,20 +283,28 @@ def mul(*factors) -> Expr:
     flat: list[Expr] = []
     acc = 1.0
     negative = False
+    # As in add: the last constant factor, reused when it is the product.
+    last = None
     for f in factors:
-        f = _coerce(f)
-        if isinstance(f, Neg):
+        if not isinstance(f, Expr):
+            f = _coerce(f)
+        kind = type(f)
+        if kind is Neg:
             negative = not negative
             f = f.arg
-        if isinstance(f, Prod):
-            parts: Iterable[Expr] = f.factors
+            kind = type(f)
+        if kind is Prod:
+            for p in f.factors:
+                if type(p) is Const:
+                    acc *= p.value
+                    last = p
+                else:
+                    flat.append(p)
+        elif kind is Const:
+            acc *= f.value
+            last = f
         else:
-            parts = (f,)
-        for p in parts:
-            if isinstance(p, Const):
-                acc *= p.value
-            else:
-                flat.append(p)
+            flat.append(f)
     if acc == 0.0 or acc != acc:
         # A zero factor absorbs the product, even where other constants
         # overflowed first: inf * 0 is nan, the one float unequal to itself.
@@ -282,57 +312,63 @@ def mul(*factors) -> Expr:
     if negative:
         acc = -acc
     if not flat:
-        return Const(acc)
+        return last if last is not None and last.value == acc else Const(acc)
     if acc == -1.0:
-        return neg(flat[0] if len(flat) == 1 else Prod(tuple(flat)))
+        return neg(flat[0] if len(flat) == 1 else _interned((Prod, tuple(flat))))
     if acc != 1.0:
-        flat.insert(0, Const(acc))
+        flat.insert(0, last if last is not None and last.value == acc else Const(acc))
     if len(flat) == 1:
         return flat[0]
-    return Prod(tuple(flat))
+    return _interned((Prod, tuple(flat)))
 
 
 def neg(x) -> Expr:
-    x = _coerce(x)
-    if isinstance(x, Const):
-        return Const(-x.value)
-    if isinstance(x, Neg):
+    if not isinstance(x, Expr):
+        x = _coerce(x)
+    kind = type(x)
+    if kind is Const:
+        # The negation of a finite value is finite, and -0.0 keys as 0.0.
+        return _interned((Const, -x.value))
+    if kind is Neg:
         return x.arg
-    if isinstance(x, Prod) and isinstance(x.factors[0], Const):
-        return mul(Const(-x.factors[0].value), *x.factors[1:])
-    return Neg(x)
+    if kind is Prod and type(x.factors[0]) is Const:
+        return mul(_interned((Const, -x.factors[0].value)), *x.factors[1:])
+    return _interned((Neg, x))
 
 
 def power(base, exponent) -> Expr:
-    base = _coerce(base)
-    exponent = _coerce(exponent)
-    if isinstance(exponent, Const):
+    if not isinstance(base, Expr):
+        base = _coerce(base)
+    if not isinstance(exponent, Expr):
+        exponent = _coerce(exponent)
+    if type(exponent) is Const:
         if exponent.value == 1.0:
             return base
         if exponent.value == 0.0:
             return ONE
-        if isinstance(base, Const):
+        if type(base) is Const:
             try:
                 value = math.pow(base.value, exponent.value)
             except (ValueError, OverflowError):
-                return Pow(base, exponent)
+                return _interned((Pow, base, exponent))
             if math.isfinite(value):
-                return Const(value)
-    return Pow(base, exponent)
+                return _interned((Const, value))
+    return _interned((Pow, base, exponent))
 
 
 def call(fn: str, arg) -> Expr:
     if fn not in FUNCTIONS:
         raise ValueError(f"unknown function {fn!r}")
-    arg = _coerce(arg)
-    if isinstance(arg, Const):
+    if not isinstance(arg, Expr):
+        arg = _coerce(arg)
+    if type(arg) is Const:
         try:
             value = FUNCTIONS[fn](arg.value)
         except (ValueError, OverflowError):
-            return Call(fn, arg)
+            return _interned((Call, fn, arg))
         if math.isfinite(value):
-            return Const(value)
-    return Call(fn, arg)
+            return _interned((Const, value))
+    return _interned((Call, fn, arg))
 
 
 def sin(x) -> Expr:

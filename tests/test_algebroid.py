@@ -21,6 +21,7 @@ from algebroids import (
     var,
 )
 from algebroids.algebroid import random_polynomial, random_section
+from algebroids.expr import ZERO, neg
 
 
 def classical_2d():
@@ -227,6 +228,8 @@ def test_anchor_and_structure_pulled_to_m_once(path):
             assert alg.rho_m[a][i] is alg.h.pull(alg.rho[a][i])
         for b in range(alg.rank):
             for g in range(alg.rank):
+                stored = alg.structure.get((min(a, b), max(a, b), g), ZERO)
+                assert alg.L(a, b, g) is (ZERO if a == b else stored if a < b else neg(stored))
                 assert alg.L_m(a, b, g) is alg.h.pull(alg.L(a, b, g))
 
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import pathlib
@@ -5,6 +7,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from algebroids.cli import main
 
@@ -261,6 +264,13 @@ class TestCheckCommands:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [("report-all", "classical.model"), ("lift", "generalized.model", "u")])
+    def test_negative_seed_exits_two_naming_the_flag(self, capsys, models_dir, argv):
+        command, model, *rest = argv
+        code, out, err = run(capsys, command, str(models_dir / model), *rest, "--seed", "-1")
+        assert code == 2 and out == ""
+        assert err == "error: --seed must be at least 0, got -1\n"
+
     def test_degenerate_model_sampler_exits_two(self, capsys, models_dir, tmp_path):
         text = (models_dir / "classical.model").read_text()
         path = tmp_path / "infinite_tol.model"
@@ -400,3 +410,55 @@ class TestDeepNesting:
         done = run_cli_fresh("validate", path)
         assert done.returncode == 2 and done.stdout == ""
         assert done.stderr.startswith("error: [expression-syntax]") and done.stderr.count("\n") == 1
+
+
+BUNDLED_TEXTS = {
+    path.name: path.read_text(encoding="utf-8")
+    for path in sorted((pathlib.Path(__file__).resolve().parent.parent / "models").glob("*.model"))
+}
+HOSTILE_VALUES = ("nan", "1e400", "-0", "((((", "x1^", "")
+EDITS = st.tuples(
+    st.sampled_from(("drop", "duplicate", "swap", "value")),
+    st.integers(0, 10**6),
+    st.integers(0, 10**6),
+    st.sampled_from(HOSTILE_VALUES),
+)
+
+
+def mutate(text, edits):
+    """``text`` with each edit applied in turn: drop, duplicate or swap
+    lines, or put a hostile value after a line's ``=``."""
+    lines = text.splitlines()
+    for op, i, j, value in edits:
+        if not lines:
+            break
+        i, j = i % len(lines), j % len(lines)
+        if op == "drop":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        elif op == "swap":
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            valued = [k for k, line in enumerate(lines) if "=" in line]
+            if valued:
+                k = valued[i % len(valued)]
+                lines[k] = lines[k].split("=", 1)[0] + "= " + value
+    return "\n".join(lines) + "\n"
+
+
+class TestModelTextFuzz:
+    """Mutated bundled models end in exit 0, 1 or 2, never in a
+    traceback, and exit 2 prints one line."""
+
+    @given(st.sampled_from(sorted(BUNDLED_TEXTS)), st.lists(EDITS, min_size=1, max_size=4))
+    @settings(max_examples=50, deadline=None)
+    def test_mutated_models_validate_without_traceback(self, tmp_path_factory, name, edits):
+        path = tmp_path_factory.mktemp("fuzz") / name
+        path.write_text(mutate(BUNDLED_TEXTS[name], edits), encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["validate", str(path)])
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

@@ -421,6 +421,41 @@ class TestInterning:
         gc.collect()
         assert [ref() for ref in refs] == [None, None]
 
+    def test_dead_node_leaves_the_table(self):
+        node = E.mul(E.var("gone_probe"), E.sin(E.var("gone_probe")))
+        key = (E.Prod, node.factors)
+        assert E._NODES[key]() is node
+        del node
+        gc.collect()
+        assert key not in E._NODES
+
+    def test_stale_entry_leaves_a_remade_node_in_place(self):
+        node = E.mul(E.var("remade_probe"), E.sin(E.var("remade_probe")))
+        key = (E.Prod, node.factors)
+        stale = E._NODES[key]
+        del node
+        gc.collect()
+        assert stale() is None and key not in E._NODES
+        again = E.mul(E.var("remade_probe"), E.sin(E.var("remade_probe")))
+        fresh = E._NODES[key]
+        assert fresh is not stale and fresh() is again
+        # A callback that runs late, after the node was made again.
+        E._forget(stale)
+        assert E._NODES[key] is fresh and fresh() is again
+
+    def test_table_shrinks_back_after_a_block(self):
+        gc.collect()
+        before = len(E._NODES)
+        rng = random.Random(3)
+        with E.shared_walks():
+            trees = [seeded_tree(rng, 6, f"shrink{i}_") for i in range(300)]
+            derived = [E.differentiate(t, f"shrink{i}_0") for i, t in enumerate(trees)]
+            built = len(E._NODES) - before
+        assert built > 2000
+        del trees, derived
+        gc.collect()
+        assert len(E._NODES) == before
+
 
 class TestSharedWalks:
     """Inside a ``shared_walks`` block, differentiate, substitute and
