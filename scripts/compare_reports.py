@@ -18,12 +18,15 @@ with one tiny fiber component (``TINY_COMPONENT_POINTS`` of
 ``tests/test_legendre.py``), where the fiber solve halves its Newton
 steps, so that the line search is compared too.  Last, prints
 ``format_model(load_model(path))`` of each model.  Every run happens
-once with each ``src/`` directory on ``PYTHONPATH``.  Prints one line per run: whether stdout is
-byte-identical, both exit codes and, where the outputs differ, the
-first differing row and, for each report whose rows differ, how many
-rows differ and how many ``pass`` flags changed.  The model files come
-from this checkout, so only the program differs.  Exits 0 when every
-run is identical with the same exit code, 1 otherwise.
+once with each ``src/`` directory on ``PYTHONPATH``.  Prints one line
+per run: ``same`` when stdout, stderr and the exit code are all
+identical, else ``DIFF``, then both exit codes and, where the outputs
+differ, the first differing row and, for each report whose rows differ,
+how many rows differ and how many ``pass`` flags changed, and both
+stderr texts where those differ.  The model files come from this
+checkout, so only the program differs.  The last line is
+``identical`` when every run is the same, and the exit code 0; else it
+is ``reports differ``, and the exit code 1.
 
 Usage: python scripts/compare_reports.py SRC_A SRC_B [--seeds 1 5]
 """

@@ -21,7 +21,6 @@ from .legendre import (
     NewtonConvergenceError,
     SingularJacobianError,
     phi_l,
-    phi_h,
     solve_fiber,
     solve_fiber_h,
 )
@@ -186,64 +185,39 @@ def _cmd_bracket(args) -> int:
 
 def _cmd_legendre(args) -> int:
     model, _, _ = _load(args)
-    if args.forward:
-        if model.lagrangian is None:
-            print("error: the model has no [lagrangian] block", file=sys.stderr)
-            return 2
-        fn = model.lagrangian
-        names = fn.base_vars + fn.fiber_vars
-        point = _parse_point(args.at, names)
+    lagrangian, hamiltonian = model.lagrangian, model.hamiltonian
+    if args.forward and lagrangian is None:
+        print("error: the model has no [lagrangian] block", file=sys.stderr)
+        return 2
+    if lagrangian is None and hamiltonian is None:
+        print("error: the model has no fundamental function", file=sys.stderr)
+        return 2
+    if args.forward or lagrangian is None:
+        # Map the fiber point through the fiber Hessian, solve back and
+        # report the largest gap to where it started.
+        fn, solve = (lagrangian, solve_fiber) if args.forward else (hamiltonian, solve_fiber_h)
+        point = _parse_point(args.at, fn.base_vars + fn.fiber_vars)
         x = [point[v] for v in fn.base_vars]
-        y = [point[v] for v in fn.fiber_vars]
-        image = phi_l(fn, x, y)
-        solved = solve_fiber(fn, x, image)
-        dual_names = (
-            model.hamiltonian.fiber_vars
-            if model.hamiltonian is not None
-            else tuple(f"p{a + 1}" for a in range(fn.rank))
-        )
-        payload = {
-            "point": point,
-            "image": {name: float(v) for name, v in zip(dual_names, image)},
-            "residual": float(np.abs(solved.solution - np.asarray(y)).max()),
-            "iterations": solved.iterations,
-        }
+        fiber = [point[v] for v in fn.fiber_vars]
+        image = phi_l(fn, x, fiber)
+        solved = solve(fn, x, image)
+        # The image lies on the other side: the dual fiber of E, or E's.
+        other = "p" if fn.variance == "primal" else "y"
+        image_names = [f"{other}{a + 1}" for a in range(fn.rank)]
+        residual = float(np.abs(solved.solution - np.asarray(fiber)).max())
     else:
-        if model.lagrangian is not None:
-            fn = model.lagrangian
-            dual_names = (
-                model.hamiltonian.fiber_vars
-                if model.hamiltonian is not None
-                else tuple(f"p{a + 1}" for a in range(fn.rank))
-            )
-            names = fn.base_vars + tuple(dual_names)
-            point = _parse_point(args.at, names)
-            x = [point[v] for v in fn.base_vars]
-            p = [point[v] for v in dual_names]
-            solved = solve_fiber(fn, x, p)
-            payload = {
-                "point": point,
-                "image": {name: float(v) for name, v in zip(fn.fiber_vars, solved.solution)},
-                "residual": solved.residual,
-                "iterations": solved.iterations,
-            }
-        elif model.hamiltonian is not None:
-            fn = model.hamiltonian
-            names = fn.base_vars + fn.fiber_vars
-            point = _parse_point(args.at, names)
-            x = [point[v] for v in fn.base_vars]
-            p = [point[v] for v in fn.fiber_vars]
-            image = phi_h(fn, x, p)
-            solved = solve_fiber_h(fn, x, image)
-            payload = {
-                "point": point,
-                "image": {f"y{a + 1}": float(v) for a, v in enumerate(image)},
-                "residual": float(np.abs(solved.solution - np.asarray(p)).max()),
-                "iterations": solved.iterations,
-            }
-        else:
-            print("error: the model has no fundamental function", file=sys.stderr)
-            return 2
+        # Solve the momentum equations at the given dual fiber point.
+        fn = lagrangian
+        dual = tuple(f"p{a + 1}" for a in range(fn.rank))
+        point = _parse_point(args.at, fn.base_vars + dual)
+        solved = solve_fiber(fn, [point[v] for v in fn.base_vars], [point[v] for v in dual])
+        image, image_names, residual = solved.solution, fn.fiber_vars, solved.residual
+    payload = {
+        "point": point,
+        "image": {name: float(v) for name, v in zip(image_names, image)},
+        "residual": residual,
+        "iterations": solved.iterations,
+    }
     print(emit_report([], payload))
     return 0
 

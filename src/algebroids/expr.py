@@ -60,6 +60,11 @@ class UnboundVariableError(EvaluationError):
 class Expr:
     __slots__ = ("__weakref__",)
 
+    def __new__(cls, *args):
+        # Const and Var validate their input in their own __new__; every
+        # other node comes from the smart constructors, via _interned.
+        raise TypeError(f"{cls.__name__} nodes are built by the smart constructors")
+
     def __add__(self, other):
         return add(self, _coerce(other))
 
@@ -172,36 +177,21 @@ class Var(Expr):
 class Sum(Expr):
     __slots__ = ("terms",)
 
-    def __new__(cls, terms: tuple[Expr, ...]):
-        return _interned((cls, terms))
-
 
 class Prod(Expr):
     __slots__ = ("factors",)
-
-    def __new__(cls, factors: tuple[Expr, ...]):
-        return _interned((cls, factors))
 
 
 class Pow(Expr):
     __slots__ = ("base", "exponent")
 
-    def __new__(cls, base: Expr, exponent: Expr):
-        return _interned((cls, base, exponent))
-
 
 class Neg(Expr):
     __slots__ = ("arg",)
 
-    def __new__(cls, arg: Expr):
-        return _interned((cls, arg))
-
 
 class Call(Expr):
     __slots__ = ("fn", "arg")
-
-    def __new__(cls, fn: str, arg: Expr):
-        return _interned((cls, fn, arg))
 
 
 FUNCTIONS: dict[str, Callable[[float], float]] = {
@@ -233,11 +223,12 @@ def _coerce(x) -> Expr:
 # builders write every sum of products in full and never test a factor
 # first.  is_zero belongs where a zero saves real work (a skipped
 # differentiation) or changes what is stored or shown (sparse forms,
-# printers, validations).  Every node is built through them, and
-# re-applying a constructor to a node's children gives the same node
+# printers, validations).  Const, Var and these constructors are the only
+# way to build a node: calling Sum, Prod, Neg, Pow or Call raises
+# TypeError, and unpickling interns the nodes a constructor built.
+# Re-applying a constructor to a node's children gives the same node
 # back, so the form is already canonical: is_zero relies on this and
-# never rebuilds a tree.  Build Sum, Prod, Neg, Pow and Call nodes only
-# here.
+# never rebuilds a tree.
 
 
 def const(value: float) -> Expr:
@@ -395,83 +386,6 @@ def sqrt(x) -> Expr:
 # Structural operations
 
 
-def _postorder(roots: Iterable[Expr]) -> tuple[list[Expr], list[int]]:
-    """The distinct nodes under ``roots``, each once, children
-    before parents, and for each root the end of its segment: the nodes
-    of ``roots[k]`` not already under an earlier root fill
-    ``order[ends[k-1]:ends[k]]``.  Siblings are visited last to first.
-    An explicit stack, so deep trees need no recursion."""
-    order: list[Expr] = []
-    ends: list[int] = []
-    seen: set[Expr] = set()
-    for root in roots:
-        # A None entry means: the node below it has all its children
-        # in order, so it goes next.
-        stack: list[Expr | None] = [root]
-        while stack:
-            node = stack.pop()
-            if node is None:
-                order.append(stack.pop())
-                continue
-            if node in seen:
-                continue
-            seen.add(node)
-            kind = type(node)
-            if kind is Sum:
-                children = node.terms
-            elif kind is Prod:
-                children = node.factors
-            elif kind is Pow:
-                children = (node.base, node.exponent)
-            elif kind is Neg or kind is Call:
-                children = (node.arg,)
-            else:
-                order.append(node)
-                continue
-            stack.append(node)
-            stack.append(None)
-            stack.extend(children)
-        ends.append(len(order))
-    return order, ends
-
-
-def _tape(roots: Iterable[Expr]) -> tuple[list[tuple], list[int], list[int]]:
-    """The one flat program of ``roots``: a ``(class, *slots)`` entry per
-    node of :func:`_postorder`, children replaced by their positions, then
-    its segment ends and each root's own position (a root may repeat or lie
-    in an earlier segment).  Pickling and the point driver read it, so
-    neither recurses and each handles a shared subtree once."""
-    order, ends = _postorder(roots)
-    position = {node: k for k, node in enumerate(order)}
-
-    def encode(value):
-        if isinstance(value, Expr):
-            return position[value]
-        if isinstance(value, tuple):
-            return tuple(position[v] for v in value)
-        return value
-
-    code = [(type(node), *(encode(getattr(node, slot)) for slot in node.__slots__)) for node in order]
-    return code, ends, [position[root] for root in roots]
-
-
-def _from_tape(tape: list[tuple]) -> Expr:
-    """The last node of the code :func:`_tape` wrote, rebuilt through
-    the node constructors, so it is the interned node itself."""
-    nodes: list[Expr] = []
-
-    def decode(value):
-        if type(value) is int:
-            return nodes[value]
-        if type(value) is tuple:
-            return tuple(nodes[k] for k in value)
-        return value
-
-    for kind, *fields in tape:
-        nodes.append(kind(*map(decode, fields)))
-    return nodes[-1]
-
-
 # Shared walks.  free_variables, substitute, differentiate and the column
 # pass each give every distinct node under their argument one value,
 # children first, in a table kept per pass and per variable name, mapping
@@ -515,7 +429,8 @@ def _walk(root: Expr, rule, out: dict, arg):
     """The value of ``root`` in the table ``out``.  Every node under
     ``root`` that the table lacks gets ``out[node] = rule(node, children,
     out, arg)``, children first, on an explicit stack, so deep trees need
-    no recursion.  Nodes are valued in :func:`_postorder`'s order."""
+    no recursion.  So the table fills in post-order, each node after its
+    children, siblings last to first: :func:`_tape` numbers nodes by it."""
     if root in out:
         return out[root]
     # A (node, children) pair means: every child is valued, so the node
@@ -543,6 +458,60 @@ def _walk(root: Expr, rule, out: dict, arg):
         stack.append((node, children))
         stack.extend(children)
     return out[root]
+
+
+def _tape_rule(node, children, out, code):
+    """A pass of :func:`_walk`: append ``node``'s entry to ``code`` and
+    give its position there."""
+    kind = type(node)
+    if kind is Sum or kind is Prod:
+        code.append((kind, tuple(out[c] for c in children)))
+    elif kind is Pow:
+        code.append((Pow, out[node.base], out[node.exponent]))
+    elif kind is Neg:
+        code.append((Neg, out[node.arg]))
+    elif kind is Call:
+        code.append((Call, node.fn, out[node.arg]))
+    elif kind is Const:
+        code.append((Const, node.value))
+    else:
+        code.append((Var, node.name))
+    return len(code) - 1
+
+
+def _tape(roots: Iterable[Expr]) -> tuple[list[tuple], list[int], list[int]]:
+    """The one flat program of ``roots``: a ``(class, *slots)`` entry per
+    distinct node, children before parents and replaced by their positions,
+    then each root's segment end (the nodes of ``roots[k]`` not under an
+    earlier root fill ``code[ends[k-1]:ends[k]]``) and its own position (a
+    root may repeat or lie in an earlier segment).  Pickling and the point
+    driver read it, so neither recurses and each handles a shared subtree
+    once."""
+    code: list[tuple] = []
+    position: dict[Expr, int] = {}
+    ends, outs = [], []
+    for root in roots:
+        outs.append(_walk(root, _tape_rule, position, code))
+        ends.append(len(code))
+    return code, ends, outs
+
+
+def _from_tape(tape: list[tuple]) -> Expr:
+    """The last node of the code :func:`_tape` wrote.  Each entry, its
+    positions replaced by the nodes there, is the key of a node that a
+    constructor built, so it is interned as it stands."""
+    nodes: list[Expr] = []
+
+    def decode(value):
+        if type(value) is int:
+            return nodes[value]
+        if type(value) is tuple:
+            return tuple(nodes[k] for k in value)
+        return value
+
+    for kind, *fields in tape:
+        nodes.append(_interned((kind, *map(decode, fields))))
+    return nodes[-1]
 
 
 def _free_rule(node, children, out, _):
@@ -720,48 +689,32 @@ def compiled(e: Expr) -> Callable[[Binding], float]:
 
 class _Columns:
     """One point set of the column pass: the sampled ``columns``, one per
-    name of ``names``, the table of node columns over them, and what
-    evaluating nodes met.  ``failed`` maps a row to (position, error
-    class, message) of its first failing node; ``marked`` holds every
-    node whose column met a domain error or an unbound variable, itself
-    or below."""
+    name of ``names``, the table of node columns over them, and the
+    ``marked`` nodes, whose column met a domain error or an unbound
+    variable, itself or below.  A node that met one has a NaN column."""
 
-    __slots__ = ("index", "columns", "values", "failed", "marked")
+    __slots__ = ("index", "columns", "values", "marked")
 
     def __init__(self, names: tuple[str, ...], columns: np.ndarray):
         self.index = {name: j for j, name in enumerate(names)}
         self.columns = columns
         self.values: dict[Expr, np.ndarray] = {}
-        self.failed: dict[int, tuple[float, type, str]] = {}
         self.marked: set[Expr] = set()
 
-    def fail(self, node: Expr, row: int, pos: float, kind: type, message: str) -> None:
-        self.marked.add(node)
-        self.failed.setdefault(row, (pos, kind, message))
 
-
-def _libm_column(fn, args: tuple[np.ndarray, ...], node: Expr, pos: int, group: _Columns) -> np.ndarray:
-    """Apply the scalar ``fn`` row by row, as the point driver does.
-    Rows where it raises become NaN and fail ``node`` in ``group``."""
-    lists = [a.tolist() for a in args]
+def _libm_column(fn, args: tuple[np.ndarray, ...], node: Expr, group: _Columns) -> np.ndarray:
+    """Apply the scalar ``fn`` row by row, as the point driver does.  If it
+    raises at any row, the column is NaN and ``node`` is marked."""
     try:
-        return np.array(list(map(fn, *lists)), dtype=float)
+        return np.array(list(map(fn, *[a.tolist() for a in args])), dtype=float)
     except (ValueError, ZeroDivisionError, OverflowError):
-        pass
-    out = []
-    for row, xs in enumerate(zip(*lists)):
-        try:
-            out.append(fn(*xs))
-        except (ValueError, ZeroDivisionError, OverflowError) as err:
-            group.fail(node, row, pos, EvaluationError, f"domain error: {err}")
-            out.append(math.nan)
-    return np.array(out, dtype=float)
+        group.marked.add(node)
+        return np.full(len(args[0]), math.nan)
 
 
 def _column_rule(node, children, out, group: _Columns) -> np.ndarray:
     """The column pass: ``node``'s float64 column over every row of
-    ``group``, in the point driver's arithmetic.  A node is numbered by
-    the count of nodes its table valued before it.  Callers ignore
+    ``group``, in the point driver's arithmetic.  Callers ignore
     floating-point warnings: overflow is tested on the roots."""
     kind = type(node)
     if children:
@@ -781,18 +734,30 @@ def _column_rule(node, children, out, group: _Columns) -> np.ndarray:
         if kind is Neg:
             return -out[node.arg]
         if kind is Pow:
-            return _libm_column(math.pow, (out[node.base], out[node.exponent]), node, len(out), group)
-        return _libm_column(FUNCTIONS[node.fn], (out[node.arg],), node, len(out), group)
+            return _libm_column(math.pow, (out[node.base], out[node.exponent]), node, group)
+        return _libm_column(FUNCTIONS[node.fn], (out[node.arg],), node, group)
     n = group.columns.shape[0]
     if kind is Const:
         return np.full(n, node.value)
     j = group.index.get(node.name)
     if j is not None:
         return group.columns[:, j]
-    # An unbound variable fails at every row, so the first row decides.
-    if n:
-        group.fail(node, 0, len(out), UnboundVariableError, f"unbound variable {node.name!r}")
+    group.marked.add(node)
     return np.full(n, math.nan)
+
+
+def _column_values(roots: tuple[Expr, ...], names: tuple[str, ...], group: _Columns) -> list[np.ndarray]:
+    """The columns of ``roots`` in ``group``'s table, whose point set has a
+    column per name of ``names``.  When a root is marked or not finite, the
+    point driver runs on each row in turn, so the error of the first failing
+    row is raised just as a per-point loop raises it."""
+    with np.errstate(all="ignore"):
+        values = [_walk(root, _column_rule, group.values, group) for root in roots]
+    if not group.marked.isdisjoint(roots) or not all(np.isfinite(v).all() for v in values):
+        run = compiled_many(roots)
+        for row in group.columns.tolist():
+            run(dict(zip(names, row)))
+    return values
 
 
 def evaluate_columns(
@@ -805,33 +770,13 @@ def evaluate_columns(
     Values and errors are bit-identical to the point driver
     (:func:`evaluate`, :func:`compiled`): sums and products run left to
     right in term order, powers and calls apply the libm scalar to each
-    row, and the first row at which evaluating ``roots[0]``,
-    ``roots[1]``, ... in turn would raise raises the same error, with
-    that row as its point.  The walk has a table of its own, never a
-    :func:`shared_walks` block's, since its columns are the caller's."""
+    row, and a failing evaluation is replayed point by point, so the first
+    row at which evaluating ``roots[0]``, ``roots[1]``, ... in turn would
+    raise raises the same error, with that row as its point.  The walk has
+    a table of its own, never a :func:`shared_walks` block's, since its
+    columns are the caller's."""
     names = tuple(names)
-    group = _Columns(names, columns)
-    roots = tuple(roots)
-    # The walk numbers nodes in the point driver's order, so each root's
-    # segment ends where the table stands after it.
-    ends = []
-    with np.errstate(all="ignore"):
-        for root in roots:
-            _walk(root, _column_rule, group.values, group)
-            ends.append(len(group.values))
-    values = [group.values[root] for root in roots]
-    failed = group.failed
-    # The point driver tests a root for finiteness after its own nodes
-    # and before the next root's, hence the half position.
-    for end, col in zip(ends, values):
-        for row in np.flatnonzero(~np.isfinite(col)).tolist():
-            if row not in failed or failed[row][0] >= end:
-                failed[row] = (end - 0.5, EvaluationError, "overflow to non-finite value")
-    if failed:
-        row = min(failed)
-        _, kind, message = failed[row]
-        raise kind(message, dict(zip(names, columns[row].tolist())))
-    return values
+    return _column_values(tuple(roots), names, _Columns(names, columns))
 
 
 def central_difference(e: Expr, name: str, point: Binding, step: float = 1e-6) -> float:
@@ -956,12 +901,7 @@ def max_residual(
     # Sampler holds a dict, so it is no key itself.
     key = (sampler.points, sampler.seed, sampler.lo, sampler.hi, tuple(sorted(sampler.ranges.items())), names)
     group = _kept((_column_rule, key), lambda: _Columns(names, sampler.columns(names)))
-    with np.errstate(all="ignore"):
-        v1 = _walk(e1, _column_rule, group.values, group)
-        v2 = _walk(e2, _column_rule, group.values, group)
-    if e1 in group.marked or e2 in group.marked or not (np.isfinite(v1).all() and np.isfinite(v2).all()):
-        # A fresh pass raises the error of evaluating e1, then e2, in turn.
-        v1, v2 = evaluate_columns((e1, e2), names, group.columns)
+    v1, v2 = _column_values((e1, e2), names, group)
     return column_residual(v1, v2, names, group.columns)
 
 

@@ -380,6 +380,8 @@ def parse_model(text: str) -> Model:
         entries = _Entries(block)
         value, line = entries.require("rank")
         brank = _parse_int(value, line)
+        if variance == "dual" and "E" in bundles and brank != bundles["E"].rank:
+            raise ModelError("dimension-mismatch", f"bundle Edual has rank {brank} but bundle E has rank {bundles['E'].rank}; a dual bundle has the rank of its bundle", line)
         g_mat: list[list[Expr]] | None = None
         ginv_mat: list[list[Expr]] | None = None
         ident = entries.take("g")

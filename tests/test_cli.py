@@ -181,14 +181,42 @@ class TestLegendreCommand:
         assert "no convergence" in err and err.count("\n") == 1
 
     def test_hamiltonian_only_failed_solve_exits_two(self, capsys, models_dir, tmp_path):
-        text = (models_dir / "quartic.model").read_text()
-        text = text.replace("[lagrangian]\nL = 1/4*(y1^4 + y2^4)", "[hamiltonian]\nH = 1/4*(p1^4 + p2^4)")
-        path = tmp_path / "hamiltonian_only.model"
-        path.write_text(text)
+        path = quartic_hamiltonian_only(models_dir, tmp_path)
         at = "x1=0,x2=0,p1=1e-8,p2=-0.809259391"
-        code, out, err = run(capsys, "legendre", str(path), "--backward", "--at", at)
+        code, out, err = run(capsys, "legendre", path, "--backward", "--at", at)
         assert code == 2 and out == ""
         assert "no convergence" in err and err.count("\n") == 1
+
+    def test_hamiltonian_only_backward_payload(self, capsys, models_dir, tmp_path):
+        path = quartic_hamiltonian_only(models_dir, tmp_path)
+        code, out, err = run(capsys, "legendre", path, "--backward", "--at", "x1=0.5,p1=1.5,p2=-0.75", "--json")
+        assert code == 0 and err == ""
+        assert out == (
+            '{"checks":[],"point":{"x1":0.5,"x2":0,"p1":1.5,"p2":-0.75},'
+            '"image":{"y1":10.125,"y2":-1.265625},"residual":1.1102230246251565e-15,"iterations":10}\n'
+        )
+
+    def test_dual_bundle_of_another_rank_exits_two(self, capsys, tmp_path):
+        # E of rank 2 beside an Edual of rank 1.
+        path = tmp_path / "unequal_ranks.model"
+        path.write_text(
+            "[base M]\ndim = 1\n[base N]\ndim = 1\n[algebroid]\nrank = 1\nrho[1][1] = 1\n"
+            "[bundle E]\nrank = 2\n[bundle Edual]\nrank = 1\n"
+            "[lagrangian]\nL = 1/2*(y1^2 + y2^2)\n[hamiltonian]\nH = 1/2*p1^2\n"
+        )
+        code, out, err = run(capsys, "legendre", str(path), "--backward", "--at", "x1=0,p1=1")
+        assert code == 2 and out == ""
+        assert err.startswith("error: [dimension-mismatch] bundle Edual has rank 1") and err.count("\n") == 1
+
+
+def quartic_hamiltonian_only(models_dir, tmp_path):
+    """The path of a copy of the quartic model whose Lagrangian
+    ``1/4*(y1^4 + y2^4)`` is replaced by the Hamiltonian ``1/4*(p1^4 + p2^4)``."""
+    text = (models_dir / "quartic.model").read_text()
+    text = text.replace("[lagrangian]\nL = 1/4*(y1^4 + y2^4)", "[hamiltonian]\nH = 1/4*(p1^4 + p2^4)")
+    path = tmp_path / "hamiltonian_only.model"
+    path.write_text(text)
+    return str(path)
 
 
 class TestCheckCommands:

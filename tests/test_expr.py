@@ -334,6 +334,20 @@ class TestCanonicalForm:
         assert E.add(*with_zeros(terms)) is E.add(*terms)
         assert E.mul(*with_zeros(terms + big)) is E.ZERO
 
+    def test_compound_nodes_come_only_from_the_constructors(self):
+        x = E.var("x1")
+        for kind, args in (
+            (E.Sum, ((E.ONE, x),)),
+            (E.Prod, ((E.const(2.0), x),)),
+            (E.Pow, (x, E.const(2.0))),
+            (E.Neg, (x,)),
+            (E.Call, ("sin", x)),
+        ):
+            with pytest.raises(TypeError, match="smart constructors"):
+                kind(*args)
+            with pytest.raises(TypeError):
+                kind()
+
     def test_is_zero_is_sufficient_not_complete(self):
         x = E.var("x1")
         assert E.is_zero(E.mul(0, x)) and E.is_zero(E.neg(E.const(0)))
@@ -935,8 +949,9 @@ class TestColumnEvaluator:
     )
     @settings(max_examples=150)
     def test_domain_error_at_first_failing_point(self, e1, e2, wrap, seed):
-        roots = (E.add(E.log(e1), wrap(e2)), E.exp(E.mul(4, e2)))
-        names = tuple(sorted(E.free_variables(roots[0]) | E.free_variables(roots[1])))
+        # The last root is finite over a failing node: 1^nan is 1.
+        roots = (E.add(E.log(e1), wrap(e2)), E.exp(E.mul(4, e2)), E.power(E.ONE, E.log(E.var("x1"))))
+        names = tuple(sorted(set().union(*map(E.free_variables, roots))))
         sampler = E.Sampler(points=20, seed=seed, lo=-3, hi=3)
         want = outcome(compiled_loop, roots, names, sampler)
         got = outcome(E.evaluate_columns, roots, names, sampler.columns(names))

@@ -119,6 +119,29 @@ class TestParsing:
             parse_model(text)
         assert err.value.code == "bad-block"
 
+    def test_dual_bundle_of_another_rank_rejected(self):
+        # The dual of E has E's rank.
+        text = """[base M]
+        dim = 1
+        [base N]
+        dim = 1
+        [algebroid]
+        rank = 1
+        rho[1][1] = 1
+        [bundle E]
+        rank = 2
+        [bundle Edual]
+        rank = 1
+        [lagrangian]
+        L = 1/2*(y1^2 + y2^2)
+        [hamiltonian]
+        H = 1/2*p1^2
+        """
+        with pytest.raises(ModelError) as err:
+            parse_model(text)
+        assert err.value.code == "dimension-mismatch"
+        assert err.value.line == 11
+
 
 SAMPLER_BASE = """
 [base M]
