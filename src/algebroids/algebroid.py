@@ -19,6 +19,7 @@ from .expr import (
     ZERO,
     Expr,
     Sampler,
+    Var,
     add,
     differentiate,
     free_variables,
@@ -63,18 +64,34 @@ class SmoothMap:
     ``forward[j]`` expresses codomain coordinate j in domain variables;
     ``inverse[i]`` expresses domain coordinate i in codomain variables.
     The inverse-pair property is verified numerically, never derived.
+
+    ``renaming`` is set when the map only renames coordinates: every
+    component in both directions is a variable, and the two directions
+    undo each other.  Then ``renaming[i]`` is the codomain name of domain
+    coordinate i, and pulling, differentiating by domain coordinate i and
+    pushing back is differentiating by ``renaming[i]``: the constructors
+    never look at names, so both build the very same nodes.
     """
 
     domain: CoordSystem
     codomain: CoordSystem
     forward: tuple[Expr, ...]
     inverse: tuple[Expr, ...]
+    renaming: tuple[str, ...] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.forward) != self.codomain.dim:
             raise ValueError("forward component count must match codomain dimension")
         if len(self.inverse) != self.domain.dim:
             raise ValueError("inverse component count must match domain dimension")
+        xs = self.domain.variables
+        names = tuple(e.name if type(e) is Var else None for e in self.inverse)
+        # forward[j] names some x_i, whose inverse component names k_j back.
+        renames = len(xs) == len(self.forward) and all(
+            type(e) is Var and e.name in xs and names[xs.index(e.name)] == k
+            for e, k in zip(self.forward, self.codomain.variables)
+        )
+        object.__setattr__(self, "renaming", names if renames else None)
 
     def pull(self, f: Expr) -> Expr:
         """f on the codomain -> f composed with the map, on the domain."""
@@ -236,8 +253,12 @@ class GeneralizedLieAlgebroid:
         bad = free_variables(f) - set(self.base_n.variables)
         if bad:
             raise ValueError(f"anchor action expects a function on N, got variables {sorted(bad)}")
-        f_on_m = self.h.pull(f)
-        pushed = [self.h.push(differentiate(f_on_m, xi)) for xi in self.base_m.variables]
+        h = self.h
+        if h.renaming is not None:
+            pushed = [differentiate(f, k) for k in h.renaming]
+        else:
+            f_on_m = h.pull(f)
+            pushed = [h.push(differentiate(f_on_m, xi)) for xi in self.base_m.variables]
         return add(
             *[
                 mul(z.coefficients[alpha], add(*[mul(self.rho[alpha][i], d) for i, d in enumerate(pushed)]))

@@ -304,6 +304,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     ) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except MemoryError as err:
+        # A sampler too large to allocate: numpy names the array it
+        # could not make, a bare MemoryError names nothing.
+        print(f"error: {err or 'out of memory'}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -58,7 +58,10 @@ class UnboundVariableError(EvaluationError):
 
 
 class Expr:
-    __slots__ = ("__weakref__",)
+    # ``kids`` and ``free`` depend on structure alone, so _interned sets
+    # them once, when it makes the node: the child tuple, in the order
+    # every walk visits it, and the frozenset of variable names below.
+    __slots__ = ("__weakref__", "kids", "free")
 
     def __new__(cls, *args):
         # Const and Var validate their input in their own __new__; every
@@ -130,6 +133,24 @@ def _forget(entry: _Entry) -> None:
     _remove_dead_weakref(_NODES, entry.key)
 
 
+_NO_VARIABLES: frozenset[str] = frozenset()
+
+
+def _free_of(node: "Expr", kids: tuple) -> frozenset[str]:
+    """The variable names under a new node.  A node shares a child's set
+    when that child's covers the others, as it does for most nodes."""
+    if not kids:
+        return frozenset((node.name,)) if type(node) is Var else _NO_VARIABLES
+    free = kids[0].free
+    for kid in kids[1:]:
+        other = kid.free
+        if free <= other:
+            free = other
+        elif not other <= free:
+            free = free | other
+    return free
+
+
 def _interned(key: tuple) -> Expr:
     """The one node whose class and slots are ``key = (cls, *slots)``."""
     entry = _NODES.get(key)
@@ -143,11 +164,23 @@ def _interned(key: tuple) -> Expr:
         if node is None:
             cls = key[0]
             node = object.__new__(cls)
-            # Every node class has one or two slots.
+            # Every node class has one or two slots of its own.
             slots = cls.__slots__
             setattr(node, slots[0], key[1])
             if len(slots) == 2:
                 setattr(node, slots[1], key[2])
+            if cls is Sum or cls is Prod:
+                kids = key[1]
+            elif cls is Pow or cls is Neg:
+                kids = key[1:]
+            elif cls is Call:
+                kids = key[2:]
+            else:
+                kids = ()
+            node.kids = kids
+            node.free = _free_of(node, kids)
+            # Both are set before the entry goes in, so a lock-free hit
+            # never sees a node without them.
             entry = _Entry(node, _forget)
             entry.key = key
             _NODES[key] = entry
@@ -386,23 +419,23 @@ def sqrt(x) -> Expr:
 # Structural operations
 
 
-# Shared walks.  free_variables, substitute, differentiate and the column
-# pass each give every distinct node under their argument one value,
-# children first, in a table kept per pass and per variable name, mapping
-# or point set.  Outside a shared_walks() block each call starts with
-# empty tables, as a lone call must.  Inside one, a call stops at every
-# node the block's earlier calls of the same pass already valued.  Nodes
-# are interned, so a kept value is the very node a fresh walk builds.
+# Shared walks.  substitute, differentiate and the column pass each give
+# every distinct node under their argument one value, children first, in a
+# table kept per pass and per variable name, mapping or point set.  Outside
+# a shared_walks() block each call starts with an empty table, as a lone
+# call must.  Inside one, a call stops at every node the block's earlier
+# calls of the same pass already valued.  Nodes are interned, so a kept
+# value is the very node a fresh walk builds.  Free variables need no
+# walk: each node carries its set.
 _WALKS: contextvars.ContextVar[dict | None] = contextvars.ContextVar("algebroids.expr.walks", default=None)
 
 
 @contextlib.contextmanager
 def shared_walks():
-    """Keep the tables of :func:`free_variables`, :func:`substitute`,
-    :func:`differentiate` and :func:`max_residual` for the block, and drop
-    them when it ends.  A nested block joins the outermost one.  The tables
-    belong to the current context, so a thread started inside the block
-    sees none."""
+    """Keep the tables of :func:`substitute`, :func:`differentiate` and
+    :func:`max_residual` for the block, and drop them when it ends.  A
+    nested block joins the outermost one.  The tables belong to the
+    current context, so a thread started inside the block sees none."""
     if _WALKS.get() is not None:
         yield
         return
@@ -425,47 +458,45 @@ def _kept(key, make):
     return value
 
 
-def _walk(root: Expr, rule, out: dict, arg):
+def _walk(root: Expr, rule, out: dict, arg, prune: bool = False):
     """The value of ``root`` in the table ``out``.  Every node under
-    ``root`` that the table lacks gets ``out[node] = rule(node, children,
-    out, arg)``, children first, on an explicit stack, so deep trees need
+    ``root`` that the table lacks gets ``out[node] = rule(node, out,
+    arg)``, after its ``kids``, on an explicit stack, so deep trees need
     no recursion.  So the table fills in post-order, each node after its
-    children, siblings last to first: :func:`_tape` numbers nodes by it."""
+    kids, siblings last to first: :func:`_tape` numbers nodes by it.
+    With ``prune``, ``arg`` is a variable name, and a node whose free set
+    lacks it is valued ``ZERO`` with no walk below it: the derivative of
+    such a subtree builds to ``ZERO`` whatever it holds."""
     if root in out:
         return out[root]
-    # A (node, children) pair means: every child is valued, so the node
-    # goes next.
+    # A 1-tuple means: every kid of its node is valued, so the node goes next.
     stack: list = [root]
     while stack:
         node = stack.pop()
         if type(node) is tuple:
-            out[node[0]] = rule(node[0], node[1], out, arg)
+            node = node[0]
+            out[node] = rule(node, out, arg)
             continue
         if node in out:
             continue
-        kind = type(node)
-        if kind is Sum:
-            children = node.terms
-        elif kind is Prod:
-            children = node.factors
-        elif kind is Pow:
-            children = (node.base, node.exponent)
-        elif kind is Neg or kind is Call:
-            children = (node.arg,)
-        else:
-            out[node] = rule(node, (), out, arg)
+        if prune and arg not in node.free:
+            out[node] = ZERO
             continue
-        stack.append((node, children))
-        stack.extend(children)
+        kids = node.kids
+        if kids:
+            stack.append((node,))
+            stack.extend(kids)
+        else:
+            out[node] = rule(node, out, arg)
     return out[root]
 
 
-def _tape_rule(node, children, out, code):
+def _tape_rule(node, out, code):
     """A pass of :func:`_walk`: append ``node``'s entry to ``code`` and
     give its position there."""
     kind = type(node)
     if kind is Sum or kind is Prod:
-        code.append((kind, tuple(out[c] for c in children)))
+        code.append((kind, tuple(out[c] for c in node.kids)))
     elif kind is Pow:
         code.append((Pow, out[node.base], out[node.exponent]))
     elif kind is Neg:
@@ -514,34 +545,21 @@ def _from_tape(tape: list[tuple]) -> Expr:
     return nodes[-1]
 
 
-def _free_rule(node, children, out, _):
-    # A node shares its widest child's set when that covers the others.
-    if not children:
-        return frozenset((node.name,)) if type(node) is Var else frozenset()
-    if len(children) == 1:
-        return out[children[0]]
-    sets = [out[c] for c in children]
-    widest = max(sets, key=len)
-    for s in sets:
-        if not s <= widest:
-            return widest.union(*sets)
-    return widest
-
-
 def free_variables(e: Expr) -> frozenset[str]:
-    return _walk(e, _free_rule, _kept((_free_rule, None), dict), None)
+    """The names of the variables in ``e``, stored on the node."""
+    return e.free
 
 
-def _substitute_rule(node, children, out, mapping):
+def _substitute_rule(node, out, mapping):
     kind = type(node)
     if kind is Var:
         return mapping.get(node.name, node)
     if kind is Const:
         return node
     if kind is Sum:
-        return add(*[out[t] for t in children])
+        return add(*[out[t] for t in node.kids])
     if kind is Prod:
-        return mul(*[out[f] for f in children])
+        return mul(*[out[f] for f in node.kids])
     if kind is Pow:
         return power(out[node.base], out[node.exponent])
     if kind is Neg:
@@ -554,21 +572,22 @@ def substitute(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
     return _walk(e, _substitute_rule, _kept((_substitute_rule, tuple(sorted(mapping.items()))), dict), mapping)
 
 
-def _derivative_rule(node, children, out, name):
+def _derivative_rule(node, out, name):
     kind = type(node)
     if kind is Const:
         return ZERO
     if kind is Var:
         return ONE if node.name == name else ZERO
     if kind is Sum:
-        return add(*[out[t] for t in children])
+        return add(*[out[t] for t in node.kids])
     if kind is Prod:
+        factors = node.kids
         pieces = []
-        for i, f in enumerate(children):
+        for i, f in enumerate(factors):
             df = out[f]
             if is_zero(df):
                 continue
-            rest = children[:i] + children[i + 1 :]
+            rest = factors[:i] + factors[i + 1 :]
             pieces.append(mul(df, *rest))
         return add(*pieces) if pieces else ZERO
     if kind is Pow:
@@ -597,8 +616,10 @@ def _derivative_rule(node, children, out, name):
 
 
 def differentiate(e: Expr, name: str) -> Expr:
-    """Exact symbolic partial derivative with respect to ``name``."""
-    return _walk(e, _derivative_rule, _kept((_derivative_rule, name), dict), name)
+    """Exact symbolic partial derivative with respect to ``name``.  The
+    walk stops at every subtree without ``name``, whose derivative is
+    ``ZERO``."""
+    return _walk(e, _derivative_rule, _kept((_derivative_rule, name), dict), name, prune=True)
 
 
 def is_zero(e: Expr) -> bool:
@@ -712,23 +733,24 @@ def _libm_column(fn, args: tuple[np.ndarray, ...], node: Expr, group: _Columns) 
         return np.full(len(args[0]), math.nan)
 
 
-def _column_rule(node, children, out, group: _Columns) -> np.ndarray:
+def _column_rule(node, out, group: _Columns) -> np.ndarray:
     """The column pass: ``node``'s float64 column over every row of
     ``group``, in the point driver's arithmetic.  Callers ignore
     floating-point warnings: overflow is tested on the roots."""
     kind = type(node)
-    if children:
-        if group.marked and not group.marked.isdisjoint(children):
+    kids = node.kids
+    if kids:
+        if group.marked and not group.marked.isdisjoint(kids):
             group.marked.add(node)
         if kind is Prod:
             # A fresh array, so *= and += never write into a child's column.
-            column = out[children[0]] * out[children[1]]
-            for f in children[2:]:
+            column = out[kids[0]] * out[kids[1]]
+            for f in kids[2:]:
                 column *= out[f]
             return column
         if kind is Sum:
-            column = out[children[0]] + out[children[1]]
-            for t in children[2:]:
+            column = out[kids[0]] + out[kids[1]]
+            for t in kids[2:]:
                 column += out[t]
             return column
         if kind is Neg:

@@ -446,15 +446,21 @@ def k_coefficients(u: Section) -> tuple[tuple[Expr, ...], ...]:
     alg = bundle.algebroid
     h = alg.h
     p, m = alg.rank, alg.base_m.dim
-    xs = alg.base_m.variables
     gu = _gu(u)
-    gu_n = push_to_algebroid(u).coefficients
+    gu_n = [h.push(e) for e in gu]
     g_n = [[h.push(bundle.g[alpha][a]) for a in range(bundle.rank)] for alpha in range(p)]
-    dg_n = [
-        [[h.push(differentiate(bundle.g[gamma][a], xs[j])) for j in range(m)] for a in range(bundle.rank)]
-        for gamma in range(p)
-    ]
-    dgu_n = [[h.push(differentiate(gu[gamma], xs[i])) for i in range(m)] for gamma in range(p)]
+    if h.renaming is not None:
+        # Pushing a derivative by x_j is differentiating the pushed function.
+        ks = h.renaming
+        dg_n = [[[differentiate(g, k) for k in ks] for g in row] for row in g_n]
+        dgu_n = [[differentiate(e, k) for k in ks] for e in gu_n]
+    else:
+        xs = alg.base_m.variables
+        dg_n = [
+            [[h.push(differentiate(bundle.g[gamma][a], xs[j])) for j in range(m)] for a in range(bundle.rank)]
+            for gamma in range(p)
+        ]
+        dgu_n = [[h.push(differentiate(gu[gamma], xs[i])) for i in range(m)] for gamma in range(p)]
     return tuple(
         tuple(
             add(

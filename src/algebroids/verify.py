@@ -7,8 +7,7 @@ with its own tolerances.  Randomized data is drawn deterministically
 from the sampler seed so failures reproduce.  Each suite runs in one
 :func:`~algebroids.expr.shared_walks` block, so within a suite no
 subtree is differentiated by the same variable, substituted into under
-the same mapping, searched for free variables, or valued on the same
-sampled points twice.
+the same mapping, or valued on the same sampled points twice.
 """
 
 from __future__ import annotations

@@ -314,6 +314,14 @@ class TestCheckCommands:
         assert err.startswith("error: [expression-syntax]") and err.count("\n") == 1
         assert f"(line {line})" in err
 
+    def test_unallocatable_point_count_exits_two(self, capsys, models_dir):
+        # 1e14 points of two coordinates need 1.42 PiB, more than any
+        # address space, so the allocation fails at once.
+        code, out, err = run(capsys, "validate", str(models_dir / "classical.model"), "--points", "100000000000000")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "allocate" in err
+
     def test_usage_error_exits_two(self, capsys):
         assert main(["lift"]) == 2
         capsys.readouterr()

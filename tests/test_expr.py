@@ -61,19 +61,26 @@ def rebuild(node):
     return node
 
 
+def slot_children(node):
+    """A node's children read from its own slots, in the order a walk
+    visits them."""
+    if isinstance(node, E.Sum):
+        return node.terms
+    if isinstance(node, E.Prod):
+        return node.factors
+    if isinstance(node, E.Pow):
+        return (node.base, node.exponent)
+    if isinstance(node, (E.Neg, E.Call)):
+        return (node.arg,)
+    return ()
+
+
 def nodes(tree):
     stack, seen = [tree], []
     while stack:
         node = stack.pop()
         seen.append(node)
-        if isinstance(node, E.Sum):
-            stack.extend(node.terms)
-        elif isinstance(node, E.Prod):
-            stack.extend(node.factors)
-        elif isinstance(node, E.Pow):
-            stack.extend((node.base, node.exponent))
-        elif isinstance(node, (E.Neg, E.Call)):
-            stack.append(node.arg)
+        stack.extend(slot_children(node))
     return seen
 
 
@@ -472,9 +479,9 @@ class TestInterning:
 
 
 class TestSharedWalks:
-    """Inside a ``shared_walks`` block, differentiate, substitute and
-    free_variables keep their tables for the block: their values are
-    those of fresh walks, and the tables go when the block ends."""
+    """Inside a ``shared_walks`` block, differentiate and substitute keep
+    their tables for the block: their values are those of fresh walks,
+    and the tables go when the block ends."""
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=60)
@@ -552,6 +559,55 @@ class TestSharedWalks:
             assert E.differentiate(e, "x1") is d
         assert isinstance(d, E.Prod) and len(d.factors) == depth
         assert E.differentiate(e, "x1") is d
+
+
+def postorder(root):
+    """Each distinct node under ``root`` once, after its children, the
+    last child first: the order of every walk, by recursion."""
+    order, seen = [], set()
+
+    def visit(node):
+        if node in seen:
+            return
+        for child in reversed(slot_children(node)):
+            visit(child)
+        seen.add(node)
+        order.append(node)
+
+    visit(root)
+    return order
+
+
+class TestNodeFields:
+    """Each node carries its children and its free-variable set, set when
+    it is interned, and the derivative walk stops at every subtree that
+    lacks the variable."""
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=100)
+    def test_fields_and_pruned_derivatives(self, seed):
+        tree = seeded_tree(random.Random(seed), 6, "f")
+        order = postorder(tree)
+        for node in order:
+            assert node.kids == slot_children(node)
+            assert node.free == {n.name for n in nodes(node) if isinstance(n, E.Var)}
+            # A child's set that covers the others is shared, not copied.
+            if any(kid.free == node.free for kid in node.kids):
+                assert any(kid.free is node.free for kid in node.kids)
+        # The tape numbers nodes in that order and names each node's
+        # children by position, in the order of ``kids``.
+        code, _, _ = E._tape((tree,))
+        assert [E._from_tape(code[: k + 1]) for k in range(len(code))] == order
+        position = {node: k for k, node in enumerate(order)}
+        for node, entry in zip(order, code):
+            if isinstance(node, (E.Sum, E.Prod)):
+                assert entry[1] == tuple(position[kid] for kid in node.kids)
+        for name in sorted(tree.free) + ["f_absent"]:
+            # Every subtree valued by the rule, none skipped.
+            full = {}
+            for node in order:
+                full[node] = E._derivative_rule(node, full, name)
+            assert E.differentiate(tree, name) is full[tree]
 
 
 def run_fresh(script):

@@ -32,6 +32,7 @@ from algebroids import (
     vertical_lift_function,
     vertical_lift_vf,
 )
+from algebroids.algebroid import random_polynomial
 from algebroids.prolong import MissingMorphismError, random_bundle_section, random_prolong_section
 from algebroids.verify import (
     complete_lift_conditions_report,
@@ -380,6 +381,69 @@ class TestRankThreeRotationModel:
         for bundle in model.bundles.values():
             report = k_oracle_report(bundle, model.sampler, trials=2)
             assert report.passed, report.worst_row()
+
+
+def swap_bundle():
+    """A bundle over a chart map that swaps the two names: k1 = x2, k2 = x1."""
+    from algebroids import SmoothMap
+
+    M, N = coords("M", "x", 2), coords("N", "k", 2)
+    x1, x2, k1, k2 = var("x1"), var("x2"), var("k1"), var("k2")
+    h = SmoothMap(M, N, (x2, x1), (k2, k1))
+    rho = ((parse("k1*k2"), parse("sin(k1)")), (parse("k2^2"), add(1.0)))
+    alg = GeneralizedLieAlgebroid(M, N, h, h.inverted(), 2, rho, {(0, 1, 0): parse("k1 - k2"), (0, 1, 1): k1})
+    g = ((parse("1 + x1^2"), x2), (add(), add(1.0)))
+    ginv = ((parse("1/(1 + x1^2)"), parse("-x2/(1 + x1^2)")), (add(), add(1.0)))
+    return AnchoredBundle(alg, 2, "primal", g, ginv)
+
+
+def general_route(bundle):
+    """The same bundle, with its chart map h not known as a renaming."""
+    import dataclasses
+
+    alg = bundle.algebroid
+    h = dataclasses.replace(alg.h)
+    object.__setattr__(h, "renaming", None)
+    alg = dataclasses.replace(alg, h=h)
+    return dataclasses.replace(bundle, algebroid=alg)
+
+
+class TestRenamingCharts:
+    """A chart map whose components are variables that undo each other
+    is a renaming; the anchor action and the K coefficients then
+    differentiate on N, and build the very nodes of the general route."""
+
+    def test_detected(self, classical, generalized, rotation_model):
+        from algebroids import SmoothMap
+
+        assert classical.algebroid.h.renaming == ("k1", "k2")
+        assert classical.algebroid.eta.renaming == ("x1", "x2")
+        assert rotation_model.algebroid.h.renaming == ("k1", "k2", "k3")
+        assert swap_bundle().algebroid.h.renaming == ("k2", "k1")
+        assert generalized.algebroid.h.renaming is None
+        assert generalized.algebroid.eta.renaming is None
+        M, N = coords("M", "x", 2), coords("N", "k", 2)
+        x1, x2, k1, k2 = var("x1"), var("x2"), var("k1"), var("k2")
+        # Variables both ways, but not each other's inverse.
+        for forward, inverse in (((x2, x1), (k1, k2)), ((x1, x1), (k1, k2)), ((x1, x2), (k1, x2)), ((k1, k2), (x1, x2))):
+            assert SmoothMap(M, N, forward, inverse).renaming is None
+
+    def test_same_nodes_as_the_general_route(self, classical, rotation_model):
+        rng = np.random.default_rng(21)
+        bundles = [*classical.bundles.values(), *rotation_model.bundles.values(), swap_bundle()]
+        for bundle in bundles:
+            general = general_route(bundle)
+            alg, alg_general = bundle.algebroid, general.algebroid
+            assert alg.h.renaming is not None and alg_general.h.renaming is None
+            for _ in range(2):
+                u = random_bundle_section(bundle, rng)
+                K = k_coefficients(u)
+                K_general = k_coefficients(general.section(u.coefficients))
+                assert all(a is b for row, row_g in zip(K, K_general, strict=True) for a, b in zip(row, row_g, strict=True))
+                z = push_to_algebroid(u)
+                f = random_polynomial(alg.base_n.variables, rng)
+                got = alg.anchor_action(z, f)
+                assert got is alg_general.anchor_action(alg_general.section(z.coefficients), f)
 
 
 class TestLiftIdentities:
