@@ -861,14 +861,14 @@ class Sampler:
         names = tuple(names)
         return [dict(zip(names, row)) for row in self.columns(names, count).tolist()]
 
-    def sample_with_floor(
+    def columns_with_floor(
         self,
         names: Iterable[str],
         floor_names: Iterable[str],
         floor: float,
         count: int | None = None,
-    ) -> list[dict[str, float]]:
-        """Like :meth:`sample` but resamples until the max-norm of the
+    ) -> np.ndarray:
+        """Like :meth:`columns` but resamples until the max-norm of the
         ``floor_names`` block is at least ``floor`` (keeps points off the
         zero section)."""
         names = tuple(names)
@@ -888,7 +888,18 @@ class Sampler:
             kept = np.concatenate((kept, rows))
         if len(kept) < n:
             raise ValueError(f"could not sample points with max-norm floor {floor} over {floor_names}")
-        return [dict(zip(names, row)) for row in kept[:n].tolist()]
+        return kept[:n]
+
+    def sample_with_floor(
+        self,
+        names: Iterable[str],
+        floor_names: Iterable[str],
+        floor: float,
+        count: int | None = None,
+    ) -> list[dict[str, float]]:
+        """The points of :meth:`columns_with_floor`, one dict per row."""
+        names = tuple(names)
+        return [dict(zip(names, row)) for row in self.columns_with_floor(names, floor_names, floor, count).tolist()]
 
 
 def relative_gap(a: float, b: float) -> float:

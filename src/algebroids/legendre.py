@@ -17,12 +17,14 @@ import numpy as np
 
 from .expr import (
     Binding,
+    EvaluationError,
     Expr,
     Sampler,
     add,
     compiled,
     compiled_many,
     differentiate,
+    evaluate_columns,
     free_variables,
     mul,
     substitute,
@@ -137,10 +139,7 @@ class FiberFunction:
         """Fiber Hessian with inverse and a determinant-based regularity
         flag; the inverse is absent when the determinant is negligible."""
         matrix = self.hessian_at(x, fiber)
-        # Scaled to entries of at most 1 so that no power of the scale
-        # can overflow; the entries themselves are finite.
-        scale = max(1.0, float(np.abs(matrix).max()))
-        if abs(float(np.linalg.det(matrix / scale))) <= HESSIAN_DET_FLOOR:
+        if not _regular(matrix[None])[0]:
             return HessianResult(matrix, None, False)
         return HessianResult(matrix, np.linalg.inv(matrix), True)
 
@@ -428,12 +427,37 @@ def legendre_transform_h(
 # Checks
 
 
-def _fiber_points(f: FiberFunction, sampler: Sampler, floor: float = FIBER_FLOOR):
-    names = f.base_vars + f.fiber_vars
-    for point in sampler.sample_with_floor(names, f.fiber_vars, floor):
-        x = np.array([point[v] for v in f.base_vars])
-        fiber = np.array([point[v] for v in f.fiber_vars])
-        yield x, fiber
+def _fiber_columns(f: FiberFunction, sampler: Sampler) -> np.ndarray:
+    """The sampled points of ``f``'s checks, one row per point: base, then
+    fiber coordinates, kept off the zero section."""
+    return sampler.columns_with_floor(f.base_vars + f.fiber_vars, f.fiber_vars, FIBER_FLOOR)
+
+
+def _hessians(f: FiberFunction, points: np.ndarray) -> np.ndarray:
+    """``f``'s fiber Hessian at each row of ``points``, as an (n, r, r)
+    stack, valued as :meth:`FiberFunction.hessian_at` values it, with its
+    errors."""
+    entries = [e for row in f.hessian for e in row]
+    columns = evaluate_columns(entries, f.base_vars + f.fiber_vars, points)
+    return np.stack(columns, axis=-1).reshape(len(points), f.rank, f.rank)
+
+
+def _regular(hessians: np.ndarray) -> np.ndarray:
+    """The regularity flag of :meth:`FiberFunction.fiber_hessian`, one per
+    matrix of a stack of finite Hessians: the determinant of the matrix
+    scaled to entries of at most 1, so that no power of the scale can
+    overflow, is above the floor."""
+    scale = np.maximum(1.0, np.abs(hessians).max(axis=(1, 2)))
+    return ~(np.abs(np.linalg.det(hessians / scale[:, None, None])) <= HESSIAN_DET_FLOOR)
+
+
+def _contract(fiber: np.ndarray, matrices: np.ndarray) -> np.ndarray:
+    """Row ``k`` of ``fiber`` times matrix ``k`` of the stack, as
+    :func:`phi_l` contracts one point; stacked matmul rounds as the
+    per-point one does."""
+    # An overflowing image is the caller's to report, not numpy's to warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (np.ascontiguousarray(fiber)[:, None, :] @ matrices)[:, 0, :]
 
 
 def check_round_trip(L: Lagrangian, H: Hamiltonian, sampler: Sampler, tol: float = 1e-8) -> CheckReport:
@@ -442,28 +466,45 @@ def check_round_trip(L: Lagrangian, H: Hamiltonian, sampler: Sampler, tol: float
     report = CheckReport("legendre-round-trip")
 
     def direction(f: FiberFunction, g: FiberFunction):
-        """(gap, point) pairs of g's morphism after f's, and of f's inverse
-        Hessian against g's at the image, skipping singular points."""
-        back_pairs, hessian_pairs = [], []
-        for x, v in _fiber_points(f, sampler):
-            w = phi_l(f, x, v)
-            back = phi_l(g, x, w)
-            back_pairs.append((float(np.abs(back - v).max()) / (1.0 + float(np.abs(v).max())), f.binding(x, v)))
-            hess = f.fiber_hessian(x, v)
-            if hess.regular:
-                hessian_pairs.append((float(np.abs(hess.inverse - g.hessian_at(x, w)).max()), f.binding(x, v)))
-        return back_pairs, hessian_pairs
+        """(gaps, witnesses) of g's morphism after f's, and of f's inverse
+        Hessian against g's at the image, skipping singular points.  Each
+        Hessian is valued in one column pass per point set; an error is
+        the one a loop valuing f and then g at each point in turn meets
+        first."""
+        names = f.base_vars + f.fiber_vars
+        points = _fiber_columns(f, sampler)
+        failure = None
+        try:
+            hf = _hessians(f, points)
+        except EvaluationError as err:
+            # g is valued at the rows before the one f fails at, first.
+            failure = err
+            points = points[: [dict(zip(names, row)) for row in points.tolist()].index(err.point)]
+            hf = _hessians(f, points)
+        m = len(f.base_vars)
+        x, v = points[:, :m], points[:, m:]
+        w = _contract(v, hf)
+        hg = _hessians(g, np.hstack((x, w)))
+        if failure is not None:
+            raise failure
+        witnesses = [dict(zip(names, row)) for row in points.tolist()]
+        with np.errstate(over="ignore", invalid="ignore"):
+            back = _contract(w, hg)
+            back_gaps = np.abs(back - v).max(axis=1) / (1.0 + np.abs(v).max(axis=1))
+        regular = _regular(hf)
+        hessian_gaps = np.abs(np.linalg.inv(hf[regular]) - hg[regular]).max(axis=(1, 2))
+        return (back_gaps, witnesses), (hessian_gaps, [witnesses[k] for k in np.flatnonzero(regular)])
 
     ll, lt = direction(L, H)
     hh, ht = direction(H, L)
-    for name, pairs in (
+    for name, (gaps, witnesses) in (
         ("phiH-after-phiL", ll),
         ("phiL-after-phiH", hh),
         ("L-inverse-hessian-matches-H", lt),
         ("H-inverse-hessian-matches-L", ht),
     ):
-        worst, index = worst_gap([gap for gap, _ in pairs])
-        report.add(name, (), worst, tol, None if index is None else pairs[index][1])
+        worst, index = worst_gap(gaps.tolist())
+        report.add(name, (), worst, tol, None if index is None else witnesses[index])
     return report
 
 
@@ -506,17 +547,26 @@ def check_homogeneity(
     f: FiberFunction, sampler: Sampler, degree: float = 2.0, tol: float = 1e-8
 ) -> HomogeneityReport:
     """Euler identity fiber.grad = degree * f plus positive-definiteness
-    of the fiber Hessian, sampled away from the zero section."""
-    pairs = []  # (gap, point)
-    pd = True
-    regular = True
-    for x, fiber in _fiber_points(f, sampler):
-        value = f.value(x, fiber)
-        euler = float(fiber @ f.gradient(x, fiber)) - degree * value
-        pairs.append((abs(euler) / (1.0 + abs(degree * value)), f.binding(x, fiber)))
-        hess = f.fiber_hessian(x, fiber)
-        regular = regular and hess.regular
-        pd = pd and _is_positive_definite(hess.matrix)
-    worst, index = worst_gap([gap for gap, _ in pairs])
-    witness = None if index is None else pairs[index][1]
+    of the fiber Hessian, sampled away from the zero section.  Value,
+    gradient and Hessian are valued in one column pass."""
+    names = f.base_vars + f.fiber_vars
+    points = _fiber_columns(f, sampler)
+    r, n = f.rank, len(points)
+    value, *rest = evaluate_columns((f.expr, *f.grad, *(e for row in f.hessian for e in row)), names, points)
+    gradient = np.stack(rest[:r], axis=-1)
+    hessians = np.stack(rest[r:], axis=-1).reshape(n, r, r)
+    fiber = points[:, len(f.base_vars):]
+    with np.errstate(over="ignore", invalid="ignore"):
+        euler = _contract(fiber, gradient[:, :, None])[:, 0] - degree * value
+        gaps = np.abs(euler) / (1.0 + np.abs(degree * value))
+    worst, index = worst_gap(gaps.tolist())
+    witness = None if index is None else dict(zip(names, points[index].tolist()))
+    try:
+        factors = np.linalg.cholesky(hessians)
+    except np.linalg.LinAlgError:
+        pd = all(_is_positive_definite(matrix) for matrix in hessians)
+    else:
+        pivot_floor = CHOLESKY_PIVOT_TOL * np.maximum(1.0, np.abs(hessians).max(axis=(1, 2)))
+        pd = bool((np.diagonal(factors, axis1=1, axis2=2).min(axis=1) ** 2 > pivot_floor).all())
+    regular = bool(_regular(hessians).all())
     return HomogeneityReport(degree, worst, worst <= tol, pd, regular, witness)

@@ -19,7 +19,8 @@ Blocks::
 
 Unset anchor/structure/morphism entries default to zero; ``g =
 identity`` fills the diagonal; ``ginv = auto`` inverts symbolically by
-adjugate over determinant for rank <= 4.
+adjugate over determinant for rank <= 4, and refuses a ``g`` whose
+determinant builds to 0.
 """
 
 from __future__ import annotations
@@ -244,10 +245,14 @@ def _det(matrix: list[list[Expr]]) -> Expr:
 
 
 def symbolic_inverse(matrix: Sequence[Sequence[Expr]]) -> tuple[tuple[Expr, ...], ...]:
-    """Adjugate-over-determinant inverse; meant for rank <= 4."""
+    """Adjugate-over-determinant inverse; meant for rank <= 4.  Raises
+    ``ZeroDivisionError`` when the determinant builds to the constant 0;
+    one that vanishes only at some points is divided by as it stands."""
     n = len(matrix)
     rows = [list(row) for row in matrix]
     det = _det(rows)
+    if is_zero(det):
+        raise ZeroDivisionError("the determinant is 0")
     inv_det = power(det, add(-1.0))
     out = []
     for i in range(n):
@@ -415,7 +420,10 @@ def parse_model(text: str) -> Model:
                 raise ModelError("missing-key", "ginv = auto needs g entries", auto[1])
             if brank > 4:
                 raise ModelError("ginv-auto-too-large", "symbolic inversion is limited to rank <= 4", auto[1])
-            ginv_mat = [list(row) for row in symbolic_inverse(g_mat)]
+            try:
+                ginv_mat = [list(row) for row in symbolic_inverse(g_mat)]
+            except ZeroDivisionError:
+                raise ModelError("bad-value", f"ginv = auto: g of bundle {bname} has determinant 0, so it has no inverse", auto[1]) from None
         ginv_entries = entries.take_matching(r"ginv\[(\d+)\]\[(\d+)\]")
         if ginv_entries:
             if ginv_mat is not None:

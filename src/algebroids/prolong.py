@@ -438,40 +438,37 @@ def pull_from_algebroid(bundle: AnchoredBundle, w: SectionF) -> Section:
     return Section(bundle, tuple(coeffs))
 
 
-def k_coefficients(u: Section) -> tuple[tuple[Expr, ...], ...]:
-    """Bracket coefficients of the pushed section against the pushed
-    frame, in closed form; ``K[gamma][a]`` lives on N."""
-    bundle = u.bundle
-    bundle._need_g()
+def _k_on_m(bundle: AnchoredBundle, gu: tuple[Expr, ...]) -> tuple[tuple[Expr, ...], ...]:
+    """Bracket coefficients of a pushed section against the pushed frame,
+    in closed form and pulled to M: ``K[gamma][a]`` from the section's
+    image ``gu = _gu(u)``, ``g``, the pulled anchor and structure
+    functions, and derivatives by the M coordinates."""
     alg = bundle.algebroid
-    h = alg.h
+    xs = alg.base_m.variables
     p, m = alg.rank, alg.base_m.dim
-    gu = _gu(u)
-    gu_n = [h.push(e) for e in gu]
-    g_n = [[h.push(bundle.g[alpha][a]) for a in range(bundle.rank)] for alpha in range(p)]
-    if h.renaming is not None:
-        # Pushing a derivative by x_j is differentiating the pushed function.
-        ks = h.renaming
-        dg_n = [[[differentiate(g, k) for k in ks] for g in row] for row in g_n]
-        dgu_n = [[differentiate(e, k) for k in ks] for e in gu_n]
-    else:
-        xs = alg.base_m.variables
-        dg_n = [
-            [[h.push(differentiate(bundle.g[gamma][a], xs[j])) for j in range(m)] for a in range(bundle.rank)]
-            for gamma in range(p)
-        ]
-        dgu_n = [[h.push(differentiate(gu[gamma], xs[i])) for i in range(m)] for gamma in range(p)]
+    g = bundle.g
+    dg = [[[differentiate(e, x) for x in xs] for e in row] for row in g]
+    dgu = [[differentiate(e, x) for x in xs] for e in gu]
     return tuple(
         tuple(
             add(
-                *[mul(gu_n[beta], alg.rho[beta][j], dg_n[gamma][a][j]) for beta in range(p) for j in range(m)],
-                *[neg(mul(g_n[alpha][a], alg.rho[alpha][i], dgu_n[gamma][i])) for alpha in range(p) for i in range(m)],
-                *[mul(gu_n[alpha], g_n[beta][a], alg.L(alpha, beta, gamma)) for alpha in range(p) for beta in range(p)],
+                *[mul(gu[beta], alg.rho_m[beta][j], dg[gamma][a][j]) for beta in range(p) for j in range(m)],
+                *[neg(mul(g[alpha][a], alg.rho_m[alpha][i], dgu[gamma][i])) for alpha in range(p) for i in range(m)],
+                *[mul(gu[alpha], g[beta][a], alg.L_m(alpha, beta, gamma)) for alpha in range(p) for beta in range(p)],
             )
             for a in range(bundle.rank)
         )
         for gamma in range(p)
     )
+
+
+def k_coefficients(u: Section) -> tuple[tuple[Expr, ...], ...]:
+    """Bracket coefficients of the pushed section against the pushed
+    frame, in closed form; ``K[gamma][a]`` lives on N.  They are the
+    coefficients :func:`complete_lift_vf` builds on M, pushed to N."""
+    u.bundle._need_g()
+    h = u.bundle.algebroid.h
+    return tuple(tuple(h.push(k) for k in row) for row in _k_on_m(u.bundle, _gu(u)))
 
 
 def k_coefficients_via_bracket(u: Section) -> tuple[tuple[Expr, ...], ...]:
@@ -500,8 +497,7 @@ def complete_lift_vf(u: Section) -> VectorFieldOnE:
         add(*[mul(gu[alpha], alg.rho_m[alpha][i]) for alpha in range(alg.rank)])
         for i in range(alg.base_m.dim)
     )
-    # Lift each K[gamma][a] once, outside the sum over b.
-    K_m = [[bundle.lift_from_n(k) for k in row] for row in k_coefficients(u)]
+    K_m = _k_on_m(bundle, gu)
     d_fiber = tuple(
         add(
             *[

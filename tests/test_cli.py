@@ -66,6 +66,25 @@ class TestValidate:
         assert payload["pass"] is True
 
 
+class TestSingularMorphism:
+    """``ginv = auto`` of a g whose determinant builds to 0 is refused when
+    the model loads, so every command exits 2 with that one line."""
+
+    @pytest.mark.parametrize("command", [("validate",), ("report-all",), ("lift", "u"), ("lift", "u", "--gh")])
+    def test_exits_two_with_one_line(self, capsys, models_dir, tmp_path, command):
+        text = (models_dir / "classical.model").read_text(encoding="utf-8")
+        singular = "g[1][1] = 1\ng[1][2] = 2\ng[2][1] = 2\ng[2][2] = 4\nginv = auto"
+        text = text.replace("g = identity", singular, 1)
+        line = text.splitlines().index("ginv = auto") + 1
+        path = tmp_path / "singular.model"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, command[0], str(path), *command[1:])
+        assert code == 2 and out == ""
+        assert err == (
+            f"error: [bad-value] ginv = auto: g of bundle E has determinant 0, so it has no inverse (line {line})\n"
+        )
+
+
 class TestLiftAndBracket:
     def test_complete_lift_output(self, capsys, models_dir):
         code, out, _ = run(capsys, "lift", str(models_dir / "classical.model"), "u", "--complete")

@@ -1,3 +1,4 @@
+import dataclasses
 import pathlib
 
 import numpy as np
@@ -5,6 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from algebroids import (
+    CheckReport,
+    EvaluationError,
     Hamiltonian,
     Lagrangian,
     NewtonConvergenceError,
@@ -23,7 +26,15 @@ from algebroids import (
     solve_fiber_h,
     var,
 )
-from algebroids.legendre import _lu_factor, _lu_solve, _max_abs
+from algebroids.expr import worst_gap
+from algebroids.legendre import (
+    FIBER_FLOOR,
+    HomogeneityReport,
+    _is_positive_definite,
+    _lu_factor,
+    _lu_solve,
+    _max_abs,
+)
 
 MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
 CUBE_ROOT_4_OVER_3 = 1.1006424163623729  # real root of 3 y^3 = 4
@@ -462,6 +473,134 @@ class TestHomogeneity:
         assert report.witness is None or max(
             abs(report.witness["y1"]), abs(report.witness["y2"])
         ) >= 0.1
+
+
+def reference_points(f, sampler):
+    """The points of the Legendre checks, one at a time."""
+    for point in sampler.sample_with_floor(f.base_vars + f.fiber_vars, f.fiber_vars, FIBER_FLOOR):
+        yield np.array([point[v] for v in f.base_vars]), np.array([point[v] for v in f.fiber_vars])
+
+
+def reference_round_trip(L, H, sampler, tol=1e-8):
+    """check_round_trip as a loop over the points, with per-point numpy
+    algebra: the specification the column checks must meet bit for bit."""
+    report = CheckReport("legendre-round-trip")
+
+    def direction(f, g):
+        back_pairs, hessian_pairs = [], []
+        for x, v in reference_points(f, sampler):
+            w = phi_l(f, x, v)
+            back = phi_l(g, x, w)
+            back_pairs.append((float(np.abs(back - v).max()) / (1.0 + float(np.abs(v).max())), f.binding(x, v)))
+            hess = f.fiber_hessian(x, v)
+            if hess.regular:
+                hessian_pairs.append((float(np.abs(hess.inverse - g.hessian_at(x, w)).max()), f.binding(x, v)))
+        return back_pairs, hessian_pairs
+
+    ll, lt = direction(L, H)
+    hh, ht = direction(H, L)
+    for name, pairs in (
+        ("phiH-after-phiL", ll),
+        ("phiL-after-phiH", hh),
+        ("L-inverse-hessian-matches-H", lt),
+        ("H-inverse-hessian-matches-L", ht),
+    ):
+        worst, index = worst_gap([gap for gap, _ in pairs])
+        report.add(name, (), worst, tol, None if index is None else pairs[index][1])
+    return report
+
+
+def reference_homogeneity(f, sampler, degree=2.0, tol=1e-8):
+    """check_homogeneity as a loop over the points."""
+    pairs = []
+    pd = regular = True
+    for x, fiber in reference_points(f, sampler):
+        value = f.value(x, fiber)
+        euler = float(fiber @ f.gradient(x, fiber)) - degree * value
+        pairs.append((abs(euler) / (1.0 + abs(degree * value)), f.binding(x, fiber)))
+        hess = f.fiber_hessian(x, fiber)
+        regular = regular and hess.regular
+        pd = pd and _is_positive_definite(hess.matrix)
+    worst, index = worst_gap([gap for gap, _ in pairs])
+    witness = None if index is None else pairs[index][1]
+    return HomogeneityReport(degree, worst, worst <= tol, pd, regular, witness)
+
+
+def raised(check, *args):
+    """(class, message, point) of the error ``check(*args)`` raises."""
+    with pytest.raises(EvaluationError) as info:
+        check(*args)
+    return type(info.value), str(info.value), info.value.point
+
+
+class TestColumnChecks:
+    """The column checks give what the per-point loops give: the same
+    rows, residuals and witnesses bit for bit, and the same errors."""
+
+    @pytest.mark.parametrize("seed", [2, 9])
+    @pytest.mark.parametrize("name", sorted(path.stem for path in MODELS.glob("*.model")))
+    def test_bundled_models_match_the_loops(self, name, seed):
+        model = load_model(MODELS / f"{name}.model")
+        sampler = dataclasses.replace(model.sampler, seed=seed)
+        L, H = model.lagrangian, model.hamiltonian
+        if L is not None and H is not None:
+            assert repr(check_round_trip(L, H, sampler).rows) == repr(reference_round_trip(L, H, sampler).rows)
+        for f in (L, H):
+            if f is not None:
+                assert repr(check_homogeneity(f, sampler)) == repr(reference_homogeneity(f, sampler))
+
+    def test_rank_one_and_three(self):
+        from algebroids import parse_model
+
+        for rank, text in ((1, "y1^4/4 + x1^2*y1^2"), (3, "1/2*(y1^2 + 2*y2^2 + 3*y3^2) + x1*y1*y2 + y3^4/4")):
+            model = parse_model(
+                f"[base M]\ndim = 1\n[base N]\ndim = 1\n[algebroid]\nrank = {rank}\nrho[1][1] = 1\n"
+                f"[bundle E]\nrank = {rank}\n[bundle Edual]\nrank = {rank}\n[lagrangian]\nL = {text}\n"
+            )
+            L = model.lagrangian
+            H = Hamiltonian(model.bundles["Edual"], parse(text.replace("y", "p")))
+            sampler = Sampler(points=80, seed=4)
+            assert repr(check_round_trip(L, H, sampler).rows) == repr(reference_round_trip(L, H, sampler).rows)
+            for f in (L, H):
+                assert repr(check_homogeneity(f, sampler)) == repr(reference_homogeneity(f, sampler))
+
+    def test_domain_error_in_the_hessian(self, spaces):
+        E, Ed = spaces
+        # The Hessian entry sqrt(x1 + 1.5) fails at the rows with x1 < -1.5.
+        lag = Lagrangian(E, parse("1/2*sqrt(x1 + 1.5)*y1^2 + 1/2*y2^2"))
+        ham = Hamiltonian(Ed, parse("1/2*(p1^2 + p2^2)"))
+        sampler = Sampler(points=60, seed=7)
+        want = raised(reference_round_trip, lag, ham, sampler)
+        assert want[2]["x1"] < -1.5 and "domain error" in want[1]
+        assert raised(check_round_trip, lag, ham, sampler) == want
+        assert raised(check_homogeneity, lag, sampler) == raised(reference_homogeneity, lag, sampler)
+
+    @pytest.mark.parametrize("f_edge, g_edge, first", [(-1.8, -1.0, "g"), (-1.0, -1.8, "f")])
+    def test_first_failing_row_decides(self, spaces, f_edge, g_edge, first):
+        E, Ed = spaces
+        # f fails where x1 < f_edge; g, valued at the image, where x1 < g_edge.
+        lag = Lagrangian(E, parse(f"1/2*sqrt(x1 - ({f_edge}))*y1^2 + 1/2*y2^2"))
+        ham = Hamiltonian(Ed, parse(f"1/2*sqrt(x1 - ({g_edge}))*p1^2 + 1/2*p2^2"))
+        sampler = Sampler(points=60, seed=7)
+        rows = sampler.columns_with_floor(lag.base_vars + lag.fiber_vars, lag.fiber_vars, FIBER_FLOOR)
+        # Both fail somewhere, the one with the higher edge first.
+        assert (rows[:, 0] < -1.8).any()
+        want = raised(reference_round_trip, lag, ham, sampler)
+        assert -1.8 < want[2]["x1"] < -1
+        # g's point is an image point, in dual fiber names.
+        assert ("p1" in want[2]) == (first == "g")
+        assert raised(check_round_trip, lag, ham, sampler) == want
+
+    def test_one_indefinite_hessian_in_the_stack(self, spaces):
+        E, _ = spaces
+        # Indefinite only where x1 < -1.9: a few rows of the stack.
+        lag = Lagrangian(E, parse("1/2*(x1 + 1.9)*y1^2 + 1/2*y2^2"))
+        sampler = Sampler(points=100, seed=7)
+        rows = sampler.columns_with_floor(lag.base_vars + lag.fiber_vars, lag.fiber_vars, FIBER_FLOOR)
+        assert 1 <= (rows[:, 0] < -1.9).sum() <= 5
+        report = check_homogeneity(lag, sampler)
+        assert report.to_jsonable()["hessianPositiveDefinite"] is False
+        assert repr(report) == repr(reference_homogeneity(lag, sampler))
 
 
 @pytest.mark.parametrize("name", sorted(path.stem for path in MODELS.glob("*.model")))

@@ -229,6 +229,42 @@ class TestSymbolicInverse:
                 assert equivalent(total, parse("1") if i == j else parse("0"), sampler)
 
 
+SINGULAR_G = """[base M]
+dim = 2
+[base N]
+dim = 2
+[algebroid]
+rank = 2
+rho[1][1] = 1
+rho[2][2] = 1
+[bundle E]
+rank = 2
+g[1][1] = {g11}
+g[1][2] = 2
+g[2][1] = 2
+g[2][2] = 4
+ginv = auto
+"""
+
+
+class TestAutoInverseOfSingularMorphism:
+    def test_constant_zero_determinant_is_a_bad_value(self):
+        with pytest.raises(ModelError) as err:
+            parse_model(SINGULAR_G.format(g11="1"))
+        assert err.value.code == "bad-value"
+        assert err.value.line == 15
+        assert "bundle E" in str(err.value) and "ginv = auto" in str(err.value)
+
+    def test_determinant_zero_at_some_points_loads(self):
+        # det = 4*x1 - 4 vanishes only on the line x1 = 1.
+        model = parse_model(SINGULAR_G.format(g11="x1"))
+        assert model.bundles["E"].g_inv is not None
+
+    def test_symbolic_inverse_refuses_a_zero_determinant(self):
+        with pytest.raises(ZeroDivisionError):
+            symbolic_inverse(((parse("1"), parse("2")), (parse("2"), parse("4"))))
+
+
 class TestReportEmission:
     def test_empty(self):
         assert emit_report([]) == '{"checks":[]}'

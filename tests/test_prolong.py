@@ -20,7 +20,9 @@ from algebroids import (
     identity_map,
     k_coefficients,
     k_coefficients_via_bracket,
+    max_residual,
     mul,
+    neg,
     one_form,
     parse,
     pull_from_algebroid,
@@ -410,8 +412,8 @@ def general_route(bundle):
 
 class TestRenamingCharts:
     """A chart map whose components are variables that undo each other
-    is a renaming; the anchor action and the K coefficients then
-    differentiate on N, and build the very nodes of the general route."""
+    is a renaming; the anchor action then differentiates on N, and
+    builds the very nodes of the general route."""
 
     def test_detected(self, classical, generalized, rotation_model):
         from algebroids import SmoothMap
@@ -437,13 +439,108 @@ class TestRenamingCharts:
             assert alg.h.renaming is not None and alg_general.h.renaming is None
             for _ in range(2):
                 u = random_bundle_section(bundle, rng)
-                K = k_coefficients(u)
-                K_general = k_coefficients(general.section(u.coefficients))
-                assert all(a is b for row, row_g in zip(K, K_general, strict=True) for a, b in zip(row, row_g, strict=True))
                 z = push_to_algebroid(u)
                 f = random_polynomial(alg.base_n.variables, rng)
                 got = alg.anchor_action(z, f)
                 assert got is alg_general.anchor_action(alg_general.section(z.coefficients), f)
+
+
+def k_on_n_route(u):
+    """K built on N: push gu and g to N and differentiate there, by the N
+    coordinates on a renaming chart, else by the M coordinates before
+    pushing."""
+    bundle = u.bundle
+    alg = bundle.algebroid
+    h = alg.h
+    p, m = alg.rank, alg.base_m.dim
+    gu = [add(*[mul(bundle.g[alpha][c], u.coefficients[c]) for c in range(bundle.rank)]) for alpha in range(p)]
+    gu_n = [h.push(e) for e in gu]
+    g_n = [[h.push(bundle.g[alpha][a]) for a in range(bundle.rank)] for alpha in range(p)]
+    xs = alg.base_m.variables
+    if h.renaming is not None:
+        dg_n = [[[differentiate(g, k) for k in h.renaming] for g in row] for row in g_n]
+        dgu_n = [[differentiate(e, k) for k in h.renaming] for e in gu_n]
+    else:
+        dg_n = [[[h.push(differentiate(g, x)) for x in xs] for g in row] for row in bundle.g]
+        dgu_n = [[h.push(differentiate(e, x)) for x in xs] for e in gu]
+    return tuple(
+        tuple(
+            add(
+                *[mul(gu_n[beta], alg.rho[beta][j], dg_n[gamma][a][j]) for beta in range(p) for j in range(m)],
+                *[neg(mul(g_n[alpha][a], alg.rho[alpha][i], dgu_n[gamma][i])) for alpha in range(p) for i in range(m)],
+                *[mul(gu_n[alpha], g_n[beta][a], alg.L(alpha, beta, gamma)) for alpha in range(p) for beta in range(p)],
+            )
+            for a in range(bundle.rank)
+        )
+        for gamma in range(p)
+    )
+
+
+def lifted_route_fiber(u):
+    """Fiber components of the complete lift with each entry of
+    :func:`k_on_n_route` pulled back to M."""
+    bundle = u.bundle
+    K_m = [[bundle.lift_from_n(k) for k in row] for row in k_on_n_route(u)]
+    return tuple(
+        add(
+            *[
+                neg(mul(bundle.fiber_var(a), K_m[gamma][a], bundle.g_inv[b][gamma]))
+                for a in range(bundle.rank)
+                for gamma in range(bundle.algebroid.rank)
+            ]
+        )
+        for b in range(bundle.rank)
+    )
+
+
+def exp_chart_bundle():
+    """A line bundle over the nonlinear chart map k1 = exp(x1)."""
+    return line_bundle(parse("1 + k1"), g_expr=(parse("1 + x1^2"), parse("1/(1 + x1^2)")), h_fwd=parse("exp(x1)"), h_inv=parse("log(k1)"))
+
+
+class TestKOnM:
+    """K is built once on M; k_coefficients is its push to N."""
+
+    def test_renaming_charts_build_the_nodes_of_the_n_route(self, classical, rotation_model):
+        rng = np.random.default_rng(22)
+        for bundle in (*classical.bundles.values(), *rotation_model.bundles.values(), swap_bundle()):
+            assert bundle.algebroid.h.renaming is not None
+            for _ in range(2):
+                u = random_bundle_section(bundle, rng)
+                got = complete_lift_vf(u).d_fiber
+                assert all(a is b for a, b in zip(got, lifted_route_fiber(u), strict=True))
+                K, K_n = k_coefficients(u), k_on_n_route(u)
+                assert all(a is b for row, row_n in zip(K, K_n, strict=True) for a, b in zip(row, row_n, strict=True))
+
+    def test_other_charts_agree_by_sampling(self, generalized):
+        rng = np.random.default_rng(23)
+        for bundle in (*generalized.bundles.values(), exp_chart_bundle()):
+            alg = bundle.algebroid
+            assert alg.h.renaming is None
+            # log(k1) needs k1 > 0 on N.
+            n_sampler = Sampler(points=40, seed=3, ranges={"k1": (0.2, 3.0)})
+            m_sampler = Sampler(points=40, seed=3)
+            for _ in range(2):
+                u = random_bundle_section(bundle, rng)
+                for got, want in zip(complete_lift_vf(u).d_fiber, lifted_route_fiber(u), strict=True):
+                    assert max_residual(got, want, m_sampler, bundle.total_variables)[0] <= 1e-12
+                for row, row_n in zip(k_coefficients(u), k_on_n_route(u), strict=True):
+                    for got, want in zip(row, row_n, strict=True):
+                        assert max_residual(got, want, n_sampler, alg.base_n.variables)[0] <= 1e-12
+
+    def test_exp_chart_lift_has_no_round_trip_wrappers(self):
+        bundle = exp_chart_bundle()
+        u = bundle.section((var("x1"),))
+        assert "log(exp(x1))" in str(lifted_route_fiber(u)[0])
+        assert "log" not in str(complete_lift_vf(u).d_fiber[0])
+
+    def test_missing_morphism_raises(self):
+        M, N = coords("M", "x", 1), coords("N", "k", 1)
+        alg = GeneralizedLieAlgebroid(M, N, identity_map(M, N), identity_map(N, M), 1, ((add(1.0),),), {})
+        bare = AnchoredBundle(alg, 1, "primal", None, None)
+        for build in (k_coefficients, complete_lift_vf):
+            with pytest.raises(MissingMorphismError):
+                build(bare.section((var("x1"),)))
 
 
 class TestLiftIdentities:
