@@ -14,7 +14,6 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import math
-import threading
 import weakref
 import zlib
 from _weakref import _remove_dead_weakref
@@ -115,8 +114,11 @@ class Expr:
 # entry is a weak reference to its node that carries its key; when the
 # node goes, the callback removes the entry, but only while the entry
 # still holds that dead reference, so a node re-made under the same key
-# keeps its own.  A hit reads the table without the lock; a miss looks
-# again and inserts under it.
+# keeps its own.  No lookup takes a lock.  A miss makes the node whole,
+# then inserts its entry with one ``dict.setdefault``, which no other
+# thread can split: a thread that finds a live entry there already takes
+# that node instead, and one that finds a dead entry, whose callback has
+# not run yet, replaces it.
 
 
 class _Entry(weakref.ref):
@@ -126,7 +128,7 @@ class _Entry(weakref.ref):
 
 
 _NODES: dict[tuple, _Entry] = {}
-_NODES_LOCK = threading.Lock()
+_new = object.__new__
 
 
 def _forget(entry: _Entry) -> None:
@@ -136,11 +138,10 @@ def _forget(entry: _Entry) -> None:
 _NO_VARIABLES: frozenset[str] = frozenset()
 
 
-def _free_of(node: "Expr", kids: tuple) -> frozenset[str]:
-    """The variable names under a new node.  A node shares a child's set
-    when that child's covers the others, as it does for most nodes."""
-    if not kids:
-        return frozenset((node.name,)) if type(node) is Var else _NO_VARIABLES
+def _free_of(kids: tuple) -> frozenset[str]:
+    """The variable names under a node with two or more ``kids``.  It
+    shares a child's set when that child's covers the others, as it does
+    for most nodes."""
     free = kids[0].free
     for kid in kids[1:]:
         other = kid.free
@@ -158,32 +159,52 @@ def _interned(key: tuple) -> Expr:
         node = entry()
         if node is not None:
             return node
-    with _NODES_LOCK:
-        entry = _NODES.get(key)
-        node = None if entry is None else entry()
-        if node is None:
-            cls = key[0]
-            node = object.__new__(cls)
-            # Every node class has one or two slots of its own.
-            slots = cls.__slots__
-            setattr(node, slots[0], key[1])
-            if len(slots) == 2:
-                setattr(node, slots[1], key[2])
-            if cls is Sum or cls is Prod:
-                kids = key[1]
-            elif cls is Pow or cls is Neg:
-                kids = key[1:]
-            elif cls is Call:
-                kids = key[2:]
-            else:
-                kids = ()
-            node.kids = kids
-            node.free = _free_of(node, kids)
-            # Both are set before the entry goes in, so a lock-free hit
-            # never sees a node without them.
-            entry = _Entry(node, _forget)
-            entry.key = key
-            _NODES[key] = entry
+    # Each class stores its own slots, its ``kids`` and its ``free``, all
+    # before the entry goes in, so a lock-free hit never sees a node
+    # without them.  A leaf's set is fixed and a one-child node's is its
+    # child's.
+    cls = key[0]
+    node = _new(cls)
+    if cls is Prod:
+        node.factors = node.kids = kids = key[1]
+        node.free = _free_of(kids)
+    elif cls is Sum:
+        node.terms = node.kids = kids = key[1]
+        node.free = _free_of(kids)
+    elif cls is Const:
+        node.value = key[1]
+        node.kids = ()
+        node.free = _NO_VARIABLES
+    elif cls is Neg:
+        node.arg = arg = key[1]
+        node.kids = (arg,)
+        node.free = arg.free
+    elif cls is Pow:
+        node.kids = kids = key[1:]
+        node.base, node.exponent = kids
+        node.free = _free_of(kids)
+    elif cls is Call:
+        node.fn = key[1]
+        node.arg = arg = key[2]
+        node.kids = (arg,)
+        node.free = arg.free
+    else:
+        node.name = key[1]
+        node.kids = ()
+        node.free = frozenset(key[1:])
+    entry = _Entry(node, _forget)
+    entry.key = key
+    held = _NODES.setdefault(key, entry)
+    while held is not entry:
+        other = held()
+        if other is not None:
+            # Another thread made this node first.
+            return other
+        # A dead entry whose callback has not run yet.  Each call below is
+        # atomic and the first drops only a dead entry, so no live node
+        # is ever replaced.
+        _remove_dead_weakref(_NODES, key)
+        held = _NODES.setdefault(key, entry)
     return node
 
 
@@ -237,6 +258,9 @@ FUNCTIONS: dict[str, Callable[[float], float]] = {
 
 ZERO = Const(0.0)
 ONE = Const(1.0)
+# Every class of node; the constructors dispatch on type(), and any
+# other argument goes through _coerce.
+_KINDS = frozenset((Const, Var, Sum, Prod, Pow, Neg, Call))
 
 
 def _coerce(x) -> Expr:
@@ -279,8 +303,6 @@ def add(*terms) -> Expr:
     # the folded sum equals its value, Const(acc) is that very node.
     last = None
     for t in terms:
-        if not isinstance(t, Expr):
-            t = _coerce(t)
         kind = type(t)
         if kind is Sum:
             for p in t.terms:
@@ -292,8 +314,11 @@ def add(*terms) -> Expr:
         elif kind is Const:
             acc += t.value
             last = t
-        else:
+        elif kind in _KINDS:
             flat.append(t)
+        else:
+            last = _coerce(t)
+            acc += last.value
     if acc != 0.0 or not flat:
         flat.insert(0, last if last is not None and last.value == acc else Const(acc))
     if len(flat) == 1:
@@ -302,16 +327,12 @@ def add(*terms) -> Expr:
 
 
 def mul(*factors) -> Expr:
-    if ZERO in factors:
-        return ZERO
     flat: list[Expr] = []
     acc = 1.0
     negative = False
     # As in add: the last constant factor, reused when it is the product.
     last = None
     for f in factors:
-        if not isinstance(f, Expr):
-            f = _coerce(f)
         kind = type(f)
         if kind is Neg:
             negative = not negative
@@ -327,8 +348,11 @@ def mul(*factors) -> Expr:
         elif kind is Const:
             acc *= f.value
             last = f
-        else:
+        elif kind in _KINDS:
             flat.append(f)
+        else:
+            last = _coerce(f)
+            acc *= last.value
     if acc == 0.0 or acc != acc:
         # A zero factor absorbs the product, even where other constants
         # overflowed first: inf * 0 is nan, the one float unequal to itself.
@@ -347,7 +371,7 @@ def mul(*factors) -> Expr:
 
 
 def neg(x) -> Expr:
-    if not isinstance(x, Expr):
+    if type(x) not in _KINDS:
         x = _coerce(x)
     kind = type(x)
     if kind is Const:
@@ -361,9 +385,9 @@ def neg(x) -> Expr:
 
 
 def power(base, exponent) -> Expr:
-    if not isinstance(base, Expr):
+    if type(base) not in _KINDS:
         base = _coerce(base)
-    if not isinstance(exponent, Expr):
+    if type(exponent) not in _KINDS:
         exponent = _coerce(exponent)
     if type(exponent) is Const:
         if exponent.value == 1.0:
@@ -383,7 +407,7 @@ def power(base, exponent) -> Expr:
 def call(fn: str, arg) -> Expr:
     if fn not in FUNCTIONS:
         raise ValueError(f"unknown function {fn!r}")
-    if not isinstance(arg, Expr):
+    if type(arg) not in _KINDS:
         arg = _coerce(arg)
     if type(arg) is Const:
         try:
@@ -471,8 +495,9 @@ def _walk(root: Expr, rule, out: dict, arg, prune: bool = False):
         return out[root]
     # A 1-tuple means: every kid of its node is valued, so the node goes next.
     stack: list = [root]
+    pop, push, extend = stack.pop, stack.append, stack.extend
     while stack:
-        node = stack.pop()
+        node = pop()
         if type(node) is tuple:
             node = node[0]
             out[node] = rule(node, out, arg)
@@ -484,8 +509,8 @@ def _walk(root: Expr, rule, out: dict, arg, prune: bool = False):
             continue
         kids = node.kids
         if kids:
-            stack.append((node,))
-            stack.extend(kids)
+            push((node,))
+            extend(kids)
         else:
             out[node] = rule(node, out, arg)
     return out[root]
@@ -585,7 +610,7 @@ def _derivative_rule(node, out, name):
         pieces = []
         for i, f in enumerate(factors):
             df = out[f]
-            if is_zero(df):
+            if df is ZERO:
                 continue
             rest = factors[:i] + factors[i + 1 :]
             pieces.append(mul(df, *rest))
@@ -593,7 +618,7 @@ def _derivative_rule(node, out, name):
     if kind is Pow:
         b, ex = node.base, node.exponent
         db = out[b]
-        if isinstance(ex, Const):
+        if type(ex) is Const:
             return mul(ex, power(b, Const(ex.value - 1.0)), db)
         # d(b^e) = b^e * (e' log b + e b'/b)
         return mul(
@@ -712,30 +737,35 @@ class _Columns:
     """One point set of the column pass: the sampled ``columns``, one per
     name of ``names``, the table of node columns over them, and the
     ``marked`` nodes, whose column met a domain error or an unbound
-    variable, itself or below.  A node that met one has a NaN column."""
+    variable, itself or below.  A node that met one has a NaN column.  A
+    constant's entry is a float64 scalar, which numpy broadcasts."""
 
     __slots__ = ("index", "columns", "values", "marked")
 
     def __init__(self, names: tuple[str, ...], columns: np.ndarray):
         self.index = {name: j for j, name in enumerate(names)}
         self.columns = columns
-        self.values: dict[Expr, np.ndarray] = {}
+        self.values: dict[Expr, np.ndarray | np.float64] = {}
         self.marked: set[Expr] = set()
 
 
-def _libm_column(fn, args: tuple[np.ndarray, ...], node: Expr, group: _Columns) -> np.ndarray:
-    """Apply the scalar ``fn`` row by row, as the point driver does.  If it
-    raises at any row, the column is NaN and ``node`` is marked."""
+def _libm_column(fn, args: tuple, node: Expr, group: _Columns) -> np.ndarray:
+    """Apply the scalar ``fn`` row by row, as the point driver does, with
+    a scalar argument repeated on every row.  If it raises at any row,
+    the column is NaN and ``node`` is marked."""
+    n = len(group.columns)
     try:
-        return np.array(list(map(fn, *[a.tolist() for a in args])), dtype=float)
+        return np.array(list(map(fn, *[a.tolist() if a.ndim else [a.tolist()] * n for a in args])), dtype=float)
     except (ValueError, ZeroDivisionError, OverflowError):
         group.marked.add(node)
-        return np.full(len(args[0]), math.nan)
+        return np.full(n, math.nan)
 
 
-def _column_rule(node, out, group: _Columns) -> np.ndarray:
+def _column_rule(node, out, group: _Columns) -> np.ndarray | np.float64:
     """The column pass: ``node``'s float64 column over every row of
-    ``group``, in the point driver's arithmetic.  Callers ignore
+    ``group``, in the point driver's arithmetic, or its value as a scalar
+    for a constant.  A sum or product holds at most one constant, and a
+    negation none, so each of them gives a fresh column.  Callers ignore
     floating-point warnings: overflow is tested on the roots."""
     kind = type(node)
     kids = node.kids
@@ -758,23 +788,24 @@ def _column_rule(node, out, group: _Columns) -> np.ndarray:
         if kind is Pow:
             return _libm_column(math.pow, (out[node.base], out[node.exponent]), node, group)
         return _libm_column(FUNCTIONS[node.fn], (out[node.arg],), node, group)
-    n = group.columns.shape[0]
     if kind is Const:
-        return np.full(n, node.value)
+        return np.float64(node.value)
     j = group.index.get(node.name)
     if j is not None:
         return group.columns[:, j]
     group.marked.add(node)
-    return np.full(n, math.nan)
+    return np.full(len(group.columns), math.nan)
 
 
 def _column_values(roots: tuple[Expr, ...], names: tuple[str, ...], group: _Columns) -> list[np.ndarray]:
     """The columns of ``roots`` in ``group``'s table, whose point set has a
-    column per name of ``names``.  When a root is marked or not finite, the
-    point driver runs on each row in turn, so the error of the first failing
-    row is raised just as a per-point loop raises it."""
+    column per name of ``names``; a constant root is broadcast to a full
+    column.  When a root is marked or not finite, the point driver runs on
+    each row in turn, so the error of the first failing row is raised just
+    as a per-point loop raises it."""
     with np.errstate(all="ignore"):
         values = [_walk(root, _column_rule, group.values, group) for root in roots]
+    values = [v if v.ndim else np.full(len(group.columns), v) for v in values]
     if not group.marked.isdisjoint(roots) or not all(np.isfinite(v).all() for v in values):
         run = compiled_many(roots)
         for row in group.columns.tolist():
@@ -911,9 +942,14 @@ def worst_gap(gaps: Iterable[float]) -> tuple[float, int | None]:
     witness rule of every sampled check.  A NaN counts as the largest
     gap, so the row it lands in fails.  The index is ``None`` when no
     gap is above 0, and no gaps give ``(0.0, None)``."""
-    # max keeps the first of equal keys; a NaN's key beats any number's.
-    index, worst = max(enumerate(gaps), key=lambda item: (math.isnan(item[1]), item[1]), default=(None, 0.0))
-    if worst > 0.0 or math.isnan(worst):
+    if type(gaps) is not np.ndarray:
+        gaps = np.fromiter(gaps, float)
+    if not gaps.size:
+        return 0.0, None
+    # argmax gives the first NaN if there is one, else the first maximum.
+    index = int(gaps.argmax())
+    worst = float(gaps[index])
+    if worst > 0.0 or worst != worst:
         return worst, index
     return 0.0, None
 
@@ -943,7 +979,7 @@ def column_residual(v1, v2, names: tuple[str, ...], columns: np.ndarray) -> tupl
     row of ``columns`` that :func:`worst_gap` picks as witness point."""
     with np.errstate(all="ignore"):
         gap = np.abs(v1 - v2) / (1.0 + np.maximum(np.abs(v1), np.abs(v2)))
-    worst, row = worst_gap(gap.tolist())
+    worst, row = worst_gap(gap)
     return worst, None if row is None else dict(zip(names, columns[row].tolist()))
 
 

@@ -503,7 +503,7 @@ def check_round_trip(L: Lagrangian, H: Hamiltonian, sampler: Sampler, tol: float
         ("L-inverse-hessian-matches-H", lt),
         ("H-inverse-hessian-matches-L", ht),
     ):
-        worst, index = worst_gap(gaps.tolist())
+        worst, index = worst_gap(gaps)
         report.add(name, (), worst, tol, None if index is None else witnesses[index])
     return report
 
@@ -559,7 +559,7 @@ def check_homogeneity(
     with np.errstate(over="ignore", invalid="ignore"):
         euler = _contract(fiber, gradient[:, :, None])[:, 0] - degree * value
         gaps = np.abs(euler) / (1.0 + np.abs(degree * value))
-    worst, index = worst_gap(gaps.tolist())
+    worst, index = worst_gap(gaps)
     witness = None if index is None else dict(zip(names, points[index].tolist()))
     try:
         factors = np.linalg.cholesky(hessians)

@@ -13,7 +13,7 @@ composing with (h o projection) is substitution through h.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Literal, Sequence
 
 import numpy as np
@@ -55,6 +55,9 @@ class AnchoredBundle:
     variance: Variance = "primal"
     g: tuple[tuple[Expr, ...], ...] | None = None
     g_inv: tuple[tuple[Expr, ...], ...] | None = None
+    # The coordinate names, set once by __post_init__.
+    fiber_variables: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    total_variables: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.rank < 1:
@@ -82,20 +85,15 @@ class AnchoredBundle:
                             raise ValueError(
                                 f"morphism components must use base coordinates, got {sorted(bad)}"
                             )
+        fiber = tuple(f"{self.fiber_prefix}{a + 1}" for a in range(self.rank))
+        object.__setattr__(self, "fiber_variables", fiber)
+        object.__setattr__(self, "total_variables", self.algebroid.base_m.variables + fiber)
 
     # -- coordinates -------------------------------------------------------
 
     @property
     def fiber_prefix(self) -> str:
         return "y" if self.variance == "primal" else "p"
-
-    @property
-    def fiber_variables(self) -> tuple[str, ...]:
-        return tuple(f"{self.fiber_prefix}{a + 1}" for a in range(self.rank))
-
-    @property
-    def total_variables(self) -> tuple[str, ...]:
-        return self.algebroid.base_m.variables + self.fiber_variables
 
     @property
     def name(self) -> str:
