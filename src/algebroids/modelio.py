@@ -20,7 +20,8 @@ Blocks::
 Unset anchor/structure/morphism entries default to zero; ``g =
 identity`` fills the diagonal; ``ginv = auto`` inverts symbolically by
 adjugate over determinant for rank <= 4, and refuses a ``g`` whose
-determinant builds to 0.
+determinant builds to 0 or vanishes at every point of the model's own
+``[sampler]`` over M.
 """
 
 from __future__ import annotations
@@ -31,13 +32,17 @@ import re
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
+import numpy as np
+
 from .algebroid import CoordSystem, GeneralizedLieAlgebroid, SectionF, SmoothMap, coords, identity_map
 from .expr import (
+    EvaluationError,
     Expr,
     ExprSyntaxError,
     Sampler,
     UnknownFunctionError,
     add,
+    evaluate_columns,
     free_variables,
     is_zero,
     mul,
@@ -244,13 +249,15 @@ def _det(matrix: list[list[Expr]]) -> Expr:
     return add(*total)
 
 
-def symbolic_inverse(matrix: Sequence[Sequence[Expr]]) -> tuple[tuple[Expr, ...], ...]:
-    """Adjugate-over-determinant inverse; meant for rank <= 4.  Raises
+def symbolic_inverse(matrix: Sequence[Sequence[Expr]], det: Expr | None = None) -> tuple[tuple[Expr, ...], ...]:
+    """Adjugate-over-determinant inverse; meant for rank <= 4.  ``det``,
+    when given, is the determinant as :func:`_det` builds it.  Raises
     ``ZeroDivisionError`` when the determinant builds to the constant 0;
     one that vanishes only at some points is divided by as it stands."""
     n = len(matrix)
     rows = [list(row) for row in matrix]
-    det = _det(rows)
+    if det is None:
+        det = _det(rows)
     if is_zero(det):
         raise ZeroDivisionError("the determinant is 0")
     inv_det = power(det, add(-1.0))
@@ -269,6 +276,26 @@ def symbolic_inverse(matrix: Sequence[Sequence[Expr]]) -> tuple[tuple[Expr, ...]
             row.append(mul(cofactor, inv_det))
         out.append(tuple(row))
     return tuple(out)
+
+
+# Relative to Hadamard's bound, the product of the row norms, which no
+# determinant exceeds.
+SINGULAR_DET_RATIO = 1e-12
+
+
+def _singular_everywhere(g: list[list[Expr]], det: Expr, names: tuple[str, ...], sampler: Sampler) -> bool:
+    """True when ``det``, the determinant of ``g``, is negligible at every
+    point ``sampler`` draws over ``names``: ``|det| <= SINGULAR_DET_RATIO
+    * prod(row norms of g)`` there.  Only values finite at every point
+    prove it; a point whose evaluation fails proves nothing."""
+    columns = sampler.columns(names)
+    try:
+        det_column, *entries = evaluate_columns((det, *(e for row in g for e in row)), names, columns)
+    except EvaluationError:
+        return False
+    matrices = np.stack(entries, axis=-1).reshape(len(columns), len(g), len(g))
+    bound = np.prod(np.linalg.norm(matrices, axis=2), axis=1)
+    return bool((np.abs(det_column) <= SINGULAR_DET_RATIO * bound).all())
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +403,9 @@ def parse_model(text: str) -> Model:
     entries.finish()
     algebroid = GeneralizedLieAlgebroid(base_m, base_n, h, eta, rank, tuple(tuple(r) for r in rho), structure)
 
+    # The sampler comes first: ginv = auto tests g at its points.
+    sampler, tol = _parse_sampler(get("sampler"))
+
     # bundles
     bundles: dict[str, AnchoredBundle] = {}
     for bname, variance in (("E", "primal"), ("Edual", "dual")):
@@ -420,10 +450,16 @@ def parse_model(text: str) -> Model:
                 raise ModelError("missing-key", "ginv = auto needs g entries", auto[1])
             if brank > 4:
                 raise ModelError("ginv-auto-too-large", "symbolic inversion is limited to rank <= 4", auto[1])
-            try:
-                ginv_mat = [list(row) for row in symbolic_inverse(g_mat)]
-            except ZeroDivisionError:
-                raise ModelError("bad-value", f"ginv = auto: g of bundle {bname} has determinant 0, so it has no inverse", auto[1]) from None
+            det = _det(g_mat)
+            if is_zero(det):
+                raise ModelError("bad-value", f"ginv = auto: g of bundle {bname} has determinant 0, so it has no inverse", auto[1])
+            if _singular_everywhere(g_mat, det, base_m.variables, sampler):
+                raise ModelError(
+                    "bad-value",
+                    f"ginv = auto: g of bundle {bname} has a determinant that vanishes at every sampled point, so it has no inverse",
+                    auto[1],
+                )
+            ginv_mat = [list(row) for row in symbolic_inverse(g_mat, det)]
         ginv_entries = entries.take_matching(r"ginv\[(\d+)\]\[(\d+)\]")
         if ginv_entries:
             if ginv_mat is not None:
@@ -539,10 +575,19 @@ def parse_model(text: str) -> Model:
         hamiltonian = Hamiltonian(bundles["Edual"], _parse_scoped(value, line, scope, "hamiltonian"))
         entries.finish()
 
-    # sampler
+    for key, block in seen.items():
+        if key not in consumed:
+            raise ModelError(
+                "bad-block", f"unrecognized block [{' '.join(key)}]", block.line
+            )
+
+    return Model(algebroid, bundles, sections, forms, lagrangian, hamiltonian, sampler, tol)
+
+
+def _parse_sampler(block: _Block | None) -> tuple[Sampler, float]:
+    """The ``[sampler]`` block's point generator and tolerance."""
     points, seed, lo, hi, tol = 100, 0, -2.0, 2.0, 1e-8
     ranges: dict[str, tuple[float, float]] = {}
-    block = get("sampler")
     if block is not None:
         entries = _Entries(block)
         got = entries.take("points")
@@ -564,14 +609,7 @@ def parse_model(text: str) -> Model:
             ranges[m.group(1)] = _parse_domain(value, line)
         entries.finish()
     sampler = Sampler(points=points, seed=seed, lo=lo, hi=hi, ranges=ranges)
-
-    for key, block in seen.items():
-        if key not in consumed:
-            raise ModelError(
-                "bad-block", f"unrecognized block [{' '.join(key)}]", block.line
-            )
-
-    return Model(algebroid, bundles, sections, forms, lagrangian, hamiltonian, sampler, tol)
+    return sampler, tol
 
 
 def _parse_domain(value: str, line: int) -> tuple[float, float]:

@@ -66,23 +66,50 @@ class TestValidate:
         assert payload["pass"] is True
 
 
-class TestSingularMorphism:
-    """``ginv = auto`` of a g whose determinant builds to 0 is refused when
-    the model loads, so every command exits 2 with that one line."""
+def classical_with_auto_inverse(models_dir, tmp_path, entries):
+    """A copy of the classical model whose bundle E has g entries
+    ``entries`` and ``ginv = auto``: its path and the line of ``ginv``."""
+    text = (models_dir / "classical.model").read_text(encoding="utf-8")
+    g = "".join(f"g[{k // 2 + 1}][{k % 2 + 1}] = {e}\n" for k, e in enumerate(entries))
+    text = text.replace("g = identity", g + "ginv = auto", 1)
+    path = tmp_path / "singular.model"
+    path.write_text(text, encoding="utf-8")
+    return str(path), text.splitlines().index("ginv = auto") + 1
 
-    @pytest.mark.parametrize("command", [("validate",), ("report-all",), ("lift", "u"), ("lift", "u", "--gh")])
+
+COMMANDS = [("validate",), ("report-all",), ("lift", "u"), ("lift", "u", "--gh")]
+
+
+class TestSingularMorphism:
+    """``ginv = auto`` of a g whose determinant builds to 0, or vanishes at
+    every point of the model's sampler, is refused when the model loads,
+    so every command exits 2 with that one line."""
+
+    @pytest.mark.parametrize("command", COMMANDS)
     def test_exits_two_with_one_line(self, capsys, models_dir, tmp_path, command):
-        text = (models_dir / "classical.model").read_text(encoding="utf-8")
-        singular = "g[1][1] = 1\ng[1][2] = 2\ng[2][1] = 2\ng[2][2] = 4\nginv = auto"
-        text = text.replace("g = identity", singular, 1)
-        line = text.splitlines().index("ginv = auto") + 1
-        path = tmp_path / "singular.model"
-        path.write_text(text, encoding="utf-8")
-        code, out, err = run(capsys, command[0], str(path), *command[1:])
+        path, line = classical_with_auto_inverse(models_dir, tmp_path, ("1", "2", "2", "4"))
+        code, out, err = run(capsys, command[0], path, *command[1:])
         assert code == 2 and out == ""
         assert err == (
             f"error: [bad-value] ginv = auto: g of bundle E has determinant 0, so it has no inverse (line {line})\n"
         )
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_vanishing_at_every_point_exits_two_with_one_line(self, capsys, models_dir, tmp_path, command):
+        # x1*x1 - x1*x1 does not build to 0: add cancels no terms.
+        path, line = classical_with_auto_inverse(models_dir, tmp_path, ("x1",) * 4)
+        code, out, err = run(capsys, command[0], path, *command[1:])
+        assert code == 2 and out == ""
+        assert err == (
+            "error: [bad-value] ginv = auto: g of bundle E has a determinant that vanishes at every sampled point,"
+            f" so it has no inverse (line {line})\n"
+        )
+
+    def test_vanishing_on_a_line_still_loads(self, capsys, models_dir, tmp_path):
+        path, _ = classical_with_auto_inverse(models_dir, tmp_path, ("x1", "0", "0", "1"))
+        code, out, err = run(capsys, "lift", path, "u")
+        assert (code, err) == (0, "")
+        assert "x1^(-1)" in out
 
 
 class TestLiftAndBracket:

@@ -1,6 +1,7 @@
 import copy
 import gc
 import math
+import operator
 import os
 import pathlib
 import pickle
@@ -434,6 +435,66 @@ class TestInterning:
         assert not any(worker.is_alive() for worker in workers)
         for trees in results[1:]:
             assert all(a is b for a, b in zip(trees, results[0], strict=True))
+
+    def test_threads_rebuilding_dropped_trees_share_every_node(self):
+        # Each round every thread builds the same trees, fresh names and
+        # all, then drops them while the others may already build the next
+        # round's; so misses race with each other and with dying nodes.
+        threads, rounds = 8, 8
+        built, checked = (threading.Barrier(threads, timeout=60) for _ in range(2))
+        results: list = [None] * threads
+        mismatches: list = []
+
+        def work(k):
+            for _ in range(rounds):
+                rng = random.Random(5)
+                results[k] = [seeded_tree(rng, 6, f"redo{i}_") for i in range(400)]
+                built.wait()
+                if k == 0:
+                    mismatches.extend(
+                        j for j in range(1, threads) if not all(map(operator.is_, results[j], results[0]))
+                    )
+                checked.wait()
+                results[k] = None
+
+        gc.collect()
+        before = len(E._NODES)
+        workers = [threading.Thread(target=work, args=(k,)) for k in range(threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert mismatches == []
+        gc.collect()
+        assert len(E._NODES) == before
+
+    def test_build_replaces_a_dead_entry(self):
+        x = E.var("dead_entry_probe")
+        key = (E.Prod, (x, E.sin(x)))
+        assert key not in E._NODES
+
+        class Gone:
+            pass
+
+        # An entry whose node died but whose callback has not run yet.
+        stale = E._Entry(Gone())
+        stale.key = key
+        assert stale() is None
+        E._NODES[key] = stale
+        before = len(E._NODES)
+        node = E.mul(x, E.sin(x))
+        entry = E._NODES[key]
+        assert entry is not stale and entry() is node and len(E._NODES) == before
+        assert E.mul(x, E.sin(x)) is node and E._NODES[key] is entry
+        del node, entry
+        gc.collect()
+        assert key not in E._NODES
 
     def test_unreferenced_nodes_are_freed(self):
         node = E.mul(E.var("freed_probe"), E.sin(E.var("freed_probe")))
@@ -1030,6 +1091,66 @@ class TestColumnEvaluator:
         got = outcome(E.evaluate_columns, roots, ("x1",), np.array([[v] for v in xs]))
         assert got == want
 
+    def test_constant_roots_are_full_columns(self):
+        x = E.var("x1")
+        sampler = E.Sampler(points=7, seed=2)
+        columns = sampler.columns(("x1",))
+        got = E.evaluate_columns((E.const(2.5), x, E.ZERO, E.const(2.5)), ("x1",), columns)
+        assert [type(c) for c in got] == [np.ndarray] * 4 and [c.shape for c in got] == [(7,)] * 4
+        assert got[0].tolist() == [2.5] * 7 and got[2].tolist() == [0.0] * 7 and got[3].tolist() == [2.5] * 7
+        assert got[1].tolist() == columns[:, 0].tolist()
+        for e1, e2 in ((E.const(3), x), (x, E.const(-1)), (E.ONE, E.const(2)), (E.ONE, E.ONE)):
+            assert E.max_residual(e1, e2, sampler) == reference_max_residual(e1, e2, sampler)
+            with E.shared_walks():
+                E.max_residual(e2, E.ZERO, sampler)
+                assert E.max_residual(e1, e2, sampler) == reference_max_residual(e1, e2, sampler)
+
+    @pytest.mark.parametrize("base", [2.0, 0.5, -2.0, 0.0], ids=["2", "0.5", "-2", "0"])
+    def test_constant_to_a_variable_power(self, base):
+        # A negative base fails at non-integer exponents, and 0 at negative ones.
+        roots = (E.power(E.const(base), E.var("x1")), E.add(E.var("x1"), E.power(E.const(base), E.var("x2"))))
+        sampler = E.Sampler(points=30, seed=6, lo=-3, hi=3)
+        want = outcome(compiled_loop, roots, ("x1", "x2"), sampler)
+        got = outcome(E.evaluate_columns, roots, ("x1", "x2"), sampler.columns(("x1", "x2")))
+        if base > 0:
+            assert [list(row) for row in zip(*(c.tolist() for c in got))] == want
+        else:
+            assert want[0] is E.EvaluationError and got == want
+
+    @pytest.mark.parametrize(
+        "wrap",
+        [lambda e: e, lambda e: E.add(E.var("x1"), e), lambda e: E.power(E.ONE, e)],
+        ids=["root", "term", "finite-root-above"],
+    )
+    def test_unfolded_constant_call_raises_at_the_first_row(self, wrap):
+        folded_not = E.log(E.const(-1))
+        assert type(folded_not) is E.Call
+        roots = (E.var("x1"), wrap(folded_not))
+        sampler = E.Sampler(points=10, seed=8)
+        want = outcome(compiled_loop, roots, ("x1",), sampler)
+        assert want[0] is E.EvaluationError and want[2] == sampler.sample(("x1",))[0]
+        assert outcome(E.evaluate_columns, roots, ("x1",), sampler.columns(("x1",))) == want
+        assert outcome(E.max_residual, *roots, sampler) == want
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=80)
+    def test_seeded_tree_columns_are_the_point_driver_values(self, seed):
+        rng = random.Random(seed)
+        roots = [seeded_tree(rng, 5, "c") for _ in range(4)] + [E.const(rng.randrange(-9, 10))]
+        names = tuple(f"c{i}" for i in range(6))
+        columns = E.Sampler(points=12, seed=seed % 997).columns(names)
+        run = E.compiled_many(roots)
+
+        def per_row():
+            return [run(dict(zip(names, row))) for row in columns.tolist()]
+
+        want = outcome(per_row)
+        got = outcome(E.evaluate_columns, roots, names, columns)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert [list(row) for row in zip(*(c.tolist() for c in got))] == want
+
     def test_unbound_variable(self):
         sampler = E.Sampler(points=5, seed=1)
         with pytest.raises(E.UnboundVariableError) as err:
@@ -1180,3 +1301,28 @@ class TestWorstGap:
 
     def test_infinite_gap_beats_finite_gaps(self):
         assert E.worst_gap(iter([0.5, math.inf, 2.0])) == (math.inf, 1)
+
+
+def reference_worst_gap(gaps):
+    """The rule worst_gap had before it used numpy: max keeps the first of
+    equal keys, and a NaN's key beats any number's."""
+    index, worst = max(enumerate(gaps), key=lambda item: (math.isnan(item[1]), item[1]), default=(None, 0.0))
+    if worst > 0.0 or math.isnan(worst):
+        return worst, index
+    return 0.0, None
+
+
+class TestWorstGapParity:
+    @given(
+        st.lists(
+            st.one_of(st.sampled_from([0.0, -0.0, math.nan, math.inf, 0.25, 1.0, -1.0]), st.floats(0, 10)),
+            max_size=40,
+        )
+    )
+    @settings(max_examples=300)
+    def test_matches_the_enumerate_rule(self, gaps):
+        want_worst, want_index = reference_worst_gap(gaps)
+        for given_gaps in (gaps, iter(gaps), np.array(gaps, dtype=float)):
+            worst, index = E.worst_gap(given_gaps)
+            assert type(worst) is float and index == want_index
+            assert (math.isnan(worst) and math.isnan(want_worst)) or worst == want_worst

@@ -240,25 +240,58 @@ rho[2][2] = 1
 [bundle E]
 rank = 2
 g[1][1] = {g11}
-g[1][2] = 2
-g[2][1] = 2
-g[2][2] = 4
+g[1][2] = {g12}
+g[2][1] = {g21}
+g[2][2] = {g22}
 ginv = auto
 """
+
+
+def singular_g(g11, g12="2", g21="2", g22="4"):
+    return SINGULAR_G.format(g11=g11, g12=g12, g21=g21, g22=g22)
 
 
 class TestAutoInverseOfSingularMorphism:
     def test_constant_zero_determinant_is_a_bad_value(self):
         with pytest.raises(ModelError) as err:
-            parse_model(SINGULAR_G.format(g11="1"))
+            parse_model(singular_g("1"))
         assert err.value.code == "bad-value"
         assert err.value.line == 15
         assert "bundle E" in str(err.value) and "ginv = auto" in str(err.value)
 
     def test_determinant_zero_at_some_points_loads(self):
         # det = 4*x1 - 4 vanishes only on the line x1 = 1.
-        model = parse_model(SINGULAR_G.format(g11="x1"))
+        model = parse_model(singular_g("x1"))
         assert model.bundles["E"].g_inv is not None
+
+    @pytest.mark.parametrize(
+        "entries",
+        [("x1", "x1", "x1", "x1"), ("x1", "2*x1", "x2", "2*x2"), ("sin(x1)", "cos(x1)", "2*sin(x1)", "2*cos(x1)")],
+        ids=["all-x1", "proportional-columns", "proportional-rows"],
+    )
+    def test_determinant_zero_at_every_sampled_point_is_a_bad_value(self, entries):
+        # None of these determinants builds to the constant 0.
+        with pytest.raises(ModelError) as err:
+            parse_model(singular_g(*entries))
+        assert err.value.code == "bad-value"
+        assert err.value.line == 15
+        assert str(err.value) == (
+            "[bad-value] ginv = auto: g of bundle E has a determinant that vanishes at every sampled point,"
+            " so it has no inverse (line 15)"
+        )
+
+    def test_determinant_zero_on_a_line_loads(self):
+        model = parse_model(singular_g("x1", "0", "0", "1"))
+        assert model.bundles["E"].g_inv[0][0] is parse("x1^(-1)")
+
+    def test_point_that_fails_to_evaluate_proves_nothing(self):
+        # det = sqrt(x1)*sqrt(x1) - sqrt(x1)*sqrt(x1) is 0 wherever x1 >= 0,
+        # and fails to evaluate at the sampled points where x1 < 0.
+        text = singular_g(*["sqrt(x1)"] * 4)
+        assert parse_model(text).bundles["E"].g_inv is not None
+        with pytest.raises(ModelError) as err:
+            parse_model(text + "[sampler]\ndomain x1 = 0.5 2\n")
+        assert err.value.code == "bad-value" and "vanishes at every sampled point" in str(err.value)
 
     def test_symbolic_inverse_refuses_a_zero_determinant(self):
         with pytest.raises(ZeroDivisionError):
