@@ -249,15 +249,13 @@ def _det(matrix: list[list[Expr]]) -> Expr:
     return add(*total)
 
 
-def symbolic_inverse(matrix: Sequence[Sequence[Expr]], det: Expr | None = None) -> tuple[tuple[Expr, ...], ...]:
-    """Adjugate-over-determinant inverse; meant for rank <= 4.  ``det``,
-    when given, is the determinant as :func:`_det` builds it.  Raises
+def symbolic_inverse(matrix: Sequence[Sequence[Expr]]) -> tuple[tuple[Expr, ...], ...]:
+    """Adjugate-over-determinant inverse; meant for rank <= 4.  Raises
     ``ZeroDivisionError`` when the determinant builds to the constant 0;
     one that vanishes only at some points is divided by as it stands."""
     n = len(matrix)
     rows = [list(row) for row in matrix]
-    if det is None:
-        det = _det(rows)
+    det = _det(rows)
     if is_zero(det):
         raise ZeroDivisionError("the determinant is 0")
     inv_det = power(det, add(-1.0))
@@ -283,19 +281,21 @@ def symbolic_inverse(matrix: Sequence[Sequence[Expr]], det: Expr | None = None) 
 SINGULAR_DET_RATIO = 1e-12
 
 
-def _singular_everywhere(g: list[list[Expr]], det: Expr, names: tuple[str, ...], sampler: Sampler) -> bool:
-    """True when ``det``, the determinant of ``g``, is negligible at every
-    point ``sampler`` draws over ``names``: ``|det| <= SINGULAR_DET_RATIO
-    * prod(row norms of g)`` there.  Only values finite at every point
-    prove it; a point whose evaluation fails proves nothing."""
+def _singular_everywhere(g: list[list[Expr]], names: tuple[str, ...], sampler: Sampler) -> bool:
+    """True when the determinant of ``g`` is negligible at every point
+    ``sampler`` draws over ``names``: ``|det| <= SINGULAR_DET_RATIO *
+    prod(row norms of g)`` there.  Only values finite at every point prove
+    it; a point whose evaluation fails proves nothing."""
     columns = sampler.columns(names)
     try:
-        det_column, *entries = evaluate_columns((det, *(e for row in g for e in row)), names, columns)
+        entries = evaluate_columns([e for row in g for e in row], names, columns)
     except EvaluationError:
         return False
     matrices = np.stack(entries, axis=-1).reshape(len(columns), len(g), len(g))
-    bound = np.prod(np.linalg.norm(matrices, axis=2), axis=1)
-    return bool((np.abs(det_column) <= SINGULAR_DET_RATIO * bound).all())
+    with np.errstate(over="ignore"):
+        det = np.linalg.det(matrices)
+        bound = np.prod(np.linalg.norm(matrices, axis=2), axis=1)
+    return bool(np.isfinite(det).all() and (np.abs(det) <= SINGULAR_DET_RATIO * bound).all())
 
 
 # ---------------------------------------------------------------------------
@@ -450,16 +450,16 @@ def parse_model(text: str) -> Model:
                 raise ModelError("missing-key", "ginv = auto needs g entries", auto[1])
             if brank > 4:
                 raise ModelError("ginv-auto-too-large", "symbolic inversion is limited to rank <= 4", auto[1])
-            det = _det(g_mat)
-            if is_zero(det):
-                raise ModelError("bad-value", f"ginv = auto: g of bundle {bname} has determinant 0, so it has no inverse", auto[1])
-            if _singular_everywhere(g_mat, det, base_m.variables, sampler):
+            try:
+                ginv_mat = [list(row) for row in symbolic_inverse(g_mat)]
+            except ZeroDivisionError:
+                raise ModelError("bad-value", f"ginv = auto: g of bundle {bname} has determinant 0, so it has no inverse", auto[1]) from None
+            if _singular_everywhere(g_mat, base_m.variables, sampler):
                 raise ModelError(
                     "bad-value",
                     f"ginv = auto: g of bundle {bname} has a determinant that vanishes at every sampled point, so it has no inverse",
                     auto[1],
                 )
-            ginv_mat = [list(row) for row in symbolic_inverse(g_mat, det)]
         ginv_entries = entries.take_matching(r"ginv\[(\d+)\]\[(\d+)\]")
         if ginv_entries:
             if ginv_mat is not None:
