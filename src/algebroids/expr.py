@@ -327,6 +327,11 @@ def add(*terms) -> Expr:
 
 
 def mul(*factors) -> Expr:
+    # Not needed for the result, which folds to ZERO below anyway, but a
+    # third of the products the builders write hold ZERO, and the scan
+    # spares them the flattening.
+    if ZERO in factors:
+        return ZERO
     flat: list[Expr] = []
     acc = 1.0
     negative = False

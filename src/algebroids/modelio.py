@@ -281,21 +281,35 @@ def symbolic_inverse(matrix: Sequence[Sequence[Expr]]) -> tuple[tuple[Expr, ...]
 SINGULAR_DET_RATIO = 1e-12
 
 
-def _singular_everywhere(g: list[list[Expr]], names: tuple[str, ...], sampler: Sampler) -> bool:
-    """True when the determinant of ``g`` is negligible at every point
-    ``sampler`` draws over ``names``: ``|det| <= SINGULAR_DET_RATIO *
-    prod(row norms of g)`` there.  Only values finite at every point prove
-    it; a point whose evaluation fails proves nothing."""
-    columns = sampler.columns(names)
+def _det_negligible(g: list[list[Expr]], names: tuple[str, ...], columns: np.ndarray) -> bool | None:
+    """Whether the determinant of ``g`` is negligible at every row of
+    ``columns`` (column ``j`` holds ``names[j]``): ``|det| <=
+    SINGULAR_DET_RATIO * prod(row norms of g)`` there.  ``None`` when a
+    value fails to evaluate or is not finite at some row, which proves
+    nothing either way."""
     try:
         entries = evaluate_columns([e for row in g for e in row], names, columns)
     except EvaluationError:
-        return False
+        return None
     matrices = np.stack(entries, axis=-1).reshape(len(columns), len(g), len(g))
     with np.errstate(over="ignore"):
         det = np.linalg.det(matrices)
         bound = np.prod(np.linalg.norm(matrices, axis=2), axis=1)
-    return bool(np.isfinite(det).all() and (np.abs(det) <= SINGULAR_DET_RATIO * bound).all())
+    if not np.isfinite(det).all():
+        return None
+    return bool((np.abs(det) <= SINGULAR_DET_RATIO * bound).all())
+
+
+def _singular_everywhere(g: list[list[Expr]], names: tuple[str, ...], sampler: Sampler) -> bool:
+    """True when the determinant of ``g`` is negligible at every point
+    ``sampler`` draws over ``names``, all of them finite.  The centre of
+    the sampler's box is tried first: a determinant that is not negligible
+    there proves ``g`` regular somewhere, with no draw (the first draw in a
+    process imports ``numpy.random``, which costs more than the test)."""
+    centre = np.array([[sum(sampler.ranges.get(name, (sampler.lo, sampler.hi))) / 2 for name in names]])
+    if _det_negligible(g, names, centre) is False:
+        return False
+    return _det_negligible(g, names, sampler.columns(names)) is True
 
 
 # ---------------------------------------------------------------------------

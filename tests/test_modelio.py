@@ -1,6 +1,7 @@
 import json
 import pathlib
 
+import numpy as np
 import pytest
 
 from algebroids import (
@@ -292,6 +293,27 @@ class TestAutoInverseOfSingularMorphism:
         with pytest.raises(ModelError) as err:
             parse_model(text + "[sampler]\ndomain x1 = 0.5 2\n")
         assert err.value.code == "bad-value" and "vanishes at every sampled point" in str(err.value)
+
+    def test_determinant_regular_at_the_centre_of_the_box_loads(self):
+        # det = exp(-1e8*x1^2) is 1 at x1 = 0, the centre of the sampler's
+        # box, but negligible at every drawn point, so it vanishes only at
+        # some points.
+        text = singular_g("1", "1", "1", "1 + exp(-100000000*x1^2)")
+        sampler = Sampler()
+        points = sampler.columns(("x1", "x2"))
+        assert np.all(np.exp(-1e8 * points[:, 0] ** 2) <= 1e-12)
+        assert parse_model(text).bundles["E"].g_inv is not None
+
+    def test_failure_at_the_centre_of_the_box_proves_nothing(self):
+        # log(x1^2) fails at x1 = 0 only, and no drawn point is 0.
+        with pytest.raises(ModelError) as err:
+            parse_model(singular_g(*["log(x1^2)"] * 4))
+        assert err.value.code == "bad-value" and "vanishes at every sampled point" in str(err.value)
+
+    def test_determinant_that_overflows_proves_nothing(self):
+        # Each entry is finite, but their product, the determinant, is not.
+        model = parse_model(singular_g("exp(400 + x1)", "0", "0", "exp(400 + x2)"))
+        assert model.bundles["E"].g_inv is not None
 
     def test_symbolic_inverse_refuses_a_zero_determinant(self):
         with pytest.raises(ZeroDivisionError):
