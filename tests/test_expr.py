@@ -1123,9 +1123,9 @@ class TestColumnEvaluator:
         ids=["root", "term", "finite-root-above"],
     )
     def test_unfolded_constant_call_raises_at_the_first_row(self, wrap):
-        folded_not = E.log(E.const(-1))
-        assert type(folded_not) is E.Call
-        roots = (E.var("x1"), wrap(folded_not))
+        unfolded = E.log(E.const(-1))
+        assert type(unfolded) is E.Call
+        roots = (E.var("x1"), wrap(unfolded))
         sampler = E.Sampler(points=10, seed=8)
         want = outcome(compiled_loop, roots, ("x1",), sampler)
         assert want[0] is E.EvaluationError and want[2] == sampler.sample(("x1",))[0]
