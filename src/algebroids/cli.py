@@ -87,7 +87,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args) -> tuple[Model, Sampler, float]:
+def load_run(args) -> tuple[Model, Sampler, float]:
+    """The model of ``args.model`` with the sampler and tolerance that
+    ``args.seed``, ``args.points`` and ``args.tol`` (each ``None`` to
+    keep the model's) give, after the flag checks every command shares."""
     if args.seed is not None and args.seed < 0:
         raise ValueError(f"--seed must be at least 0, got {args.seed}")
     if args.points is not None and args.points < 1:
@@ -125,25 +128,19 @@ def _parse_point(text: str, allowed: Sequence[str]) -> dict[str, float]:
     return point
 
 
-def _finish(reports: list[CheckReport], args, extra: dict | None = None) -> int:
+def _finish(reports: list[CheckReport], args, extra: dict) -> int:
     ok = all(r.passed for r in reports)
-    payload = emit_report(reports, {**(extra or {}), "pass": ok})
+    payload = emit_report(reports, {**extra, "pass": ok})
     if args.json:
         print(payload)
     else:
         for r in reports:
             print(f"{'PASS' if r.passed else 'FAIL'} {r.name}  worst={r.worst_residual:.3e}")
-        if extra:
-            for key, value in extra.items():
-                print(f"{key}: {value}")
+        for key, value in extra.items():
+            print(f"{key}: {value}")
         if not ok:
             print(payload)
     return 0 if ok else 1
-
-
-def _cmd_validate(args) -> int:
-    model, sampler, tol = _load(args)
-    return _finish(verify.axiom_reports(model, sampler, tol), args)
 
 
 def _resolve_section(model: Model, name: str, want) -> object:
@@ -156,7 +153,7 @@ def _resolve_section(model: Model, name: str, want) -> object:
 
 
 def _cmd_lift(args) -> int:
-    model, _, _ = _load(args)
+    model, _, _ = load_run(args)
     section = _resolve_section(model, args.section, Section)
     if args.gh:
         lifted = complete_lift(section) if args.complete else vertical_lift(section)
@@ -170,7 +167,7 @@ def _cmd_lift(args) -> int:
 
 
 def _cmd_bracket(args) -> int:
-    model, _, _ = _load(args)
+    model, _, _ = load_run(args)
     z = _resolve_section(model, args.z, ProlongSection)
     w = _resolve_section(model, args.w, ProlongSection)
     from .prolong import bracket_prolong
@@ -184,7 +181,7 @@ def _cmd_bracket(args) -> int:
 
 
 def _cmd_legendre(args) -> int:
-    model, _, _ = _load(args)
+    model, _, _ = load_run(args)
     lagrangian, hamiltonian = model.lagrangian, model.hamiltonian
     if args.forward and lagrangian is None:
         print("error: the model has no [lagrangian] block", file=sys.stderr)
@@ -222,67 +219,30 @@ def _cmd_legendre(args) -> int:
     return 0
 
 
-def _cmd_lift_brackets(args) -> int:
+# The checks of verify.PLAN each check command runs; None is all that apply.
+_CHECKS = {
+    "validate": ("axioms",),
+    "check-lift-brackets": ("lift-brackets",),
+    "check-duality": ("duality",),
+    "report-all": None,
+}
+
+
+def _cmd_check(args) -> int:
+    pairs = getattr(args, "pairs", None)
     # No pairs would pass vacuously.
-    if args.pairs < 1:
-        raise ValueError(f"--pairs must be at least 1, got {args.pairs}")
-    model, sampler, tol = _load(args)
-    reports = []
-    for bundle in model.bundles.values():
-        if bundle.g is not None:
-            reports.append(verify.lift_bracket_report(bundle, sampler, tol, args.pairs))
-    if not reports:
-        print("error: the model has no anchored bundle with fiber morphism", file=sys.stderr)
-        return 2
-    return _finish(reports, args)
-
-
-def _duality_jsonable(report: CheckReport) -> dict:
-    return {
-        "name": report.name,
-        "pass": report.passed,
-        "rows": [
-            {
-                "equationFamily": row.name,
-                "indexTuple": list(row.indices),
-                "worstResidual": row.residual,
-                "pass": row.passed,
-            }
-            for row in report.rows
-        ],
-    }
-
-
-def _cmd_duality(args) -> int:
-    model, sampler, tol = _load(args)
-    reports, equivalent = verify.duality_reports(model, sampler, 1e-10, tol)
-    extra = {"verdict": "equivalent" if equivalent else "not-equivalent"}
-    payload = emit_report([_duality_jsonable(r) for r in reports], extra)
-    if args.json:
-        print(payload)
-    else:
-        for r in reports:
-            print(f"{'PASS' if r.passed else 'FAIL'} {r.name}  worst={r.worst_residual:.3e}")
-        print(f"verdict: {extra['verdict']}")
-        if not equivalent:
-            print(payload)
-    return 0 if equivalent else 1
-
-
-def _cmd_report_all(args) -> int:
-    model, sampler, tol = _load(args)
-    reports, extra = verify.report_all(model, sampler, tol)
+    if pairs is not None and pairs < 1:
+        raise ValueError(f"--pairs must be at least 1, got {pairs}")
+    model, sampler, tol = load_run(args)
+    reports, extra = verify.run_checks(model, sampler, tol, _CHECKS[args.command], pairs)
     return _finish(reports, args, extra)
 
 
 _COMMANDS = {
-    "validate": _cmd_validate,
     "lift": _cmd_lift,
     "bracket": _cmd_bracket,
     "legendre": _cmd_legendre,
-    "check-lift-brackets": _cmd_lift_brackets,
-    "check-duality": _cmd_duality,
-    "report-all": _cmd_report_all,
+    **dict.fromkeys(_CHECKS, _cmd_check),
 }
 
 

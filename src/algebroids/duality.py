@@ -362,12 +362,6 @@ class EquivalenceReport:
     def reports(self) -> list[CheckReport]:
         return [self.conditions_l, self.conditions_h, self.commutation_l, self.commutation_h]
 
-    def to_jsonable(self) -> dict:
-        return {
-            "equivalent": self.equivalent,
-            "reports": [r.to_jsonable() for r in self.reports()],
-        }
-
 
 def legendre_equivalence(
     pair: LegendrePair,

@@ -251,8 +251,9 @@ def _det(matrix: list[list[Expr]]) -> Expr:
 
 def symbolic_inverse(matrix: Sequence[Sequence[Expr]]) -> tuple[tuple[Expr, ...], ...]:
     """Adjugate-over-determinant inverse; meant for rank <= 4.  Raises
-    ``ZeroDivisionError`` when the determinant builds to the constant 0;
-    one that vanishes only at some points is divided by as it stands."""
+    ``ZeroDivisionError`` when the determinant builds to the constant 0
+    (one that vanishes only at some points is divided by as it stands),
+    and ``ValueError`` when a constant folds out of float range."""
     n = len(matrix)
     rows = [list(row) for row in matrix]
     det = _det(rows)
@@ -468,6 +469,8 @@ def parse_model(text: str) -> Model:
                 ginv_mat = [list(row) for row in symbolic_inverse(g_mat)]
             except ZeroDivisionError:
                 raise ModelError("bad-value", f"ginv = auto: g of bundle {bname} has determinant 0, so it has no inverse", auto[1]) from None
+            except ValueError as err:  # a constant folded out of float range
+                raise ModelError("bad-value", f"ginv = auto: the symbolic inverse of g of bundle {bname} overflows: {err}", auto[1]) from None
             if _singular_everywhere(g_mat, base_m.variables, sampler):
                 raise ModelError(
                     "bad-value",

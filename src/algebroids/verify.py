@@ -1,16 +1,21 @@
-"""Composable verification suites over a model.
+"""Composable verification suites over a model, and the one plan that
+runs them.
 
-Each function returns check reports with relative residuals.
-:func:`report_all` is the one plan behind ``algebroids report-all`` and
-the model survey script; the acceptance harness assembles its own runs
-with its own tolerances.  Randomized data is drawn deterministically
-from the sampler seed so failures reproduce.  Each suite runs in one
+Each suite returns check reports with relative residuals.  :data:`PLAN`
+names each suite once, in report order; :func:`run_checks` runs it for
+every check command of the CLI and for the model survey script.  The
+acceptance harness calls suites directly, with its own tolerances.
+Randomized data is drawn deterministically from the sampler seed so
+failures reproduce.  Each suite runs in one
 :func:`~algebroids.expr.shared_walks` block, so within a suite no
 subtree is differentiated by the same variable, substituted into under
 the same mapping, or valued on the same sampled points twice.
 """
 
 from __future__ import annotations
+
+from itertools import groupby
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -388,33 +393,93 @@ def duality_reports(
     tol_conditions: float = 1e-10,
     tol_brackets: float = 1e-8,
     trials: int = 3,
-) -> tuple[list[CheckReport], bool]:
-    if model.lagrangian is None or model.hamiltonian is None:
-        raise ValueError("duality checks need both a lagrangian and a hamiltonian")
+) -> tuple[list[CheckReport], dict]:
+    """Legendre morphism conditions and bracket commutation, plus the
+    equivalence verdict as an extra report field."""
     pair = dual.LegendrePair(model.lagrangian, model.hamiltonian)
     verdict = dual.legendre_equivalence(pair, sampler, tol_conditions, tol_brackets, trials)
-    return verdict.reports(), verdict.equivalent
+    return verdict.reports(), {"verdict": "equivalent" if verdict.equivalent else "not-equivalent"}
+
+
+class Check(NamedTuple):
+    """A named entry of :data:`PLAN`: the suite of this module it runs,
+    looked up by name at run time (so a wrapper installed after import
+    is called), its scope (see :func:`_targets`), its tolerance
+    arguments given the run's tolerance, and its ``report-all`` trials
+    (``None`` for a suite without trials)."""
+
+    name: str
+    suite: str
+    scope: str
+    tols: Callable[[float], tuple[float, ...]]
+    trials: int | None = None
+
+
+PLAN: tuple[Check, ...] = (
+    Check("axioms", "axiom_reports", "model", lambda tol: (tol,)),
+    Check("prolong-bracket-axioms", "prolong_bracket_axioms_report", "bundle", lambda tol: (tol,), 2),
+    Check("complete-lift-conditions", "complete_lift_conditions_report", "bundle", lambda tol: (tol,), 3),
+    Check("lift-brackets", "lift_bracket_report", "bundle", lambda tol: (tol,), 3),
+    Check("function-lift-rules", "function_lift_rules_report", "bundle", lambda tol: (tol,), 3),
+    Check("tangent-structure", "tangent_structure_report", "bundle", lambda tol: (min(tol, 1e-10),), 3),
+    Check("k-coefficients-oracle", "k_oracle_report", "bundle", lambda tol: (1e-10,), 3),
+    Check("derivative-oracle", "derivative_oracle_report", "model", lambda tol: (1e-5,)),
+    Check("legendre", "legendre_reports", "model", lambda tol: (tol,)),
+    # Frame conditions at 1e-10, bracket commutation at the run's tol.
+    Check("duality", "duality_reports", "functions", lambda tol: (1e-10, tol), 3),
+)
+
+_NOT_APPLICABLE = {
+    "bundle": "the model has no anchored bundle with fiber morphism",
+    "functions": "duality checks need both a lagrangian and a hamiltonian",
+}
+
+
+def _targets(model: Model, scope: str) -> list:
+    """What a check runs on: the model once (scope ``model``), each
+    bundle with a fiber morphism (``bundle``), or the model once if it
+    has both fundamental functions (``functions``)."""
+    if scope == "bundle":
+        return [bundle for bundle in model.bundles.values() if bundle.g is not None]
+    both = model.lagrangian is not None and model.hamiltonian is not None
+    return [model] if scope == "model" or both else []
+
+
+def run_checks(
+    model: Model,
+    sampler: Sampler,
+    tol: float,
+    names: Sequence[str] | None = None,
+    trials: int | None = None,
+) -> tuple[list[CheckReport], dict]:
+    """The reports and extra report fields of the named checks of
+    :data:`PLAN` (all when ``names`` is ``None``), in plan order, with
+    consecutive bundle checks run bundle by bundle.  ``trials`` replaces
+    the plan's trial counts.  A named check that applies to nothing
+    raises ``ValueError``; unnamed, it is skipped."""
+    if names is not None and (unknown := set(names) - {check.name for check in PLAN}):
+        raise ValueError(f"unknown checks {sorted(unknown)}")
+    chosen = [check for check in PLAN if names is None or check.name in names]
+    reports: list[CheckReport] = []
+    extra: dict = {}
+    for scope, group in groupby(chosen, key=lambda check: check.scope):
+        targets, group = _targets(model, scope), list(group)
+        if names is not None and not targets:
+            raise ValueError(_NOT_APPLICABLE[scope])
+        for target in targets:
+            for check in group:
+                count = () if check.trials is None else (check.trials if trials is None else trials,)
+                got = globals()[check.suite](target, sampler, *check.tols(tol), *count)
+                if isinstance(got, CheckReport):
+                    reports.append(got)
+                elif isinstance(got, tuple):
+                    reports.extend(got[0])
+                    extra.update(got[1])
+                else:
+                    reports.extend(got)
+    return reports, extra
 
 
 def report_all(model: Model, sampler: Sampler, tol: float) -> tuple[list[CheckReport], dict]:
-    """Every applicable check on a model, in report order, with the
-    homogeneity diagnostics and, when both fundamental functions are
-    present, the Legendre equivalence verdict as extra report fields."""
-    reports = axiom_reports(model, sampler, tol)
-    for bundle in model.bundles.values():
-        if bundle.g is None:
-            continue
-        reports.append(prolong_bracket_axioms_report(bundle, sampler, tol))
-        reports.append(complete_lift_conditions_report(bundle, sampler, tol, trials=3))
-        reports.append(lift_bracket_report(bundle, sampler, tol, trials=3))
-        reports.append(function_lift_rules_report(bundle, sampler, tol, trials=3))
-        reports.append(tangent_structure_report(bundle, sampler, min(tol, 1e-10), trials=3))
-        reports.append(k_oracle_report(bundle, sampler))
-    reports.append(derivative_oracle_report(model, sampler))
-    legendre, extra = legendre_reports(model, sampler, tol)
-    reports.extend(legendre)
-    if model.lagrangian is not None and model.hamiltonian is not None:
-        dual_reports, equivalent = duality_reports(model, sampler, 1e-10, tol)
-        reports.extend(dual_reports)
-        extra["verdict"] = "equivalent" if equivalent else "not-equivalent"
-    return reports, extra
+    """Every check of :data:`PLAN` that applies to the model."""
+    return run_checks(model, sampler, tol)

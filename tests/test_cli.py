@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from algebroids.cli import main
+from algebroids.verify import PLAN
 
 
 def run(capsys, *argv):
@@ -103,6 +104,16 @@ class TestSingularMorphism:
         assert err == (
             "error: [bad-value] ginv = auto: g of bundle E has a determinant that vanishes at every sampled point,"
             f" so it has no inverse (line {line})\n"
+        )
+
+    def test_overflowing_inverse_exits_two_with_one_line(self, capsys, models_dir, tmp_path):
+        # Building det g folds the constant 1e200*1e200.
+        path, line = classical_with_auto_inverse(models_dir, tmp_path, ("1e200*x1", "0", "0", "1e200"))
+        code, out, err = run(capsys, "validate", path)
+        assert code == 2 and out == ""
+        assert err == (
+            "error: [bad-value] ginv = auto: the symbolic inverse of g of bundle E overflows:"
+            f" constants must be finite, got inf (line {line})\n"
         )
 
     def test_vanishing_on_a_line_still_loads(self, capsys, models_dir, tmp_path):
@@ -287,8 +298,9 @@ class TestCheckCommands:
         assert code == 0
         payload = json.loads(out)
         assert payload["verdict"] == "equivalent"
+        assert payload["pass"] is True
         row = payload["checks"][0]["rows"][0]
-        assert set(row) == {"equationFamily", "indexTuple", "worstResidual", "pass"}
+        assert set(row) == {"check", "index", "residual", "pass"}
 
     def test_duality_mismatched(self, capsys, models_dir):
         code, out, _ = run(capsys, "check-duality", str(models_dir / "mismatched.model"), "--json")
@@ -372,19 +384,51 @@ class TestCheckCommands:
         assert main(["lift"]) == 2
         capsys.readouterr()
 
-    @pytest.mark.parametrize("points", ["0", "-3"])
-    def test_survey_script_rejects_no_points(self, points):
-        root = pathlib.Path(__file__).resolve().parent.parent
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]))
-        done = subprocess.run(
-            [sys.executable, str(root / "scripts" / "survey_models.py"), "--points", points],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
+    @pytest.mark.parametrize("flag, value", [("--points", "0"), ("--points", "-3"), ("--seed", "-1")], ids=["0", "-3", "seed-1"])
+    def test_survey_script_rejects_no_points(self, flag, value):
+        done = run_survey(flag, value, timeout=60)
         assert done.returncode == 2 and done.stdout == ""
-        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+        assert done.stderr.startswith(f"error: {flag} must be at least") and done.stderr.count("\n") == 1
+
+    def test_survey_script_passes_every_model_but_mismatched(self):
+        done = run_survey("--points", "20", timeout=300)
+        assert done.returncode == 0, done.stderr[-2000:]
+        for path in sorted(pathlib.Path(__file__).resolve().parent.parent.glob("models/*.model")):
+            if not path.name.startswith("broken"):
+                verdict = "FAIL" if path.name == "mismatched.model" else "PASS"
+                assert f"== {path.name}  [{verdict}]" in done.stdout
+
+
+class TestOnePlan:
+    """The check commands run named checks of one plan, which report-all
+    runs whole, and print one report shape."""
+
+    @pytest.mark.parametrize("name", ["classical", "generalized", "mismatched"])
+    def test_check_commands_print_report_all_reports(self, capsys, models_dir, name):
+        path = str(models_dir / f"{name}.model")
+        _, out, _ = run(capsys, "report-all", path, "--json", "--seed", "5")
+        full = json.loads(out)
+        named = {check["name"]: check for check in full["checks"]}
+        for command, *flags in (("validate",), ("check-lift-brackets", "--pairs", "3"), ("check-duality",)):
+            code, out, _ = run(capsys, command, path, *flags, "--json", "--seed", "5")
+            payload = json.loads(out)
+            assert payload["checks"], command
+            for check in payload["checks"]:
+                assert check == named[check["name"]], (command, check["name"])
+            assert code == (0 if payload["pass"] else 1)
+        assert payload["verdict"] == full["verdict"]
+
+    def test_check_that_applies_to_nothing(self, capsys, models_dir, tmp_path):
+        text = (models_dir / "classical.model").read_text(encoding="utf-8")
+        path = tmp_path / "unanchored.model"
+        path.write_text(text.replace("g = identity\n", ""), encoding="utf-8")
+        code, out, err = run(capsys, "check-lift-brackets", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: the model has no anchored bundle with fiber morphism\n"
+        code, out, _ = run(capsys, "report-all", str(path), "--json")
+        assert code == 0
+        bundle_checks = {check.name for check in PLAN if check.scope == "bundle"}
+        assert not [c["name"] for c in json.loads(out)["checks"] if c["name"].split()[0] in bundle_checks]
 
 
 class TestJsonValidityEverywhere:
@@ -445,6 +489,14 @@ class TestJsonValidityEverywhere:
             code = main(["validate", str(path)])
             capsys.readouterr()
             assert code == 2, path.name
+
+
+def run_survey(*argv, timeout):
+    """Run ``scripts/survey_models.py`` in a new interpreter."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+    command = [sys.executable, str(root / "scripts" / "survey_models.py"), *argv]
+    return subprocess.run(command, env=env, capture_output=True, text=True, timeout=timeout)
 
 
 def run_cli_fresh(*argv):

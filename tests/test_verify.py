@@ -4,7 +4,8 @@ import pytest
 
 from algebroids import expr as E
 from algebroids import load_model
-from algebroids.verify import derivative_oracle_report, model_expressions
+from algebroids import verify
+from algebroids.verify import PLAN, derivative_oracle_report, model_expressions, run_checks
 
 MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
 BUNDLED = sorted(path.stem for path in MODELS.glob("*.model"))
@@ -37,3 +38,23 @@ def test_column_oracle_equals_per_point_loop(name):
     report = derivative_oracle_report(model, sampler)
     got = [(row.name, row.residual, row.passed, row.witness) for row in report.rows]
     assert got == reference_oracle_rows(model, sampler)
+
+
+def test_plan_calls_suites_by_module_name(classical, monkeypatch):
+    """A wrapper set on a suite's module name after import is the one the
+    plan calls, as a per-layer tracer installs it."""
+    calls = []
+    for check in PLAN:
+        suite = getattr(verify, check.suite)
+        monkeypatch.setattr(verify, check.suite, lambda *a, _s=suite, _n=check.name: calls.append(_n) or _s(*a))
+    sampler = E.Sampler(points=10, seed=1)
+    reports, extra = run_checks(classical, sampler, classical.tol, trials=1)
+    # Each of the two bundles runs the six bundle checks in turn.
+    bundle_names = [check.name for check in PLAN if check.scope == "bundle"]
+    assert calls == ["axioms", *bundle_names, *bundle_names, "derivative-oracle", "legendre", "duality"]
+    assert set(extra) == {"homogeneity", "verdict"}
+
+
+def test_unknown_check_name_is_refused(classical):
+    with pytest.raises(ValueError, match="unknown checks"):
+        run_checks(classical, classical.sampler, classical.tol, ["lift-bracket"])
