@@ -16,7 +16,9 @@ fixed point on each with a fundamental function, and
 ``legendre --forward`` of ``models/quartic.model`` at the four points
 with one tiny fiber component (``TINY_COMPONENT_POINTS`` of
 ``tests/test_legendre.py``), where the fiber solve halves its Newton
-steps, so that the line search is compared too.  Last, prints
+steps, so that the line search is compared too.  Then runs
+``validate`` once on each rejected model under ``models/negative``, so
+that each model-error line is compared too.  Last, prints
 ``format_model(load_model(path))`` of each model.  Every run happens
 once with each ``src/`` directory on ``PYTHONPATH``.  Prints one line
 per run: ``same`` when stdout, stderr and the exit code are all
@@ -41,6 +43,7 @@ import sys
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 MODELS = sorted((ROOT / "models").glob("*.model")) + [ROOT / "benchmark" / "models" / "rotation.model"]
 DOMAIN_MODELS = sorted((ROOT / "models" / "domain").glob("*.model"))
+NEGATIVE_MODELS = sorted((ROOT / "models" / "negative").glob("*.model"))
 
 
 CHECKS = ("report-all", "validate", "check-lift-brackets", "check-duality")
@@ -116,6 +119,8 @@ def runs(seeds: list[int]) -> list[tuple[str, list[str]]]:
     for x, y in TINY_COMPONENT_POINTS:
         at = ",".join(f"{name}{i + 1}={v!r}" for name, vs in (("x", x), ("y", y)) for i, v in enumerate(vs))
         out.append((f"legendre --forward --at {at}  {quartic.relative_to(ROOT)}", [*CLI, "legendre", str(quartic), "--forward", "--at", at]))
+    for model in NEGATIVE_MODELS:
+        out.append((f"validate  {model.relative_to(ROOT)}", [*CLI, "validate", str(model)]))
     for model in MODELS:
         out.append((f"format_model  {model.relative_to(ROOT)}", [*FORMAT, str(model)]))
     return out

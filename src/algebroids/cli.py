@@ -197,6 +197,8 @@ def _cmd_legendre(args) -> int:
         x = [point[v] for v in fn.base_vars]
         fiber = [point[v] for v in fn.fiber_vars]
         image = phi_l(fn, x, fiber)
+        if not np.isfinite(image).all():
+            raise ValueError("overflow to non-finite value: the Legendre image of the point is not finite")
         solved = solve(fn, x, image)
         # The image lies on the other side: the dual fiber of E, or E's.
         other = "p" if fn.variance == "primal" else "y"

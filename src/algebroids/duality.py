@@ -7,6 +7,12 @@ symbolic Hamiltonian on the dual bundle over the same algebroid.  Both
 fiber maps are then explicit substitutions (fiber contracted with the
 partner's fiber Hessian), so every composition below is exact and the
 reported residuals are pure identity gaps.
+
+Each formula is written once for both sides: its ``side`` argument,
+``"lagrangian"`` or ``"hamiltonian"``, names the fundamental function
+whose Legendre morphism applies (:func:`tangent_legendre` for the
+tangent application), and the other side's fiber map transports
+coefficients onto the target.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from typing import Literal
 import numpy as np
 
 from .expr import Expr, Sampler, add, differentiate, mul, neg, substitute
-from .legendre import Hamiltonian, Lagrangian, legendre_fiber_exprs
+from .legendre import FiberFunction, Hamiltonian, Lagrangian, legendre_fiber_exprs
 from .prolong import (
     AnchoredBundle,
     ProlongSection,
@@ -31,6 +37,12 @@ from .prolong import (
 from .reporting import CheckReport, residual_row, residual_rows
 
 Side = Literal["lagrangian", "hamiltonian"]
+
+
+def _compose(f: Expr, fn: FiberFunction, other: FiberFunction) -> Expr:
+    """``f``, a function on ``fn``'s total space, composed with the fiber
+    map of ``other``, which lands there."""
+    return substitute(f, dict(zip(fn.fiber_vars, legendre_fiber_exprs(other))))
 
 
 @dataclass(frozen=True)
@@ -56,23 +68,13 @@ class LegendrePair:
     def dual(self) -> AnchoredBundle:
         return self.hamiltonian.bundle
 
-    def phi_h_substitution(self) -> dict[str, Expr]:
-        """y^b as a function on the dual total space."""
-        fiber = legendre_fiber_exprs(self.hamiltonian)
-        return dict(zip(self.lagrangian.fiber_vars, fiber))
-
-    def phi_l_substitution(self) -> dict[str, Expr]:
-        """p_b as a function on the primal total space."""
-        fiber = legendre_fiber_exprs(self.lagrangian)
-        return dict(zip(self.hamiltonian.fiber_vars, fiber))
-
     def to_dual(self, f: Expr) -> Expr:
         """Compose a function on the primal total space with the fiber
         map out of the dual side."""
-        return substitute(f, self.phi_h_substitution())
+        return _compose(f, self.lagrangian, self.hamiltonian)
 
     def to_primal(self, f: Expr) -> Expr:
-        return substitute(f, self.phi_l_substitution())
+        return _compose(f, self.hamiltonian, self.lagrangian)
 
 
 def _sides(pair: LegendrePair, side: Side):
@@ -81,7 +83,11 @@ def _sides(pair: LegendrePair, side: Side):
     return pair.dual, pair.primal, pair.hamiltonian, pair.to_primal
 
 
-def _tangent_legendre(pair: LegendrePair, Z: ProlongSection, side: Side) -> ProlongSection:
+def tangent_legendre(pair: LegendrePair, Z: ProlongSection, side: Side) -> ProlongSection:
+    """Tangent application of the Legendre morphism of ``side``'s
+    fundamental function: horizontal coefficients transport through the
+    fiber map, vertical output collects the mixed- and fiber-Hessian
+    contractions."""
     source, target, fn, transport = _sides(pair, side)
     if Z.bundle != source:
         raise ValueError(f"section must live on the {source.variance} bundle")
@@ -102,18 +108,6 @@ def _tangent_legendre(pair: LegendrePair, Z: ProlongSection, side: Side) -> Prol
         for b in range(r)
     )
     return ProlongSection(target, horizontal, vertical)
-
-
-def tangent_legendre_l(pair: LegendrePair, Z: ProlongSection) -> ProlongSection:
-    """Tangent application of the Lagrangian's Legendre morphism:
-    horizontal coefficients transport through the fiber map, vertical
-    output collects the mixed- and fiber-Hessian contractions."""
-    return _tangent_legendre(pair, Z, "lagrangian")
-
-
-def tangent_legendre_h(pair: LegendrePair, Z: ProlongSection) -> ProlongSection:
-    """Mirror of :func:`tangent_legendre_l` for the Hamiltonian side."""
-    return _tangent_legendre(pair, Z, "hamiltonian")
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +242,8 @@ def bracket_commutation(
     for trial in range(trials):
         Z = random_prolong_section(source, rng, degree=1)
         W = random_prolong_section(source, rng, degree=1)
-        lhs = _tangent_legendre(pair, bracket_prolong(Z, W), side)
-        rhs = bracket_prolong(_tangent_legendre(pair, Z, side), _tangent_legendre(pair, W, side))
+        lhs = tangent_legendre(pair, bracket_prolong(Z, W), side)
+        rhs = bracket_prolong(tangent_legendre(pair, Z, side), tangent_legendre(pair, W, side))
         residual_rows(report, "horizontal", (trial,), lhs.horizontal, rhs.horizontal, sampler, tol)
         residual_rows(report, "vertical", (trial,), lhs.vertical, rhs.vertical, sampler, tol)
     return report
@@ -318,7 +312,7 @@ def check_lift_transport(
     premise = CheckReport(f"lift-transport-premise-{which}-{side}")
     conclusions = CheckReport(f"lift-transport-conclusions-{which}-{side}")
     if which == "vertical":
-        got = _tangent_legendre(pair, vertical_lift(u), side)
+        got = tangent_legendre(pair, vertical_lift(u), side)
         want = vertical_lift(w)
         residual_rows(premise, "vertical-image", (), got.vertical, want.vertical, sampler, tol)
         along = dict(zip(fn.fiber_vars, u.coefficients))
@@ -328,7 +322,7 @@ def check_lift_transport(
             want_row = [substitute(entry, along) for entry in fn.hessian[a]]
             residual_rows(conclusions, "hessian-transport", (a + 1,), got_row, want_row, sampler, tol)
     else:
-        got = _tangent_legendre(pair, complete_lift(u), side)
+        got = tangent_legendre(pair, complete_lift(u), side)
         want = complete_lift(w)
         residual_rows(premise, "horizontal-image", (), got.horizontal, want.horizontal, sampler, tol)
         residual_rows(premise, "vertical-image", (), got.vertical, want.vertical, sampler, tol)

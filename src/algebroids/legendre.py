@@ -184,16 +184,12 @@ def legendre_fiber_exprs(f: FiberFunction) -> tuple[Expr, ...]:
 
 
 def phi_l(f: FiberFunction, x: Sequence[float], fiber: Sequence[float]) -> np.ndarray:
-    """Legendre morphism of a fundamental function: base fixed, fiber
-    contracted with the fiber Hessian.  The same map serves a Lagrangian
-    (``phi_l``) and a Hamiltonian (``phi_h``)."""
+    """Legendre morphism of a fundamental function, a Lagrangian or a
+    Hamiltonian: base fixed, fiber contracted with the fiber Hessian."""
     hessian = f.hessian_at(x, fiber)
     # An overflowing image is the caller's to report, not numpy's to warn.
     with np.errstate(over="ignore", invalid="ignore"):
         return np.asarray(fiber, dtype=float) @ hessian
-
-
-phi_h = phi_l
 
 
 # ---------------------------------------------------------------------------
@@ -361,66 +357,51 @@ def solve_fiber_h(
 # Legendre transformations
 
 
-class LagrangianTransform:
-    """Numeric Hamiltonian obtained from a Lagrangian: evaluates
-    p.y - L(x, y) at the solved fiber point."""
+class LegendreTransform:
+    """Numeric Legendre transform of a fundamental function, or of another
+    transform, valued on the other side from its source: fiber.v -
+    source(x, v) at the source's fiber point v that matches ``fiber``
+    under the Legendre morphism of the fundamental function at the root.
+    Where the source lives on the root's side, the fiber solver inverts
+    that morphism; where it lives on the other side, v is the morphism's
+    image of ``fiber``, so a transform of a transform is exact."""
 
-    def __init__(self, lagrangian: Lagrangian, tol: float = NEWTON_TOL, maxiter: int = NEWTON_MAX_ITER):
-        self.lagrangian = lagrangian
-        self.tol = tol
-        self.maxiter = maxiter
-
-    def solve(self, x: Sequence[float], p: Sequence[float], y0=None) -> NewtonResult:
-        return solve_fiber(self.lagrangian, x, p, y0, self.tol, self.maxiter)
-
-    def __call__(self, x: Sequence[float], p: Sequence[float]) -> float:
-        result = self.solve(x, p)
-        p = np.asarray(p, dtype=float)
-        return float(p @ result.solution) - self.lagrangian.value(x, result.solution)
-
-    def hamiltonian(self, dual_bundle: AnchoredBundle, fiber_solution: Sequence[Expr]) -> Hamiltonian:
-        """Symbolic transform for a caller-registered closed-form fiber
-        solution y(x, p)."""
-        if len(fiber_solution) != self.lagrangian.rank:
-            raise ValueError("need one fiber expression per fiber coordinate")
-        mapping = dict(zip(self.lagrangian.fiber_vars, fiber_solution))
-        total = add(
-            *[
-                mul(var(dual_bundle.fiber_variables[a]), fiber_solution[a])
-                for a in range(self.lagrangian.rank)
-            ]
-        )
-        h_expr = add(total, mul(-1.0, substitute(self.lagrangian.expr, mapping)))
-        return Hamiltonian(dual_bundle, h_expr)
-
-
-class HamiltonianTransform:
-    """Numeric Lagrangian obtained from a Hamiltonian, or the exact
-    double transform of a :class:`LagrangianTransform` (which reuses the
-    forward Legendre morphism as the stationarity solution)."""
-
-    def __init__(self, source: Hamiltonian | LagrangianTransform, tol: float = NEWTON_TOL, maxiter: int = NEWTON_MAX_ITER):
+    def __init__(self, source: FiberFunction | LegendreTransform, tol: float = NEWTON_TOL, maxiter: int = NEWTON_MAX_ITER):
         self.source = source
         self.tol = tol
         self.maxiter = maxiter
+        self.root = source.root if isinstance(source, LegendreTransform) else source
+        self.variance = "dual" if source.variance == "primal" else "primal"
 
-    def __call__(self, x: Sequence[float], y: Sequence[float]) -> float:
-        y = np.asarray(y, dtype=float)
-        if isinstance(self.source, LagrangianTransform):
-            p = phi_l(self.source.lagrangian, x, y)
-            return float(y @ p) - self.source(x, p)
-        result = solve_fiber_h(self.source, x, y, None, self.tol, self.maxiter)
-        return float(y @ result.solution) - self.source.value(x, result.solution)
+    def value(self, x: Sequence[float], fiber: Sequence[float]) -> float:
+        fiber = np.asarray(fiber, dtype=float)
+        f = self.root
+        if self.variance == f.variance:
+            other = phi_l(f, x, fiber)
+        else:
+            solve = solve_fiber if f.variance == "primal" else solve_fiber_h
+            other = solve(f, x, fiber, None, self.tol, self.maxiter).solution
+        return float(fiber @ other) - self.source.value(x, other)
+
+    __call__ = value
+
+    def symbolic(self, bundle: AnchoredBundle, fiber_solution: Sequence[Expr]) -> FiberFunction:
+        """Symbolic transform of a fundamental function, on ``bundle`` of
+        the other side, for a caller-registered closed-form solution of the
+        source's fiber point in ``bundle``'s coordinates."""
+        source = self.source
+        if len(fiber_solution) != source.rank:
+            raise ValueError("need one fiber expression per fiber coordinate")
+        mapping = dict(zip(source.fiber_vars, fiber_solution))
+        total = add(*[mul(var(bundle.fiber_variables[a]), fiber_solution[a]) for a in range(source.rank)])
+        cls = Lagrangian if self.variance == "primal" else Hamiltonian
+        return cls(bundle, add(total, mul(-1.0, substitute(source.expr, mapping))))
 
 
-def legendre_transform(L: Lagrangian, tol: float = NEWTON_TOL, maxiter: int = NEWTON_MAX_ITER) -> LagrangianTransform:
-    return LagrangianTransform(L, tol, maxiter)
-
-
-def legendre_transform_h(
-    H: Hamiltonian | LagrangianTransform, tol: float = NEWTON_TOL, maxiter: int = NEWTON_MAX_ITER
-) -> HamiltonianTransform:
-    return HamiltonianTransform(H, tol, maxiter)
+def legendre_transform(
+    f: FiberFunction | LegendreTransform, tol: float = NEWTON_TOL, maxiter: int = NEWTON_MAX_ITER
+) -> LegendreTransform:
+    return LegendreTransform(f, tol, maxiter)
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,7 @@ from .expr import (
     to_string,
 )
 from .exterior import FormQ
-from .legendre import Hamiltonian, Lagrangian
+from .legendre import FiberFunction, Hamiltonian, Lagrangian
 from .prolong import AnchoredBundle, ProlongSection, Section
 
 
@@ -228,6 +228,22 @@ def _index_in(m_text: str, line: int, upper: int, what: str) -> int:
     if idx > upper:
         raise ModelError("dimension-mismatch", f"{what} index {idx} exceeds {upper}", line)
     return idx - 1
+
+
+def _fiber_first(name: str, variance: str) -> bool:
+    """Whether the fiber index b comes before the algebroid index alpha in
+    a ``g[i][j]`` or ``ginv[i][j]`` key: so in a primal ``g`` and in a
+    dual ``ginv``, the other way round in the other two."""
+    return (name == "g") == (variance == "primal")
+
+
+def _morphism_index(name: str, variance: str, m: re.Match, line: int, rank: int, brank: int) -> tuple[int, int]:
+    """(alpha, b) of the ``g[i][j]`` or ``ginv[i][j]`` key that ``m``
+    matched, each index checked in the order the key writes them."""
+    fiber_first = _fiber_first(name, variance)
+    bounds = [(brank, "fiber"), (rank, "algebroid")][:: 1 if fiber_first else -1]
+    i, j = (_index_in(m.group(k + 1), line, *bounds[k]) for k in range(2))
+    return (j, i) if fiber_first else (i, j)
 
 
 # ---------------------------------------------------------------------------
@@ -450,12 +466,7 @@ def parse_model(text: str) -> Model:
                 raise ModelError("dimension-mismatch", "an invertible fiber morphism needs bundle rank equal to algebroid rank", g_entries[0][2])
             g_mat = [[add() for _ in range(brank)] for _ in range(rank)]
             for m, value, line in g_entries:
-                if variance == "primal":
-                    b = _index_in(m.group(1), line, brank, "fiber")
-                    alpha = _index_in(m.group(2), line, rank, "algebroid")
-                else:
-                    alpha = _index_in(m.group(1), line, rank, "algebroid")
-                    b = _index_in(m.group(2), line, brank, "fiber")
+                alpha, b = _morphism_index("g", variance, m, line, rank, brank)
                 g_mat[alpha][b] = _parse_scoped(value, line, base_m.variables, f"g[{m.group(1)}][{m.group(2)}]")
         auto = entries.take("ginv")
         if auto is not None:
@@ -483,12 +494,7 @@ def parse_model(text: str) -> Model:
                 raise ModelError("duplicate-key", "conflicting ginv specifications", ginv_entries[0][2])
             ginv_mat = [[add() for _ in range(rank)] for _ in range(brank)]
             for m, value, line in ginv_entries:
-                if variance == "primal":
-                    alpha = _index_in(m.group(1), line, rank, "algebroid")
-                    b = _index_in(m.group(2), line, brank, "fiber")
-                else:
-                    b = _index_in(m.group(1), line, brank, "fiber")
-                    alpha = _index_in(m.group(2), line, rank, "algebroid")
+                alpha, b = _morphism_index("ginv", variance, m, line, rank, brank)
                 ginv_mat[b][alpha] = _parse_scoped(value, line, base_m.variables, f"ginv[{m.group(1)}][{m.group(2)}]")
         entries.finish()
         if g_mat is not None and ginv_mat is None:
@@ -571,26 +577,19 @@ def parse_model(text: str) -> Model:
             forms[name] = FormQ(bundle.space, degree, coeffs)
 
     # fundamental functions
-    lagrangian = None
-    block = get("lagrangian")
-    if block is not None:
-        if "E" not in bundles:
-            raise ModelError("unknown-bundle", "a lagrangian needs [bundle E]", block.line)
+    functions: list[FiberFunction | None] = []
+    for kind, bname, key, cls in (("lagrangian", "E", "L", Lagrangian), ("hamiltonian", "Edual", "H", Hamiltonian)):
+        block = get(kind)
+        functions.append(None)
+        if block is None:
+            continue
+        if bname not in bundles:
+            raise ModelError("unknown-bundle", f"a {kind} needs [bundle {bname}]", block.line)
         entries = _Entries(block)
-        value, line = entries.require("L")
-        scope = bundles["E"].total_variables
-        lagrangian = Lagrangian(bundles["E"], _parse_scoped(value, line, scope, "lagrangian"))
+        value, line = entries.require(key)
+        functions[-1] = cls(bundles[bname], _parse_scoped(value, line, bundles[bname].total_variables, kind))
         entries.finish()
-    hamiltonian = None
-    block = get("hamiltonian")
-    if block is not None:
-        if "Edual" not in bundles:
-            raise ModelError("unknown-bundle", "a hamiltonian needs [bundle Edual]", block.line)
-        entries = _Entries(block)
-        value, line = entries.require("H")
-        scope = bundles["Edual"].total_variables
-        hamiltonian = Hamiltonian(bundles["Edual"], _parse_scoped(value, line, scope, "hamiltonian"))
-        entries.finish()
+    lagrangian, hamiltonian = functions
 
     for key, block in seen.items():
         if key not in consumed:
@@ -698,24 +697,14 @@ def format_model(model: Model) -> str:
             if _is_identity(bundle.g) and _is_identity(bundle.g_inv):
                 out.append("g = identity")
             else:
-                for alpha in range(alg.rank):
-                    for b in range(bundle.rank):
-                        if not is_zero(bundle.g[alpha][b]):
-                            key = (
-                                f"g[{b + 1}][{alpha + 1}]"
-                                if bundle.variance == "primal"
-                                else f"g[{alpha + 1}][{b + 1}]"
-                            )
-                            out.append(f"{key} = {to_string(bundle.g[alpha][b])}")
-                for b in range(bundle.rank):
-                    for alpha in range(alg.rank):
-                        if not is_zero(bundle.g_inv[b][alpha]):
-                            key = (
-                                f"ginv[{alpha + 1}][{b + 1}]"
-                                if bundle.variance == "primal"
-                                else f"ginv[{b + 1}][{alpha + 1}]"
-                            )
-                            out.append(f"{key} = {to_string(bundle.g_inv[b][alpha])}")
+                # g is stored by [alpha][b], ginv by [b][alpha].
+                for name, matrix in (("g", bundle.g), ("ginv", bundle.g_inv)):
+                    for i, row in enumerate(matrix):
+                        for j, entry in enumerate(row):
+                            if not is_zero(entry):
+                                alpha, b = (i, j) if name == "g" else (j, i)
+                                first, second = (b, alpha) if _fiber_first(name, bundle.variance) else (alpha, b)
+                                out.append(f"{name}[{first + 1}][{second + 1}] = {to_string(entry)}")
         out.append("")
     for name, section in model.sections.items():
         out.append(f"[section {name}]")

@@ -223,6 +223,12 @@ class TestLegendreCommand:
         assert done.returncode == 2 and done.stdout == ""
         assert done.stderr.startswith("error: overflow to non-finite value") and done.stderr.count("\n") == 1
 
+    def test_non_finite_image_exits_two(self, capsys, models_dir):
+        # The Hessian is constant, so only the contraction overflows.
+        code, out, err = run(capsys, "legendre", str(models_dir / "diag_quadratic.model"), "--at", "y1=1e308")
+        assert code == 2 and out == ""
+        assert err == "error: overflow to non-finite value: the Legendre image of the point is not finite\n"
+
     def test_tiny_fiber_component_solves(self, capsys, models_dir):
         at = "x1=0,x2=0,y1=-0.000633552529,y2=-0.809259391"
         code, out, err = run(capsys, "legendre", str(models_dir / "quartic.model"), "--forward", "--at", at)

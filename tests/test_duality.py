@@ -19,8 +19,7 @@ from algebroids import (
     legendre_equivalence,
     morphism_conditions,
     parse,
-    tangent_legendre_h,
-    tangent_legendre_l,
+    tangent_legendre,
     transformed_section,
     var,
     vertical_basis,
@@ -65,11 +64,11 @@ def zero_anchor_pair():
 
 class TestTangentApplications:
     def test_vertical_frame_maps_to_dual_vertical_frame(self, euclid_pair):
-        got = tangent_legendre_l(euclid_pair, vertical_basis(euclid_pair.primal, 0))
+        got = tangent_legendre(euclid_pair, vertical_basis(euclid_pair.primal, 0), "lagrangian")
         assert str(got) == "dot_td_p1"
 
     def test_horizontal_frame_passes_when_mixed_hessian_vanishes(self, euclid_pair):
-        got = tangent_legendre_l(euclid_pair, horizontal_basis(euclid_pair.primal, 0))
+        got = tangent_legendre(euclid_pair, horizontal_basis(euclid_pair.primal, 0), "lagrangian")
         assert str(got) == "td_1"
 
     def test_zero_maps_to_zero(self, euclid_pair):
@@ -77,24 +76,24 @@ class TestTangentApplications:
         zero = E.section((add(), add()))
         from algebroids import vertical_lift
 
-        got = tangent_legendre_l(euclid_pair, vertical_lift(zero))
+        got = tangent_legendre(euclid_pair, vertical_lift(zero), "lagrangian")
         assert str(got) == "0"
 
     def test_dual_direction_frame(self, euclid_pair):
-        got = tangent_legendre_h(euclid_pair, vertical_basis(euclid_pair.dual, 0))
+        got = tangent_legendre(euclid_pair, vertical_basis(euclid_pair.dual, 0), "hamiltonian")
         assert str(got) == "dot_td_y1"
 
     def test_composition_is_identity(self, euclid_pair, sampler):
         rng = np.random.default_rng(3)
         Z = random_prolong_section(euclid_pair.primal, rng, degree=1)
-        back = tangent_legendre_h(euclid_pair, tangent_legendre_l(euclid_pair, Z))
+        back = tangent_legendre(euclid_pair, tangent_legendre(euclid_pair, Z, "lagrangian"), "hamiltonian")
         for a, b in zip(back.horizontal + back.vertical, Z.horizontal + Z.vertical):
             assert equivalent(a, b, sampler)
 
     def test_horizontal_image_depends_only_on_horizontal_input(self, euclid_pair, sampler):
         rng = np.random.default_rng(4)
         Z = random_prolong_section(euclid_pair.primal, rng, degree=1)
-        got = tangent_legendre_l(euclid_pair, Z)
+        got = tangent_legendre(euclid_pair, Z, "lagrangian")
         for alpha in range(2):
             assert equivalent(
                 got.horizontal[alpha], euclid_pair.to_dual(Z.horizontal[alpha]), sampler
@@ -188,8 +187,8 @@ class TestBracketCommutation:
         E = pair.primal
         Z = vertical_basis(E, 1).scaled(var("y1"))
         W = vertical_basis(E, 0).scaled(var("y2"))
-        lhs = tangent_legendre_l(pair, bracket_prolong(Z, W))
-        rhs = bracket_prolong(tangent_legendre_l(pair, Z), tangent_legendre_l(pair, W))
+        lhs = tangent_legendre(pair, bracket_prolong(Z, W), "lagrangian")
+        rhs = bracket_prolong(tangent_legendre(pair, Z, "lagrangian"), tangent_legendre(pair, W, "lagrangian"))
         gaps = [
             not equivalent(a, b, sampler)
             for a, b in zip(lhs.vertical, rhs.vertical)

@@ -17,10 +17,8 @@ from algebroids import (
     check_round_trip,
     evaluate,
     legendre_transform,
-    legendre_transform_h,
     load_model,
     parse,
-    phi_h,
     phi_l,
     solve_fiber,
     solve_fiber_h,
@@ -102,7 +100,7 @@ class TestFiberMaps:
         lag = Lagrangian(E, parse("y1^2 + 1/2*y2^2"))
         assert phi_l(lag, (0, 0), (1, 1)) == pytest.approx([2.0, 1.0])
         ham = Hamiltonian(Ed, parse("1/4*p1^2 + 1/2*p2^2"))
-        assert phi_h(ham, (0, 0), (2, 1)) == pytest.approx([1.0, 1.0])
+        assert phi_l(ham, (0, 0), (2, 1)) == pytest.approx([1.0, 1.0])
 
     def test_homogeneous_map_equals_fiber_gradient(self, spaces):
         E, _ = spaces
@@ -343,7 +341,7 @@ class TestTransforms:
     def test_symbolic_transform_when_solution_registered(self, spaces):
         E, Ed = spaces
         lag = Lagrangian(E, parse("1/2*(y1^2 + y2^2)"))
-        H = legendre_transform(lag).hamiltonian(Ed, (var("p1"), var("p2")))
+        H = legendre_transform(lag).symbolic(Ed, (var("p1"), var("p2")))
         sampler = Sampler(points=30, seed=5)
         from algebroids import equivalent
 
@@ -352,7 +350,7 @@ class TestTransforms:
     def test_double_transform_recovers_lagrangian(self, spaces):
         E, _ = spaces
         lag = Lagrangian(E, parse("1/2*(y1^2 + y2^2) + x1^2 + 1/4*y1^4"))
-        back = legendre_transform_h(legendre_transform(lag))
+        back = legendre_transform(legendre_transform(lag))
         rng = np.random.default_rng(11)
         for _ in range(10):
             x = rng.uniform(-2, 2, size=2)
@@ -362,8 +360,27 @@ class TestTransforms:
     def test_hamiltonian_transform(self, spaces):
         _, Ed = spaces
         ham = Hamiltonian(Ed, parse("1/2*(p1^2 + p2^2)"))
-        lag = legendre_transform_h(ham)
+        lag = legendre_transform(ham)
         assert lag((0, 0), (3, -1)) == pytest.approx(5.0)
+
+    def test_double_transform_recovers_hamiltonian(self, spaces):
+        _, Ed = spaces
+        ham = Hamiltonian(Ed, parse("1/2*(p1^2 + p2^2) + x1^2 + 1/4*p1^4"))
+        back = legendre_transform(legendre_transform(ham))
+        rng = np.random.default_rng(14)
+        for _ in range(10):
+            x = rng.uniform(-2, 2, size=2)
+            p = rng.uniform(-2, 2, size=2)
+            assert back(x, p) == pytest.approx(ham.value(x, p), abs=1e-8)
+
+    def test_symbolic_transform_of_hamiltonian(self, spaces):
+        E, Ed = spaces
+        ham = Hamiltonian(Ed, parse("1/2*(p1^2 + p2^2)"))
+        lag = legendre_transform(ham).symbolic(E, (var("y1"), var("y2")))
+        from algebroids import equivalent
+
+        assert isinstance(lag, Lagrangian)
+        assert equivalent(lag.expr, parse("1/2*(y1^2 + y2^2)"), Sampler(points=30, seed=5))
 
     def test_homogeneous_pair_composes_to_identity_on_values(self, spaces):
         # for the fiberwise 2-homogeneous example the transform evaluated
@@ -382,12 +399,12 @@ class TestTransforms:
         # mirror statement for a fiberwise 2-homogeneous dual function
         _, Ed = spaces
         ham = Hamiltonian(Ed, parse("1/2*(p1^2 + p2^2) + 1/4*p1*p2"))
-        L = legendre_transform_h(ham)
+        L = legendre_transform(ham)
         rng = np.random.default_rng(13)
         for _ in range(5):
             x = rng.uniform(-2, 2, size=2)
             p = rng.uniform(-2, 2, size=2)
-            y = phi_h(ham, x, p)
+            y = phi_l(ham, x, p)
             assert L(x, y) == pytest.approx(ham.value(x, p), abs=1e-8)
 
     def test_inhomogeneous_composition_misses_by_potential(self, spaces):

@@ -12,6 +12,7 @@ from algebroids import (
     mul,
     parse,
     parse_model,
+    to_string,
     var,
 )
 from algebroids.modelio import ModelError, emit_report, symbolic_inverse
@@ -350,3 +351,28 @@ class TestReportEmission:
     def test_valid_json_round_trip(self):
         payload = emit_report([], {"nested": {"a": [1, 2.5, None, True, "s"]}})
         assert json.loads(payload) == {"checks": [], "nested": {"a": [1, 2.5, None, True, "s"]}}
+
+
+class TestMorphismKeyOrientation:
+    """The fiber index comes first in a primal ``g`` and in a dual
+    ``ginv``; the algebroid index comes first in the other two."""
+
+    ENTRIES = "g[1][1] = 1\ng[1][2] = x1\ng[2][2] = 2\nginv[1][1] = 1\nginv[1][2] = -x1/2\nginv[2][2] = 1/2\n"
+
+    @staticmethod
+    def matrices(model):
+        return {
+            (name, key): [[to_string(e) for e in row] for row in matrix]
+            for name, bundle in model.bundles.items()
+            for key, matrix in (("g", bundle.g), ("ginv", bundle.g_inv))
+        }
+
+    def test_both_variances(self):
+        text = (MODELS / "classical.model").read_text(encoding="utf-8")
+        model = parse_model(text.replace("rank = 2\ng = identity\n", "rank = 2\n" + self.ENTRIES))
+        got = self.matrices(model)
+        assert got["E", "g"] == [["1", "0"], ["x1", "2"]]
+        assert got["Edual", "g"] == [["1", "x1"], ["0", "2"]]
+        for bundle in model.bundles.values():
+            assert bundle.check_morphism_inverse(model.sampler).passed
+        assert self.matrices(parse_model(format_model(model))) == got
