@@ -197,36 +197,6 @@ class GeneralizedLieAlgebroid:
             self, "_structure_m", tuple(tuple(tuple(pull(e) for e in row) for row in plane) for plane in table)
         )
 
-    @classmethod
-    def from_full_structure(
-        cls,
-        base_m: CoordSystem,
-        base_n: CoordSystem,
-        h: SmoothMap,
-        eta: SmoothMap,
-        rank: int,
-        rho: Sequence[Sequence[Expr]],
-        full: Sequence[Sequence[Sequence[Expr]]],
-    ) -> "GeneralizedLieAlgebroid":
-        compact: dict[tuple[int, int, int], Expr] = {}
-        for a in range(rank):
-            for b in range(rank):
-                for g in range(rank):
-                    entry = full[a][b][g]
-                    if a == b:
-                        if not is_zero(entry):
-                            raise ValueError("structure functions must be antisymmetric")
-                        continue
-                    mirror = neg(full[b][a][g])
-                    if entry != mirror:
-                        raise ValueError(
-                            f"structure functions must be antisymmetric: entry {(a, b, g)}"
-                        )
-                    if a < b:
-                        compact[(a, b, g)] = entry
-        rho_t = tuple(tuple(row) for row in rho)
-        return cls(base_m, base_n, h, eta, rank, rho_t, compact)
-
     # -- accessors ---------------------------------------------------------
 
     def L(self, a: int, b: int, g: int) -> Expr:

@@ -28,6 +28,7 @@ from .modelio import Model, ModelError, emit_report, load_model
 from .prolong import (
     ProlongSection,
     Section,
+    bracket_prolong,
     complete_lift,
     complete_lift_vf,
     vertical_lift,
@@ -170,8 +171,6 @@ def _cmd_bracket(args) -> int:
     model, _, _ = load_run(args)
     z = _resolve_section(model, args.z, ProlongSection)
     w = _resolve_section(model, args.w, ProlongSection)
-    from .prolong import bracket_prolong
-
     out = bracket_prolong(z, w)
     if args.json:
         print(emit_report([], {"z": args.z, "w": args.w, "bracket": str(out)}))

@@ -181,48 +181,6 @@ def morphism_conditions(
     return report
 
 
-def classical_reduced_conditions(
-    pair: LegendrePair, sampler: Sampler, tol: float = 1e-10
-) -> CheckReport:
-    """The reduced equation families for identity anchor and base maps,
-    written directly in the mixed and fiber Hessians of the Lagrangian.
-    Agrees with :func:`morphism_conditions` on classical models."""
-    L = pair.lagrangian
-    m = pair.primal.algebroid.base_m.dim
-    r = pair.primal.rank
-    xs = pair.primal.algebroid.base_m.variables
-    ps = pair.dual.fiber_variables
-    A = [[pair.to_dual(L.mixed[i][b]) for b in range(r)] for i in range(m)]
-    B = [[pair.to_dual(L.hessian[a][b]) for b in range(r)] for a in range(r)]
-    report = CheckReport("legendre-morphism-conditions-classical")
-    for i, j in itertools.combinations(range(m), 2):
-        for k in range(r):
-            rhs = add(
-                differentiate(A[j][k], xs[i]),
-                neg(differentiate(A[i][k], xs[j])),
-                *[mul(A[i][h], differentiate(A[j][k], ps[h])) for h in range(r)],
-                *[neg(mul(A[j][h], differentiate(A[i][k], ps[h]))) for h in range(r)],
-            )
-            residual_row(report, "anchored-anchored", (i + 1, j + 1, k + 1), add(), rhs, sampler, tol)
-    for i in range(m):
-        for j in range(r):
-            for k in range(r):
-                rhs = add(
-                    differentiate(B[j][k], xs[i]),
-                    *[mul(A[i][h], differentiate(B[j][k], ps[h])) for h in range(r)],
-                    *[neg(mul(B[j][h], differentiate(A[i][k], ps[h]))) for h in range(r)],
-                )
-                residual_row(report, "anchored-fiber", (i + 1, j + 1, k + 1), add(), rhs, sampler, tol)
-    for i, j in itertools.combinations(range(r), 2):
-        for k in range(r):
-            rhs = add(
-                *[mul(B[i][h], differentiate(B[j][k], ps[h])) for h in range(r)],
-                *[neg(mul(B[j][h], differentiate(B[i][k], ps[h]))) for h in range(r)],
-            )
-            residual_row(report, "fiber-fiber", (i + 1, j + 1, k + 1), add(), rhs, sampler, tol)
-    return report
-
-
 # ---------------------------------------------------------------------------
 # Bracket commutation on random sections
 

@@ -926,17 +926,6 @@ class Sampler:
             raise ValueError(f"could not sample points with max-norm floor {floor} over {floor_names}")
         return kept[:n]
 
-    def sample_with_floor(
-        self,
-        names: Iterable[str],
-        floor_names: Iterable[str],
-        floor: float,
-        count: int | None = None,
-    ) -> list[dict[str, float]]:
-        """The points of :meth:`columns_with_floor`, one dict per row."""
-        names = tuple(names)
-        return [dict(zip(names, row)) for row in self.columns_with_floor(names, floor_names, floor, count).tolist()]
-
 
 def relative_gap(a: float, b: float) -> float:
     return abs(a - b) / (1.0 + max(abs(a), abs(b)))

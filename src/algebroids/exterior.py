@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .algebroid import CoordSystem, GeneralizedLieAlgebroid, SectionF, SmoothMap, identity_map
+from .algebroid import CoordSystem, GeneralizedLieAlgebroid, SectionF, SmoothMap
 from .expr import Expr, add, free_variables, is_zero, mul, neg
 
 
@@ -161,15 +161,6 @@ class BundleMorphism:
                     raise ValueError(
                         f"morphism components must use source base coordinates, got {sorted(bad)}"
                     )
-
-
-def identity_morphism(bundle: VectorBundle) -> BundleMorphism:
-    base = identity_map(bundle.base, bundle.base)
-    comps = tuple(
-        tuple(add(1.0) if a == b else add() for a in range(bundle.rank))
-        for b in range(bundle.rank)
-    )
-    return BundleMorphism(bundle, bundle, base, comps)
 
 
 def pushforward_section(morphism: BundleMorphism, coefficients: Sequence[Expr]) -> tuple[Expr, ...]:

@@ -294,6 +294,16 @@ def _solve_fiber_system(
         return [sum(vec[a] * h[a * r + c] for a in range(r)) - target[c] for c in range(r)]
 
     res = residual(fiber)
+    if not math.isfinite(_max_abs(res)):
+        # No halved step lowers a residual that overflows: start instead
+        # from the target solved with the Hessian at the start.
+        h = f._hess_fn(f.binding(x, fiber))
+        det, lu, swaps = _lu_factor([[h[a * r + c] for a in range(r)] for c in range(r)])
+        if math.isfinite(det) and det != 0.0:
+            candidate = _lu_solve(lu, swaps, target)
+            cres = residual(candidate)
+            if math.isfinite(_max_abs(cres)):
+                fiber, res = candidate, cres
     for iterations in range(1, maxiter + 1):
         norm = _max_abs(res)
         if norm <= threshold:
@@ -489,15 +499,6 @@ def check_round_trip(L: Lagrangian, H: Hamiltonian, sampler: Sampler, tol: float
     return report
 
 
-def _is_positive_definite(matrix: np.ndarray) -> bool:
-    try:
-        factor = np.linalg.cholesky(matrix)
-    except np.linalg.LinAlgError:
-        return False
-    pivot_floor = CHOLESKY_PIVOT_TOL * max(1.0, float(np.abs(matrix).max()))
-    return bool(np.min(np.diag(factor)) ** 2 > pivot_floor)
-
-
 @dataclass(frozen=True)
 class HomogeneityReport:
     """Outcome of the fiberwise homogeneity and convexity diagnostics."""
@@ -545,7 +546,8 @@ def check_homogeneity(
     try:
         factors = np.linalg.cholesky(hessians)
     except np.linalg.LinAlgError:
-        pd = all(_is_positive_definite(matrix) for matrix in hessians)
+        # Some matrix of the stack has no Cholesky factor.
+        pd = False
     else:
         pivot_floor = CHOLESKY_PIVOT_TOL * np.maximum(1.0, np.abs(hessians).max(axis=(1, 2)))
         pd = bool((np.diagonal(factors, axis1=1, axis2=2).min(axis=1) ** 2 > pivot_floor).all())

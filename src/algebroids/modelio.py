@@ -96,14 +96,6 @@ class Model:
     sampler: Sampler
     tol: float
 
-    @property
-    def base_m(self) -> CoordSystem:
-        return self.algebroid.base_m
-
-    @property
-    def base_n(self) -> CoordSystem:
-        return self.algebroid.base_n
-
 
 # ---------------------------------------------------------------------------
 # Block lexer
@@ -435,7 +427,8 @@ def parse_model(text: str) -> Model:
     algebroid = GeneralizedLieAlgebroid(base_m, base_n, h, eta, rank, tuple(tuple(r) for r in rho), structure)
 
     # The sampler comes first: ginv = auto tests g at its points.
-    sampler, tol = _parse_sampler(get("sampler"))
+    sampler_block = get("sampler")
+    sampler, tol = _parse_sampler(sampler_block)
 
     # bundles
     bundles: dict[str, AnchoredBundle] = {}
@@ -507,6 +500,17 @@ def parse_model(text: str) -> Model:
             tuple(tuple(row) for row in ginv_mat) if ginv_mat is not None else None,
         )
 
+    # The bundles name the fiber coordinates a sampler domain may name.
+    known = set(base_m.variables + base_n.variables).union(*(b.fiber_variables for b in bundles.values()))
+    for key, _, line in sampler_block.entries if sampler_block else ():
+        name = key.removeprefix("domain ")
+        if name != key and name not in known:
+            raise ModelError(
+                "unknown-variable",
+                f"[sampler] domain {name} names no coordinate; allowed coordinates are {sorted(known)}",
+                line,
+            )
+
     # sections and forms
     sections: dict[str, Any] = {}
     forms: dict[str, FormQ] = {}
@@ -518,21 +522,16 @@ def parse_model(text: str) -> Model:
             entries = _Entries(block)
             value, line = entries.require("on")
             target = value
-            if target in ("E", "Edual"):
-                if target not in bundles:
+            if target in ("E", "Edual", "F"):
+                if target != "F" and target not in bundles:
                     raise ModelError("unknown-bundle", f"section {name!r} lives on missing bundle {target}", line)
-                bundle = bundles[target]
-                coeffs = [add() for _ in range(bundle.rank)]
+                # A section of E or Edual has coefficients on M, one of F on N.
+                size, scope = (rank, base_n) if target == "F" else (bundles[target].rank, base_m)
+                coeffs = [add() for _ in range(size)]
                 for m, v, ln in entries.take_matching(r"c\[(\d+)\]"):
-                    a = _index_in(m.group(1), ln, bundle.rank, "section")
-                    coeffs[a] = _parse_scoped(v, ln, base_m.variables, f"section {name} c[{a + 1}]")
-                sections[name] = Section(bundle, tuple(coeffs))
-            elif target == "F":
-                coeffs = [add() for _ in range(rank)]
-                for m, v, ln in entries.take_matching(r"c\[(\d+)\]"):
-                    a = _index_in(m.group(1), ln, rank, "section")
-                    coeffs[a] = _parse_scoped(v, ln, base_n.variables, f"section {name} c[{a + 1}]")
-                sections[name] = SectionF(algebroid, tuple(coeffs))
+                    a = _index_in(m.group(1), ln, size, "section")
+                    coeffs[a] = _parse_scoped(v, ln, scope.variables, f"section {name} c[{a + 1}]")
+                sections[name] = SectionF(algebroid, tuple(coeffs)) if target == "F" else Section(bundles[target], tuple(coeffs))
             elif target in ("TE", "TEdual"):
                 bname = "E" if target == "TE" else "Edual"
                 if bname not in bundles:
@@ -708,13 +707,8 @@ def format_model(model: Model) -> str:
         out.append("")
     for name, section in model.sections.items():
         out.append(f"[section {name}]")
-        if isinstance(section, Section):
-            out.append(f"on = {section.bundle.name}")
-            for a, c in enumerate(section.coefficients):
-                if not is_zero(c):
-                    out.append(f"c[{a + 1}] = {to_string(c)}")
-        elif isinstance(section, SectionF):
-            out.append("on = F")
+        if isinstance(section, (Section, SectionF)):
+            out.append(f"on = {section.bundle.name if isinstance(section, Section) else 'F'}")
             for a, c in enumerate(section.coefficients):
                 if not is_zero(c):
                     out.append(f"c[{a + 1}] = {to_string(c)}")
@@ -729,8 +723,7 @@ def format_model(model: Model) -> str:
         out.append("")
     for name, form in model.forms.items():
         out.append(f"[form {name}]")
-        bname = "E" if form.bundle.name == "E" else "Edual"
-        out += [f"on = {bname}", f"degree = {form.degree}"]
+        out += [f"on = {form.bundle.name}", f"degree = {form.degree}"]
         for key in sorted(form.coeffs):
             label = ",".join(str(i + 1) for i in key)
             out.append(f"c[{label}] = {to_string(form.coeffs[key])}")

@@ -33,7 +33,7 @@ from .expr import (
     neg,
     var,
 )
-from .exterior import BundleMorphism, FormQ, VectorBundle
+from .exterior import BundleMorphism, FormQ, VectorBundle, algebroid_bundle
 from .reporting import CheckReport, residual_row as _residual_row
 
 Variance = Literal["primal", "dual"]
@@ -103,10 +103,6 @@ class AnchoredBundle:
     def space(self) -> VectorBundle:
         return VectorBundle(self.algebroid.base_m, self.rank, self.name)
 
-    @property
-    def algebroid_space(self) -> VectorBundle:
-        return VectorBundle(self.algebroid.base_n, self.algebroid.rank, "F")
-
     def fiber_var(self, a: int) -> Expr:
         return var(self.fiber_variables[a])
 
@@ -122,7 +118,7 @@ class AnchoredBundle:
 
     def morphism(self) -> BundleMorphism:
         self._need_g()
-        return BundleMorphism(self.space, self.algebroid_space, self.algebroid.h, self.g)
+        return BundleMorphism(self.space, algebroid_bundle(self.algebroid), self.algebroid.h, self.g)
 
     def inverse_morphism(self) -> BundleMorphism:
         self._need_g()
@@ -131,7 +127,7 @@ class AnchoredBundle:
             tuple(h.push(self.g_inv[b][alpha]) for alpha in range(self.algebroid.rank))
             for b in range(self.rank)
         )
-        return BundleMorphism(self.algebroid_space, self.space, h.inverted(), comps)
+        return BundleMorphism(algebroid_bundle(self.algebroid), self.space, h.inverted(), comps)
 
     def section(self, coefficients: Sequence[Expr]) -> "Section":
         return Section(self, tuple(coefficients))
@@ -348,14 +344,9 @@ def bracket_prolong(Z: ProlongSection, W: ProlongSection) -> ProlongSection:
 # Lifts
 
 
-def vertical_lift_function(bundle: AnchoredBundle, f: Expr, on: str = "N") -> Expr:
-    """Pull a function on N (through h) or on M (as is) up to the total
-    space."""
-    if on == "N":
-        return bundle.lift_from_n(f)
-    if on == "M":
-        return f
-    raise ValueError("on must be 'N' or 'M'")
+def vertical_lift_function(bundle: AnchoredBundle, f: Expr) -> Expr:
+    """Pull a function on N up to the total space, through h."""
+    return bundle.lift_from_n(f)
 
 
 def complete_lift_function(bundle: AnchoredBundle, f: Expr) -> Expr:

@@ -55,6 +55,7 @@ from .prolong import (
     pull_from_algebroid,
     push_to_algebroid,
     random_bundle_section,
+    random_prolong_section,
     rho_tilde,
     vertical_lift,
     vertical_lift_function,
@@ -183,14 +184,13 @@ def function_lift_rules_report(
         want = vertical_lift_vf(u) + vertical_lift_vf(v)
         residual_rows(report, "vertical-additive", (trial,), got.d_fiber, want.d_fiber, sampler, tol)
         got = vertical_lift_vf(u.scaled(f_m))
-        fv = vertical_lift_function(bundle, f_m, "M")
-        want = [mul(fv, b) for b in vertical_lift_vf(u).d_fiber]
+        want = [mul(f_m, b) for b in vertical_lift_vf(u).d_fiber]
         residual_rows(report, "vertical-module", (trial,), got.d_fiber, want, sampler, tol)
         residual_row(
             report,
             "vertical-kills-vertical-lifts",
             (trial,),
-            vertical_lift_vf(u).apply(fv),
+            vertical_lift_vf(u).apply(f_m),
             add(),
             sampler,
             tol,
@@ -270,8 +270,6 @@ def prolong_bracket_axioms_report(
 ) -> CheckReport:
     """Antisymmetry and the cyclic identity for the prolonged bracket on
     random sections."""
-    from .prolong import random_prolong_section
-
     report = CheckReport(f"prolong-bracket-axioms {bundle.name}")
     rng = np.random.default_rng(sampler.seed + 5005)
     for trial in range(trials):
@@ -478,8 +476,3 @@ def run_checks(
                 else:
                     reports.extend(got)
     return reports, extra
-
-
-def report_all(model: Model, sampler: Sampler, tol: float) -> tuple[list[CheckReport], dict]:
-    """Every check of :data:`PLAN` that applies to the model."""
-    return run_checks(model, sampler, tol)

@@ -186,11 +186,10 @@ class TestConstruction:
     def test_non_antisymmetric_rejected(self):
         M, N = coords("M", "x", 2), coords("N", "k", 2)
         rho = ((add(1.0), add()), (add(), add(1.0)))
-        full = [[[add(), add()], [add(1.0), add()]], [[add(1.0), add()], [add(), add()]]]
-        with pytest.raises(ValueError, match="antisymmetric"):
-            GeneralizedLieAlgebroid.from_full_structure(
-                M, N, identity_map(M, N), identity_map(N, M), 2, rho, full
-            )
+        # L(2, 1, 1) must be -L(1, 2, 1).
+        structure = {(0, 1, 0): add(1.0), (1, 0, 0): add(1.0)}
+        with pytest.raises(ValueError, match="antisymmetry violated"):
+            GeneralizedLieAlgebroid(M, N, identity_map(M, N), identity_map(N, M), 2, rho, structure)
 
     def test_nonzero_diagonal_rejected(self):
         M, N = coords("M", "x", 1), coords("N", "k", 1)

@@ -192,6 +192,16 @@ class TestLegendreCommand:
         assert payload["image"]["y1"] == pytest.approx(1.0)
         assert payload["image"]["y2"] == pytest.approx(1.0)
 
+    def test_backward_solve_whose_start_overflows(self, capsys, models_dir):
+        # Newton's default start, the target, has the residual 2*9e307 - 9e307 = inf.
+        code, out, _ = run(
+            capsys, "legendre", str(models_dir / "diag_quadratic.model"), "--backward", "--at", "p1=9e307"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["image"] == {"y1": 4.5e307, "y2": 0.0}
+        assert payload["residual"] == 0.0
+
     def test_bad_point_exits_two(self, capsys, models_dir):
         code, _, err = run(
             capsys, "legendre", str(models_dir / "classical.model"), "--at", "z9=1"

@@ -964,8 +964,8 @@ class TestEquivalent:
 
     def test_floor_sampling(self):
         sampler = E.Sampler(points=40, seed=3)
-        for point in sampler.sample_with_floor(("x1", "y1", "y2"), ("y1", "y2"), 0.1):
-            assert max(abs(point["y1"]), abs(point["y2"])) >= 0.1
+        for _, y1, y2 in sampler.columns_with_floor(("x1", "y1", "y2"), ("y1", "y2"), 0.1):
+            assert max(abs(y1), abs(y2)) >= 0.1
 
     @pytest.mark.parametrize("seed", [0, 1, 5, 23])
     @pytest.mark.parametrize("floor", [0.0, 0.1, 1.2, 1.9])
@@ -973,7 +973,7 @@ class TestEquivalent:
         sampler = E.Sampler(points=30, seed=seed, lo=-3, hi=1, ranges={"y1": (-1.0, 2.0)})
         names, block = ("x1", "y1", "y2"), ("y1", "y2")
         want, attempts = reference_floor_sample(sampler, names, block, floor)
-        assert sampler.sample_with_floor(names, block, floor) == want
+        assert sampler.columns_with_floor(names, block, floor).tolist() == rows(want, names)
         if floor >= 1.2:
             assert attempts > sampler.points  # rejections reach a second block
 
@@ -981,16 +981,21 @@ class TestEquivalent:
         sampler = E.Sampler(points=10, seed=2)
         for count in (0, 1, 7):
             want, _ = reference_floor_sample(sampler, ("x1", "y1"), ("y1",), 0.5, count)
-            assert sampler.sample_with_floor(("x1", "y1"), ("y1",), 0.5, count) == want
+            assert sampler.columns_with_floor(("x1", "y1"), ("y1",), 0.5, count).tolist() == rows(want, ("x1", "y1"))
         want, _ = reference_floor_sample(sampler, ("x1", "y1"), (), 0.5)
-        assert sampler.sample_with_floor(("x1", "y1"), (), 0.5) == want
+        assert sampler.columns_with_floor(("x1", "y1"), (), 0.5).tolist() == rows(want, ("x1", "y1"))
 
     def test_floor_out_of_reach_raises(self):
         sampler = E.Sampler(points=3, seed=2)
         with pytest.raises(ValueError, match="max-norm floor"):
             reference_floor_sample(sampler, ("x1", "y1"), ("y1",), 2.5)
         with pytest.raises(ValueError, match="max-norm floor"):
-            sampler.sample_with_floor(("x1", "y1"), ("y1",), 2.5)
+            sampler.columns_with_floor(("x1", "y1"), ("y1",), 2.5)
+
+
+def rows(points, names):
+    """Dict points as the rows of a column table over ``names``."""
+    return [[point[name] for name in names] for point in points]
 
 
 def reference_floor_sample(sampler, names, floor_names, floor, count=None):

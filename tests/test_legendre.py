@@ -26,9 +26,9 @@ from algebroids import (
 )
 from algebroids.expr import worst_gap
 from algebroids.legendre import (
+    CHOLESKY_PIVOT_TOL,
     FIBER_FLOOR,
     HomogeneityReport,
-    _is_positive_definite,
     _lu_factor,
     _lu_solve,
     _max_abs,
@@ -161,12 +161,19 @@ class TestFiberSolve:
         assert out.solution == pytest.approx([2.0, 1.0])
 
     def test_overflowing_step_is_no_convergence(self, spaces):
+        # The residual at the default start, the target, overflows in y1,
+        # so the solve starts instead from the target solved with the
+        # Hessian there, which solves this quadratic system exactly.
         E, _ = spaces
         lag = Lagrangian(E, parse("1e300*y1^2 + y2^2"))
+        assert solve_fiber(lag, (0, 0), (1e300, 1)).solution.tolist() == [0.5, 0.5]
+        # Here the solution's y2 = 5e599 overflows, so that start does too,
+        # and no halved step lowers the infinite residual.
+        lag = Lagrangian(E, parse("1e300*y1^2 + 1e-300*y2^2"))
         with pytest.raises(NewtonConvergenceError) as err:
-            solve_fiber(lag, (0, 0), (1e300, 1))
+            solve_fiber(lag, (0, 0), (1e300, 1e300))
         assert err.value.iterations == 1
-        assert err.value.last_iterate.tolist() == [1e300, 1.0]
+        assert err.value.last_iterate.tolist() == [1e300, 1e300]
 
     @pytest.mark.parametrize("target", [(1e300, -1e300), (float("nan"), 1.0)])
     def test_non_finite_jacobian_is_singular(self, spaces, target):
@@ -494,8 +501,19 @@ class TestHomogeneity:
 
 def reference_points(f, sampler):
     """The points of the Legendre checks, one at a time."""
-    for point in sampler.sample_with_floor(f.base_vars + f.fiber_vars, f.fiber_vars, FIBER_FLOOR):
-        yield np.array([point[v] for v in f.base_vars]), np.array([point[v] for v in f.fiber_vars])
+    m = len(f.base_vars)
+    for row in sampler.columns_with_floor(f.base_vars + f.fiber_vars, f.fiber_vars, FIBER_FLOOR):
+        yield row[:m], row[m:]
+
+
+def is_positive_definite(matrix):
+    """The per-matrix test that check_homogeneity applies to a stack."""
+    try:
+        factor = np.linalg.cholesky(matrix)
+    except np.linalg.LinAlgError:
+        return False
+    pivot_floor = CHOLESKY_PIVOT_TOL * max(1.0, float(np.abs(matrix).max()))
+    return bool(np.min(np.diag(factor)) ** 2 > pivot_floor)
 
 
 def reference_round_trip(L, H, sampler, tol=1e-8):
@@ -537,7 +555,7 @@ def reference_homogeneity(f, sampler, degree=2.0, tol=1e-8):
         pairs.append((abs(euler) / (1.0 + abs(degree * value)), f.binding(x, fiber)))
         hess = f.fiber_hessian(x, fiber)
         regular = regular and hess.regular
-        pd = pd and _is_positive_definite(hess.matrix)
+        pd = pd and is_positive_definite(hess.matrix)
     worst, index = worst_gap([gap for gap, _ in pairs])
     witness = None if index is None else pairs[index][1]
     return HomogeneityReport(degree, worst, worst <= tol, pd, regular, witness)

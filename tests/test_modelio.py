@@ -179,6 +179,19 @@ class TestSamplerBlock:
         assert model.tol == 0.0
         assert model.sampler.ranges == {"x1": (-1.0, 0.5)}
 
+    @pytest.mark.parametrize("name", ["zz9", "y1"])
+    def test_domain_of_unknown_coordinate_is_rejected(self, name):
+        # With no [bundle E], y1 names no coordinate either.
+        with pytest.raises(ModelError) as err:
+            parse_model(SAMPLER_BASE + f"domain {name} = 0 1\n")
+        assert err.value.code == "unknown-variable"
+        assert err.value.line == 10
+
+    def test_domain_may_name_base_and_fiber_coordinates(self):
+        text = SAMPLER_BASE.replace("[sampler]", "[bundle E]\nrank = 1\n[sampler]")
+        model = parse_model(text + "domain k1 = 0 1\ndomain y1 = 1 2\n")
+        assert model.sampler.ranges == {"k1": (0.0, 1.0), "y1": (1.0, 2.0)}
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize(
