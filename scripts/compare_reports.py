@@ -16,7 +16,10 @@ fixed point on each with a fundamental function, and
 ``legendre --forward`` of ``models/quartic.model`` at the four points
 with one tiny fiber component (``TINY_COMPONENT_POINTS`` of
 ``tests/test_legendre.py``), where the fiber solve halves its Newton
-steps, so that the line search is compared too.  Then runs
+steps, so that the line search is compared too, and
+``legendre --backward`` of it at the two momenta of ``FAR_TARGETS``,
+whose fiber points lie far from the target the solve starts at, so
+that a change of the start rule shows up in those runs.  Then runs
 ``validate`` once on each rejected model under ``models/negative``, so
 that each model-error line is compared too.  Last, prints
 ``format_model(load_model(path))`` of each model.  Every run happens
@@ -58,6 +61,10 @@ TINY_COMPONENT_POINTS = (
     ((-0.9802622984722804, -0.8229347930547024), (-0.00034480387515056776, -0.003180360377507796)),
     ((0.007177073363783926, -0.01471327051998017), (2.5344266412208327e-05, 1.2607156030427262)),
 )
+# Momenta of the quartic model whose backward solve fails from the
+# target: no convergence within the iteration limit at p1 = 1e20, and a
+# range error at a start point of y1 = 1e200 at p1 = 1e200.
+FAR_TARGETS = ("p1=1e20,p2=1", "p1=1e200,p2=1")
 FORMAT = [
     "-c",
     "import sys; from algebroids import format_model, load_model; print(format_model(load_model(sys.argv[1])))",
@@ -119,6 +126,8 @@ def runs(seeds: list[int]) -> list[tuple[str, list[str]]]:
     for x, y in TINY_COMPONENT_POINTS:
         at = ",".join(f"{name}{i + 1}={v!r}" for name, vs in (("x", x), ("y", y)) for i, v in enumerate(vs))
         out.append((f"legendre --forward --at {at}  {quartic.relative_to(ROOT)}", [*CLI, "legendre", str(quartic), "--forward", "--at", at]))
+    for at in FAR_TARGETS:
+        out.append((f"legendre --backward --at {at}  {quartic.relative_to(ROOT)}", [*CLI, "legendre", str(quartic), "--backward", "--at", at]))
     for model in NEGATIVE_MODELS:
         out.append((f"validate  {model.relative_to(ROOT)}", [*CLI, "validate", str(model)]))
     for model in MODELS:

@@ -279,6 +279,9 @@ class SectionF:
 # ---------------------------------------------------------------------------
 # Axiom checks
 
+# Random sections (or triples of them) that each randomized axiom check draws.
+AXIOM_TRIALS = 3
+
 
 def check_compatibility(
     algebroid: GeneralizedLieAlgebroid, sampler: Sampler, tol: float = 1e-8
@@ -323,12 +326,12 @@ def random_polynomial(
 
 
 def random_section(
-    algebroid: GeneralizedLieAlgebroid, rng: np.random.Generator, degree: int = 2
+    algebroid: GeneralizedLieAlgebroid, rng: np.random.Generator
 ) -> SectionF:
     return SectionF(
         algebroid,
         tuple(
-            random_polynomial(algebroid.base_n.variables, rng, degree)
+            random_polynomial(algebroid.base_n.variables, rng)
             for _ in range(algebroid.rank)
         ),
     )
@@ -338,13 +341,12 @@ def check_jacobi(
     algebroid: GeneralizedLieAlgebroid,
     sampler: Sampler,
     tol: float = 1e-8,
-    triples: int = 3,
 ) -> CheckReport:
     """Cyclic bracket sum over random polynomial sections."""
     report = CheckReport("jacobi")
     rng = np.random.default_rng(sampler.seed + 101)
     zero = (add(),) * algebroid.rank
-    for trial in range(triples):
+    for trial in range(AXIOM_TRIALS):
         u = random_section(algebroid, rng)
         v = random_section(algebroid, rng)
         w = random_section(algebroid, rng)
@@ -361,12 +363,11 @@ def check_leibniz(
     algebroid: GeneralizedLieAlgebroid,
     sampler: Sampler,
     tol: float = 1e-8,
-    trials: int = 3,
 ) -> CheckReport:
     """[u, f v] = f [u, v] + (anchor action of u on f) v for random data."""
     report = CheckReport("leibniz")
     rng = np.random.default_rng(sampler.seed + 202)
-    for trial in range(trials):
+    for trial in range(AXIOM_TRIALS):
         u = random_section(algebroid, rng)
         v = random_section(algebroid, rng)
         f = random_polynomial(algebroid.base_n.variables, rng)
@@ -380,12 +381,11 @@ def check_anchor_morphism(
     algebroid: GeneralizedLieAlgebroid,
     sampler: Sampler,
     tol: float = 1e-8,
-    trials: int = 3,
 ) -> CheckReport:
     """The anchor action takes brackets to commutators of derivations."""
     report = CheckReport("anchor-morphism")
     rng = np.random.default_rng(sampler.seed + 303)
-    for trial in range(trials):
+    for trial in range(AXIOM_TRIALS):
         u = random_section(algebroid, rng)
         v = random_section(algebroid, rng)
         f = random_polynomial(algebroid.base_n.variables, rng)

@@ -37,6 +37,7 @@ from .prolong import (
 from .reporting import CheckReport, residual_row, residual_rows
 
 Side = Literal["lagrangian", "hamiltonian"]
+LIFT_TRANSPORT_TOL = 1e-8
 
 
 def _compose(f: Expr, fn: FiberFunction, other: FiberFunction) -> Expr:
@@ -198,8 +199,8 @@ def bracket_commutation(
     report = CheckReport(f"bracket-commutation-{side}")
     rng = np.random.default_rng(sampler.seed + 404)
     for trial in range(trials):
-        Z = random_prolong_section(source, rng, degree=1)
-        W = random_prolong_section(source, rng, degree=1)
+        Z = random_prolong_section(source, rng)
+        W = random_prolong_section(source, rng)
         lhs = tangent_legendre(pair, bracket_prolong(Z, W), side)
         rhs = bracket_prolong(tangent_legendre(pair, Z, side), tangent_legendre(pair, W, side))
         residual_rows(report, "horizontal", (trial,), lhs.horizontal, rhs.horizontal, sampler, tol)
@@ -260,11 +261,11 @@ def check_lift_transport(
     which: Literal["vertical", "complete"],
     side: Side,
     sampler: Sampler,
-    tol: float = 1e-8,
 ) -> LiftCompatibilityReport:
     """Does the tangent application send a lifted section to the same
     lift of the transformed section, and do the displayed per-part
     equalities hold."""
+    tol = LIFT_TRANSPORT_TOL
     source, target, fn, transport = _sides(pair, side)
     w = transformed_section(pair, u, side)
     premise = CheckReport(f"lift-transport-premise-{which}-{side}")

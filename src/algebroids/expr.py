@@ -837,15 +837,19 @@ def evaluate_columns(
     return _column_values(tuple(roots), names, _Columns(names, columns))
 
 
-def central_difference(e: Expr, name: str, point: Binding, step: float = 1e-6) -> float:
+# The step of every central difference.
+DIFFERENCE_STEP = 1e-6
+
+
+def central_difference(e: Expr, name: str, point: Binding) -> float:
     """Finite-difference oracle for :func:`differentiate`."""
     fn = compiled(e)
     hi = dict(point)
     lo = dict(point)
     x = float(point[name])
-    hi[name] = x + step
-    lo[name] = x - step
-    return (fn(hi) - fn(lo)) / (2.0 * step)
+    hi[name] = x + DIFFERENCE_STEP
+    lo[name] = x - DIFFERENCE_STEP
+    return (fn(hi) - fn(lo)) / (2.0 * DIFFERENCE_STEP)
 
 
 # ---------------------------------------------------------------------------
@@ -885,31 +889,29 @@ class Sampler:
             out[:, j] = lo + (hi - lo) * raw[:, j]
         return out
 
-    def columns(self, names: Iterable[str], count: int | None = None) -> np.ndarray:
+    def columns(self, names: Iterable[str]) -> np.ndarray:
         """The sampled points as an array, one row per point and one
         column per name."""
         names = tuple(names)
-        n = self.points if count is None else count
-        return self._draw(self._rng(names), names, n)
+        return self._draw(self._rng(names), names, self.points)
 
-    def sample(self, names: Iterable[str], count: int | None = None) -> list[dict[str, float]]:
+    def sample(self, names: Iterable[str]) -> list[dict[str, float]]:
         """The points of :meth:`columns`, one dict per row."""
         names = tuple(names)
-        return [dict(zip(names, row)) for row in self.columns(names, count).tolist()]
+        return [dict(zip(names, row)) for row in self.columns(names).tolist()]
 
     def columns_with_floor(
         self,
         names: Iterable[str],
         floor_names: Iterable[str],
         floor: float,
-        count: int | None = None,
     ) -> np.ndarray:
         """Like :meth:`columns` but resamples until the max-norm of the
         ``floor_names`` block is at least ``floor`` (keeps points off the
         zero section)."""
         names = tuple(names)
         floor_names = tuple(floor_names)
-        n = self.points if count is None else count
+        n = self.points
         rng = self._rng(names + ("floor",))
         block = [names.index(f) for f in floor_names]
         kept = np.empty((0, len(names)))
@@ -982,11 +984,10 @@ def equivalent(
     e2: Expr,
     sampler: Sampler,
     tol: float = 1e-8,
-    names: Iterable[str] | None = None,
 ) -> bool:
     """Randomized identity test: true iff |e1-e2| <= tol*(1+max(|e1|,|e2|))
     at every sampled point."""
-    return max_residual(e1, e2, sampler, names)[0] <= tol
+    return max_residual(e1, e2, sampler)[0] <= tol
 
 
 # ---------------------------------------------------------------------------

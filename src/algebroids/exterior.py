@@ -105,10 +105,6 @@ def one_form(bundle: VectorBundle, coefficients: Sequence[Expr]) -> FormQ:
     return FormQ(bundle, 1, {(a,): c for a, c in enumerate(coefficients)})
 
 
-def basis_one_form(bundle: VectorBundle, a: int) -> FormQ:
-    return FormQ(bundle, 1, {(a,): add(1.0)})
-
-
 def wedge(omega: FormQ, theta: FormQ) -> FormQ:
     """Exterior product via the shuffle sum."""
     if omega.bundle != theta.bundle:

@@ -38,6 +38,10 @@ HESSIAN_DET_FLOOR = 1e-12
 CHOLESKY_PIVOT_TOL = 1e-10
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 50
+# The degree of the Euler identity that check_homogeneity tests, and
+# its tolerance.
+HOMOGENEITY_DEGREE = 2.0
+HOMOGENEITY_TOL = 1e-8
 # Step halvings tried per Newton iteration before the solve gives up.
 MAX_HALVINGS = 60
 FIBER_FLOOR = 0.1
@@ -75,7 +79,7 @@ class HessianResult:
 class FiberFunction:
     """A fundamental function on the total space of an anchored bundle,
     with cached symbolic fiber derivatives and one compiled program each
-    for its value, gradient, Hessian and Newton Jacobian."""
+    for its value, Hessian and Newton Jacobian."""
 
     variance = "primal"
 
@@ -112,7 +116,6 @@ class FiberFunction:
             for a in range(r)
         )
         self._fn = compiled(expression)
-        self._grad_fn = compiled_many(self.grad)
         self._hess_fn = compiled_many(e for row in self.hessian for e in row)
         # Entry J[row, col] of the Newton Jacobian is H[col][row] plus
         # sum_a fiber[a] * dH[a][row][col]: its r + 1 terms in turn.
@@ -128,9 +131,6 @@ class FiberFunction:
 
     def value(self, x: Sequence[float], fiber: Sequence[float]) -> float:
         return self._fn(self.binding(x, fiber))
-
-    def gradient(self, x: Sequence[float], fiber: Sequence[float]) -> np.ndarray:
-        return np.array(self._grad_fn(self.binding(x, fiber)))
 
     def hessian_at(self, x: Sequence[float], fiber: Sequence[float]) -> np.ndarray:
         return np.array(self._hess_fn(self.binding(x, fiber))).reshape(self.rank, self.rank)
@@ -272,12 +272,9 @@ def _solve_fiber_system(
     f: FiberFunction,
     x: Sequence[float],
     target: Sequence[float],
-    start: Sequence[float] | None,
-    tol: float,
-    maxiter: int,
 ) -> NewtonResult:
     """Newton iteration on fiber*Hessian(fiber) = target with step
-    halving; the start defaults to the target (identity preconditioner).
+    halving, started at the target (identity preconditioner).
     Each iteration takes the longest halved step that lowers the max-norm
     residual, and raises :class:`NewtonConvergenceError` when none does.
     The iteration runs on Python floats, which round as numpy's float64
@@ -285,8 +282,8 @@ def _solve_fiber_system(
     test and the step."""
     x = list(map(float, x))
     target = list(map(float, target))
-    fiber = list(map(float, target if start is None else start))
-    threshold = tol * (1.0 + _max_abs(target))
+    fiber = target
+    threshold = NEWTON_TOL * (1.0 + _max_abs(target))
     r = f.rank
 
     def residual(vec: list[float]) -> list[float]:
@@ -304,7 +301,7 @@ def _solve_fiber_system(
             cres = residual(candidate)
             if math.isfinite(_max_abs(cres)):
                 fiber, res = candidate, cres
-    for iterations in range(1, maxiter + 1):
+    for iterations in range(1, NEWTON_MAX_ITER + 1):
         norm = _max_abs(res)
         if norm <= threshold:
             return NewtonResult(np.array(fiber), iterations, norm)
@@ -332,9 +329,9 @@ def _solve_fiber_system(
                 norm,
             )
     raise NewtonConvergenceError(
-        f"no convergence within {maxiter} iterations",
+        f"no convergence within {NEWTON_MAX_ITER} iterations",
         np.array(fiber),
-        maxiter,
+        NEWTON_MAX_ITER,
         _max_abs(res),
     )
 
@@ -343,24 +340,18 @@ def solve_fiber(
     L: Lagrangian,
     x: Sequence[float],
     p: Sequence[float],
-    y0: Sequence[float] | None = None,
-    tol: float = NEWTON_TOL,
-    maxiter: int = NEWTON_MAX_ITER,
 ) -> NewtonResult:
     """Solve the momentum equations for the primal fiber point."""
-    return _solve_fiber_system(L, x, p, y0, tol, maxiter)
+    return _solve_fiber_system(L, x, p)
 
 
 def solve_fiber_h(
     H: Hamiltonian,
     x: Sequence[float],
     y: Sequence[float],
-    p0: Sequence[float] | None = None,
-    tol: float = NEWTON_TOL,
-    maxiter: int = NEWTON_MAX_ITER,
 ) -> NewtonResult:
     """Solve the velocity equations for the dual fiber point."""
-    return _solve_fiber_system(H, x, y, p0, tol, maxiter)
+    return _solve_fiber_system(H, x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -376,10 +367,8 @@ class LegendreTransform:
     that morphism; where it lives on the other side, v is the morphism's
     image of ``fiber``, so a transform of a transform is exact."""
 
-    def __init__(self, source: FiberFunction | LegendreTransform, tol: float = NEWTON_TOL, maxiter: int = NEWTON_MAX_ITER):
+    def __init__(self, source: FiberFunction | LegendreTransform):
         self.source = source
-        self.tol = tol
-        self.maxiter = maxiter
         self.root = source.root if isinstance(source, LegendreTransform) else source
         self.variance = "dual" if source.variance == "primal" else "primal"
 
@@ -390,7 +379,7 @@ class LegendreTransform:
             other = phi_l(f, x, fiber)
         else:
             solve = solve_fiber if f.variance == "primal" else solve_fiber_h
-            other = solve(f, x, fiber, None, self.tol, self.maxiter).solution
+            other = solve(f, x, fiber).solution
         return float(fiber @ other) - self.source.value(x, other)
 
     __call__ = value
@@ -408,10 +397,8 @@ class LegendreTransform:
         return cls(bundle, add(total, mul(-1.0, substitute(source.expr, mapping))))
 
 
-def legendre_transform(
-    f: FiberFunction | LegendreTransform, tol: float = NEWTON_TOL, maxiter: int = NEWTON_MAX_ITER
-) -> LegendreTransform:
-    return LegendreTransform(f, tol, maxiter)
+def legendre_transform(f: FiberFunction | LegendreTransform) -> LegendreTransform:
+    return LegendreTransform(f)
 
 
 # ---------------------------------------------------------------------------
@@ -525,9 +512,7 @@ class HomogeneityReport:
         }
 
 
-def check_homogeneity(
-    f: FiberFunction, sampler: Sampler, degree: float = 2.0, tol: float = 1e-8
-) -> HomogeneityReport:
+def check_homogeneity(f: FiberFunction, sampler: Sampler) -> HomogeneityReport:
     """Euler identity fiber.grad = degree * f plus positive-definiteness
     of the fiber Hessian, sampled away from the zero section.  Value,
     gradient and Hessian are valued in one column pass."""
@@ -539,8 +524,8 @@ def check_homogeneity(
     hessians = np.stack(rest[r:], axis=-1).reshape(n, r, r)
     fiber = points[:, len(f.base_vars):]
     with np.errstate(over="ignore", invalid="ignore"):
-        euler = _contract(fiber, gradient[:, :, None])[:, 0] - degree * value
-        gaps = np.abs(euler) / (1.0 + np.abs(degree * value))
+        euler = _contract(fiber, gradient[:, :, None])[:, 0] - HOMOGENEITY_DEGREE * value
+        gaps = np.abs(euler) / (1.0 + np.abs(HOMOGENEITY_DEGREE * value))
     worst, index = worst_gap(gaps)
     witness = None if index is None else dict(zip(names, points[index].tolist()))
     try:
@@ -552,4 +537,4 @@ def check_homogeneity(
         pivot_floor = CHOLESKY_PIVOT_TOL * np.maximum(1.0, np.abs(hessians).max(axis=(1, 2)))
         pd = bool((np.diagonal(factors, axis1=1, axis2=2).min(axis=1) ** 2 > pivot_floor).all())
     regular = bool(_regular(hessians).all())
-    return HomogeneityReport(degree, worst, worst <= tol, pd, regular, witness)
+    return HomogeneityReport(HOMOGENEITY_DEGREE, worst, worst <= HOMOGENEITY_TOL, pd, regular, witness)

@@ -636,6 +636,8 @@ def _parse_domain(value: str, line: int) -> tuple[float, float]:
         raise ModelError("bad-value", f"domain bounds must be finite, got {value!r}", line)
     if not lo < hi:
         raise ModelError("bad-value", f"domain needs lo < hi, got {value!r}", line)
+    if not math.isfinite(hi - lo):
+        raise ModelError("bad-value", f"domain width hi - lo must be finite, got {value!r}", line)
     return lo, hi
 
 

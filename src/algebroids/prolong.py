@@ -106,10 +106,6 @@ class AnchoredBundle:
     def fiber_var(self, a: int) -> Expr:
         return var(self.fiber_variables[a])
 
-    def lift_from_n(self, f: Expr) -> Expr:
-        """f on N -> f composed with (h o projection), on the total space."""
-        return self.algebroid.h.pull(f)
-
     # -- the fiber morphism --------------------------------------------------
 
     def _need_g(self):
@@ -281,22 +277,6 @@ class ProlongSection:
         return " + ".join(parts) if parts else "0"
 
 
-def horizontal_basis(bundle: AnchoredBundle, alpha: int) -> ProlongSection:
-    return ProlongSection(
-        bundle,
-        tuple(add(1.0) if i == alpha else add() for i in range(bundle.algebroid.rank)),
-        tuple(add() for _ in range(bundle.rank)),
-    )
-
-
-def vertical_basis(bundle: AnchoredBundle, a: int) -> ProlongSection:
-    return ProlongSection(
-        bundle,
-        tuple(add() for _ in range(bundle.algebroid.rank)),
-        tuple(add(1.0) if i == a else add() for i in range(bundle.rank)),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Anchor and bracket
 
@@ -345,15 +325,15 @@ def bracket_prolong(Z: ProlongSection, W: ProlongSection) -> ProlongSection:
 
 
 def vertical_lift_function(bundle: AnchoredBundle, f: Expr) -> Expr:
-    """Pull a function on N up to the total space, through h."""
-    return bundle.lift_from_n(f)
+    """f on N composed with (h o projection), on the total space."""
+    return bundle.algebroid.h.pull(f)
 
 
 def complete_lift_function(bundle: AnchoredBundle, f: Expr) -> Expr:
     """Fiber-weighted anchored derivative of a function on N."""
     bundle._need_g()
     alg = bundle.algebroid
-    f_lift = bundle.lift_from_n(f)
+    f_lift = vertical_lift_function(bundle, f)
     d = [differentiate(f_lift, x) for x in alg.base_m.variables]
     return add(
         *[
@@ -373,13 +353,9 @@ def complete_lift_function(bundle: AnchoredBundle, f: Expr) -> Expr:
 
 
 def vertical_lift_vf(u: Section) -> VectorFieldOnE:
-    """Vertical lift as a vector field on the total space."""
-    bundle = u.bundle
-    return VectorFieldOnE(
-        bundle,
-        tuple(add() for _ in range(bundle.algebroid.base_m.dim)),
-        u.coefficients,
-    )
+    """Vertical lift as a vector field on the total space: the anchor of
+    the prolonged vertical lift."""
+    return rho_tilde(vertical_lift(u))
 
 
 def vertical_lift(u: Section) -> ProlongSection:
@@ -475,35 +451,31 @@ def k_coefficients_via_bracket(u: Section) -> tuple[tuple[Expr, ...], ...]:
     return tuple(tuple(row) for row in out)
 
 
-def complete_lift_vf(u: Section) -> VectorFieldOnE:
-    """Complete lift as a vector field on the total space: anchored image
-    horizontally, fiber-contracted bracket coefficients vertically."""
+def complete_lift(u: Section) -> ProlongSection:
+    """Complete lift into the generalized tangent bundle: the section's
+    image through the fiber morphism horizontally, fiber-contracted
+    bracket coefficients vertically."""
     bundle = u.bundle
     bundle._need_g()
-    alg = bundle.algebroid
     gu = _gu(u)
-    d_base = tuple(
-        add(*[mul(gu[alpha], alg.rho_m[alpha][i]) for alpha in range(alg.rank)])
-        for i in range(alg.base_m.dim)
-    )
     K_m = _k_on_m(bundle, gu)
-    d_fiber = tuple(
+    vertical = tuple(
         add(
             *[
                 neg(mul(bundle.fiber_var(a), K_m[gamma][a], bundle.g_inv[b][gamma]))
                 for a in range(bundle.rank)
-                for gamma in range(alg.rank)
+                for gamma in range(bundle.algebroid.rank)
             ]
         )
         for b in range(bundle.rank)
     )
-    return VectorFieldOnE(bundle, d_base, d_fiber)
+    return ProlongSection(bundle, gu, vertical)
 
 
-def complete_lift(u: Section) -> ProlongSection:
-    """Complete lift into the generalized tangent bundle."""
-    vf = complete_lift_vf(u)
-    return ProlongSection(u.bundle, _gu(u), vf.d_fiber)
+def complete_lift_vf(u: Section) -> VectorFieldOnE:
+    """Complete lift as a vector field on the total space: the anchor of
+    the prolonged complete lift."""
+    return rho_tilde(complete_lift(u))
 
 
 def hat_form(bundle: AnchoredBundle, omega: FormQ) -> Expr:
@@ -541,29 +513,27 @@ def almost_tangent(Z: ProlongSection) -> ProlongSection:
 # Randomized data for checks
 
 
-def random_bundle_section(
-    bundle: AnchoredBundle, rng: np.random.Generator, degree: int = 2
-) -> Section:
+def random_bundle_section(bundle: AnchoredBundle, rng: np.random.Generator) -> Section:
     return Section(
         bundle,
         tuple(
-            random_polynomial(bundle.algebroid.base_m.variables, rng, degree)
+            random_polynomial(bundle.algebroid.base_m.variables, rng)
             for _ in range(bundle.rank)
         ),
     )
 
 
 def random_prolong_section(
-    bundle: AnchoredBundle, rng: np.random.Generator, degree: int = 2
+    bundle: AnchoredBundle, rng: np.random.Generator
 ) -> ProlongSection:
     return ProlongSection(
         bundle,
         tuple(
-            random_polynomial(bundle.total_variables, rng, degree)
+            random_polynomial(bundle.total_variables, rng, 1)
             for _ in range(bundle.algebroid.rank)
         ),
         tuple(
-            random_polynomial(bundle.total_variables, rng, degree)
+            random_polynomial(bundle.total_variables, rng, 1)
             for _ in range(bundle.rank)
         ),
     )

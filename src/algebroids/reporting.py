@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import Any, Iterable
 
-if TYPE_CHECKING:
-    from .expr import Expr, Sampler
+from .expr import Expr, Sampler, max_residual
 
 
 @dataclass(frozen=True)
@@ -80,8 +79,6 @@ def residual_row(
     """Decide one expression row.  Nodes are interned, so identical
     sides are a proof of equality: residual 0.0, no witness, nothing
     evaluated.  Otherwise the worst sampled gap and its witness."""
-    from .expr import max_residual
-
     if lhs is rhs:
         report.add(name, indices, 0.0, tol)
         return

@@ -29,6 +29,7 @@ from .algebroid import (
     random_polynomial,
 )
 from .expr import (
+    DIFFERENCE_STEP,
     Expr,
     Sampler,
     add,
@@ -39,7 +40,7 @@ from .expr import (
     mul,
     shared_walks,
 )
-from .exterior import FormQ, gh_lie_derivative, one_form
+from .exterior import gh_lie_derivative, one_form
 from .legendre import check_homogeneity, check_round_trip
 from .modelio import Model
 from .prolong import (
@@ -62,16 +63,6 @@ from .prolong import (
     vertical_lift_vf,
 )
 from .reporting import CheckReport, residual_row, residual_rows
-
-
-def _random_one_form(bundle: AnchoredBundle, rng: np.random.Generator) -> FormQ:
-    return one_form(
-        bundle.space,
-        tuple(
-            random_polynomial(bundle.algebroid.base_m.variables, rng)
-            for _ in range(bundle.rank)
-        ),
-    )
 
 
 @shared_walks()
@@ -130,7 +121,7 @@ def complete_lift_conditions_report(
                 ]
             )
             residual_row(report, "projects-to-anchored-image", (trial, j + 1), lhs, h.pull(wj), sampler, tol)
-        omega = _random_one_form(bundle, rng)
+        omega = one_form(bundle.space, random_bundle_section(bundle, rng).coefficients)
         lhs = uc.apply(hat_form(bundle, omega))
         derived = gh_lie_derivative(alg, morphism, inverse, u.coefficients, omega)
         residual_row(report, "acts-as-lie-derivative-on-hats", (trial,), lhs, hat_form(bundle, derived), sampler, tol)
@@ -273,9 +264,9 @@ def prolong_bracket_axioms_report(
     report = CheckReport(f"prolong-bracket-axioms {bundle.name}")
     rng = np.random.default_rng(sampler.seed + 5005)
     for trial in range(trials):
-        Z = random_prolong_section(bundle, rng, degree=1)
-        W = random_prolong_section(bundle, rng, degree=1)
-        V = random_prolong_section(bundle, rng, degree=1)
+        Z = random_prolong_section(bundle, rng)
+        W = random_prolong_section(bundle, rng)
+        V = random_prolong_section(bundle, rng)
         anti = bracket_prolong(Z, W) + bracket_prolong(W, Z)
         for idx, a in enumerate(anti.horizontal + anti.vertical):
             residual_row(report, "antisymmetry", (trial, idx), a, add(), sampler, tol)
@@ -343,7 +334,7 @@ def model_expressions(model: Model) -> list[tuple[str, Expr]]:
 
 @shared_walks()
 def derivative_oracle_report(
-    model: Model, sampler: Sampler, tol: float = 1e-5, step: float = 1e-6
+    model: Model, sampler: Sampler, tol: float = 1e-5
 ) -> CheckReport:
     """Symbolic derivatives of every model expression against central
     finite differences."""
@@ -358,11 +349,11 @@ def derivative_oracle_report(
             # central_difference at every sampled point: x_j + step and
             # x_j - step, each one pass over the columns.
             hi, lo = columns.copy(), columns.copy()
-            hi[:, j] += step
-            lo[:, j] -= step
+            hi[:, j] += DIFFERENCE_STEP
+            lo[:, j] -= DIFFERENCE_STEP
             (f_hi,), (f_lo,) = (evaluate_columns((expression,), names, c) for c in (hi, lo))
             with np.errstate(over="ignore"):
-                difference = (f_hi - f_lo) / (2.0 * step)
+                difference = (f_hi - f_lo) / (2.0 * DIFFERENCE_STEP)
             worst, witness = column_residual(symbolic[j], difference, names, columns)
             report.add(f"d/d{v} {name}", (), worst, tol, witness)
     return report

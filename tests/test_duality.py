@@ -10,15 +10,16 @@ from algebroids import (
     Hamiltonian,
     Lagrangian,
     LegendrePair,
+    ProlongSection,
     Sampler,
     add,
+    basis_section,
     bracket_commutation,
     bracket_prolong,
     check_lift_transport,
     coords,
     differentiate,
     equivalent,
-    horizontal_basis,
     identity_map,
     legendre_equivalence,
     morphism_conditions,
@@ -28,7 +29,8 @@ from algebroids import (
     tangent_legendre,
     transformed_section,
     var,
-    vertical_basis,
+    vertical_lift,
+    vertical_lift_function,
 )
 from algebroids.prolong import random_prolong_section
 from algebroids.reporting import residual_row
@@ -71,35 +73,34 @@ def zero_anchor_pair():
 
 class TestTangentApplications:
     def test_vertical_frame_maps_to_dual_vertical_frame(self, euclid_pair):
-        got = tangent_legendre(euclid_pair, vertical_basis(euclid_pair.primal, 0), "lagrangian")
+        got = tangent_legendre(euclid_pair, vertical_lift(basis_section(euclid_pair.primal, 0)), "lagrangian")
         assert str(got) == "dot_td_p1"
 
     def test_horizontal_frame_passes_when_mixed_hessian_vanishes(self, euclid_pair):
-        got = tangent_legendre(euclid_pair, horizontal_basis(euclid_pair.primal, 0), "lagrangian")
+        td_1 = ProlongSection(euclid_pair.primal, (add(1.0), add()), (add(), add()))
+        got = tangent_legendre(euclid_pair, td_1, "lagrangian")
         assert str(got) == "td_1"
 
     def test_zero_maps_to_zero(self, euclid_pair):
         E = euclid_pair.primal
         zero = E.section((add(), add()))
-        from algebroids import vertical_lift
-
         got = tangent_legendre(euclid_pair, vertical_lift(zero), "lagrangian")
         assert str(got) == "0"
 
     def test_dual_direction_frame(self, euclid_pair):
-        got = tangent_legendre(euclid_pair, vertical_basis(euclid_pair.dual, 0), "hamiltonian")
+        got = tangent_legendre(euclid_pair, vertical_lift(basis_section(euclid_pair.dual, 0)), "hamiltonian")
         assert str(got) == "dot_td_y1"
 
     def test_composition_is_identity(self, euclid_pair, sampler):
         rng = np.random.default_rng(3)
-        Z = random_prolong_section(euclid_pair.primal, rng, degree=1)
+        Z = random_prolong_section(euclid_pair.primal, rng)
         back = tangent_legendre(euclid_pair, tangent_legendre(euclid_pair, Z, "lagrangian"), "hamiltonian")
         for a, b in zip(back.horizontal + back.vertical, Z.horizontal + Z.vertical):
             assert equivalent(a, b, sampler)
 
     def test_horizontal_image_depends_only_on_horizontal_input(self, euclid_pair, sampler):
         rng = np.random.default_rng(4)
-        Z = random_prolong_section(euclid_pair.primal, rng, degree=1)
+        Z = random_prolong_section(euclid_pair.primal, rng)
         got = tangent_legendre(euclid_pair, Z, "lagrangian")
         for alpha in range(2):
             assert equivalent(
@@ -207,7 +208,7 @@ class TestMorphismConditions:
         rho = alg.rho_m
         lhs = add(
             *[
-                mul(source.lift_from_n(alg.L(0, 1, g)), rho[g][k], fn.mixed[k][0])
+                mul(vertical_lift_function(source, alg.L(0, 1, g)), rho[g][k], fn.mixed[k][0])
                 for g in range(2)
                 for k in range(2)
             ]
@@ -234,8 +235,8 @@ class TestBracketCommutation:
         # Z = y1 dot-frame-2, W = y2 dot-frame-1 exhibits the failure
         pair = mismatched_pair
         E = pair.primal
-        Z = vertical_basis(E, 1).scaled(var("y1"))
-        W = vertical_basis(E, 0).scaled(var("y2"))
+        Z = vertical_lift(basis_section(E, 1)).scaled(var("y1"))
+        W = vertical_lift(basis_section(E, 0)).scaled(var("y2"))
         lhs = tangent_legendre(pair, bracket_prolong(Z, W), "lagrangian")
         rhs = bracket_prolong(tangent_legendre(pair, Z, "lagrangian"), tangent_legendre(pair, W, "lagrangian"))
         gaps = [
@@ -303,6 +304,24 @@ class TestLiftTransport:
         report = check_lift_transport(pair, u, "vertical", "lagrangian", sampler)
         assert report.implication == "not-applicable"
         assert not report.premise.passed
+
+    @pytest.mark.parametrize("section, side", [("u", "lagrangian"), ("ustar", "hamiltonian")])
+    def test_classical_model_sections(self, classical, section, side):
+        # Each model section on its own bundle, at the model's own sampler.
+        pair = LegendrePair(classical.lagrangian, classical.hamiltonian)
+        for which in ("vertical", "complete"):
+            report = check_lift_transport(pair, classical.sections[section], which, side, classical.sampler)
+            assert report.implication == "confirmed"
+            assert report.premise.worst_residual == report.conclusions.worst_residual == 0.0
+
+    def test_generalized_model_section(self, generalized):
+        pair = LegendrePair(generalized.lagrangian, generalized.hamiltonian)
+        u, sampler = generalized.sections["u"], generalized.sampler
+        assert check_lift_transport(pair, u, "vertical", "lagrangian", sampler).implication == "confirmed"
+        # The two bundles' fiber morphisms differ, so the complete premise fails.
+        complete = check_lift_transport(pair, u, "complete", "lagrangian", sampler)
+        assert complete.implication == "not-applicable"
+        assert complete.premise.worst_residual == pytest.approx(0.829, abs=1e-3)
 
     def test_transformed_section_values(self, euclid_pair):
         u = euclid_pair.primal.section((var("x1"), add(2.0)))

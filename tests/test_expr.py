@@ -808,7 +808,7 @@ class TestDifferentiate:
             d = E.differentiate(tree, name)
             try:
                 sym = E.evaluate(d, b)
-                fd = E.central_difference(tree, name, b, 1e-6)
+                fd = E.central_difference(tree, name, b)
             except E.EvaluationError:
                 return
             if abs(sym) > 1e6:
@@ -979,9 +979,10 @@ class TestEquivalent:
 
     def test_floor_sampling_count_and_no_floor_names(self):
         sampler = E.Sampler(points=10, seed=2)
-        for count in (0, 1, 7):
-            want, _ = reference_floor_sample(sampler, ("x1", "y1"), ("y1",), 0.5, count)
-            assert sampler.columns_with_floor(("x1", "y1"), ("y1",), 0.5, count).tolist() == rows(want, ("x1", "y1"))
+        for count in (1, 7):
+            fewer = replace(sampler, points=count)
+            want, _ = reference_floor_sample(fewer, ("x1", "y1"), ("y1",), 0.5)
+            assert fewer.columns_with_floor(("x1", "y1"), ("y1",), 0.5).tolist() == rows(want, ("x1", "y1"))
         want, _ = reference_floor_sample(sampler, ("x1", "y1"), (), 0.5)
         assert sampler.columns_with_floor(("x1", "y1"), (), 0.5).tolist() == rows(want, ("x1", "y1"))
 
@@ -998,10 +999,10 @@ def rows(points, names):
     return [[point[name] for name in names] for point in points]
 
 
-def reference_floor_sample(sampler, names, floor_names, floor, count=None):
+def reference_floor_sample(sampler, names, floor_names, floor):
     """The point-at-a-time floor sampler that the block sampler
     replaced: the accepted points and the number of points drawn."""
-    n = sampler.points if count is None else count
+    n = sampler.points
     rng = sampler._rng(tuple(names) + ("floor",))
     out = []
     attempts = 0

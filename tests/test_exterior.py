@@ -11,7 +11,6 @@ from algebroids import (
     SmoothMap,
     VectorBundle,
     add,
-    basis_one_form,
     coords,
     differentiate,
     equivalent,
@@ -64,7 +63,7 @@ def wedge_oracle(om, th, key, point):
 class TestWedge:
     def test_frame_one_forms(self):
         B = VectorBundle(coords("M", "x", 2), 2, "E")
-        w = wedge(basis_one_form(B, 0), basis_one_form(B, 1))
+        w = wedge(one_form(B, (add(1.0), add())), one_form(B, (add(), add(1.0))))
         assert w.coeff((0, 1)) == add(1.0)
         assert w.coeff((1, 0)) == add(-1.0)
 
@@ -156,7 +155,7 @@ class TestPullbackPushforward:
 
     def test_one_form_pullback_scales_by_component(self):
         phi = shifted_line_morphism(add(2.0))
-        got = pullback_form(phi, basis_one_form(phi.target, 0))
+        got = pullback_form(phi, one_form(phi.target, (add(1.0),)))
         assert got.coeff((0,)) == add(2.0)
 
     def test_pushforward_shifts_coefficients(self):
@@ -199,7 +198,7 @@ class TestLieDerivative:
     def test_epsilon_frame_derivative(self):
         alg = epsilon_algebra()
         F = algebroid_bundle(alg)
-        got = lie_derivative(alg, alg.basis_section(1), basis_one_form(F, 0))
+        got = lie_derivative(alg, alg.basis_section(1), one_form(F, (add(1.0), add(), add())))
         assert got.coeff((2,)) == add(-1.0)
 
     def test_wedge_derivation_property(self, sampler, lie_algebroid):

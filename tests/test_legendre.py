@@ -24,6 +24,7 @@ from algebroids import (
     solve_fiber_h,
     var,
 )
+from algebroids import legendre
 from algebroids.expr import worst_gap
 from algebroids.legendre import (
     CHOLESKY_PIVOT_TOL,
@@ -106,7 +107,7 @@ class TestFiberMaps:
         E, _ = spaces
         lag = Lagrangian(E, parse("1/2*(y1^2 + y2^2)"))
         x, y = (0.5, -0.2), (1.2, 0.7)
-        assert phi_l(lag, x, y) == pytest.approx(lag.gradient(x, y))
+        assert phi_l(lag, x, y) == pytest.approx([evaluate(g, lag.binding(x, y)) for g in lag.grad])
 
 
 class TestFiberSolve:
@@ -147,11 +148,12 @@ class TestFiberSolve:
             solve_fiber(lag, (0, 0), (4, 0))
         assert err.value.last_iterate is not None
 
-    def test_no_convergence_reported(self, spaces):
+    def test_no_convergence_reported(self, spaces, monkeypatch):
         E, _ = spaces
         lag = Lagrangian(E, parse("1/4*(y1^4 + y2^4)"))
-        with pytest.raises(NewtonConvergenceError) as err:
-            solve_fiber(lag, (0, 0), (4, 1), maxiter=2)
+        monkeypatch.setattr(legendre, "NEWTON_MAX_ITER", 2)
+        with pytest.raises(NewtonConvergenceError, match="within 2 iterations") as err:
+            solve_fiber(lag, (0, 0), (4, 1))
         assert err.value.iterations == 2
 
     def test_dual_solve(self, spaces):
@@ -551,7 +553,8 @@ def reference_homogeneity(f, sampler, degree=2.0, tol=1e-8):
     pd = regular = True
     for x, fiber in reference_points(f, sampler):
         value = f.value(x, fiber)
-        euler = float(fiber @ f.gradient(x, fiber)) - degree * value
+        gradient = np.array([evaluate(g, f.binding(x, fiber)) for g in f.grad])
+        euler = float(fiber @ gradient) - degree * value
         pairs.append((abs(euler) / (1.0 + abs(degree * value)), f.binding(x, fiber)))
         hess = f.fiber_hessian(x, fiber)
         regular = regular and hess.regular
@@ -661,5 +664,4 @@ def test_programs_equal_per_entry_evaluate(name):
                         acc += fiber[a] * evaluate(f.hessian_fiber_d[a][row][col], b)
                     want.append(float(acc).hex())
             assert [v.hex() for row in f._newton_jacobian(b, fiber.tolist()) for v in row] == want
-            assert f.gradient(x, fiber).tolist() == [evaluate(g, b) for g in f.grad]
             assert f.value(x, fiber) == evaluate(f.expr, b)

@@ -167,12 +167,16 @@ class TestSamplerBlock:
             "domain = -inf inf",
             "domain = -2 inf",
             "domain x1 = -inf 0",
+            # Finite bounds whose width hi - lo overflows.
+            "domain = -1e308 1e308",
+            "domain x1 = -1e308 1e308",
         ],
     )
     def test_degenerate_entry_is_a_bad_value(self, entry):
         with pytest.raises(ModelError) as err:
             parse_model(SAMPLER_BASE + entry + "\n")
         assert err.value.code == "bad-value"
+        assert err.value.line == 10
 
     def test_zero_tol_is_accepted(self):
         model = parse_model(SAMPLER_BASE + "tol = 0\ndomain x1 = -1 0.5\n")

@@ -4,9 +4,9 @@ import pytest
 from algebroids import (
     GeneralizedLieAlgebroid,
     AnchoredBundle,
+    ProlongSection,
     Sampler,
     add,
-    basis_one_form,
     basis_section,
     bracket_prolong,
     almost_tangent,
@@ -16,7 +16,6 @@ from algebroids import (
     differentiate,
     equivalent,
     hat_form,
-    horizontal_basis,
     identity_map,
     k_coefficients,
     k_coefficients_via_bracket,
@@ -29,7 +28,6 @@ from algebroids import (
     push_to_algebroid,
     rho_tilde,
     var,
-    vertical_basis,
     vertical_lift,
     vertical_lift_function,
     vertical_lift_vf,
@@ -43,6 +41,12 @@ from algebroids.verify import (
     prolong_bracket_axioms_report,
     tangent_structure_report,
 )
+
+
+def horizontal_basis(bundle, alpha):
+    """The anchored frame section ``td_alpha``."""
+    unit = tuple(add(1.0) if i == alpha else add() for i in range(bundle.algebroid.rank))
+    return ProlongSection(bundle, unit, (add(),) * bundle.rank)
 
 
 def line_bundle(rho, g_expr=None, h_fwd=None, h_inv=None, variance="primal"):
@@ -82,7 +86,7 @@ def bundles():
 class TestAnchorOfProlongation:
     def test_vertical_frame_passes_through(self, bundles):
         E = bundles["classical"][0]
-        vf = rho_tilde(vertical_basis(E, 0))
+        vf = rho_tilde(vertical_lift(basis_section(E, 0)))
         assert str(vf) == "dot_y1"
 
     def test_classical_horizontal_frame(self, bundles):
@@ -100,7 +104,7 @@ class TestProlongationBracket:
     def test_horizontal_frame_hits_structure(self, bundles, sampler):
         E = bundles["lie_algebroid"][0]
         got = bracket_prolong(horizontal_basis(E, 0), horizontal_basis(E, 1))
-        want = E.lift_from_n(parse("1 - k1"))
+        want = vertical_lift_function(E, parse("1 - k1"))
         assert equivalent(got.horizontal[0], want, sampler)
         assert equivalent(got.horizontal[1], add(), sampler)
         for v in got.vertical:
@@ -108,7 +112,7 @@ class TestProlongationBracket:
 
     def test_mixed_frame_vanishes(self, bundles, sampler):
         E = bundles["lie_algebroid"][0]
-        got = bracket_prolong(horizontal_basis(E, 0), vertical_basis(E, 1))
+        got = bracket_prolong(horizontal_basis(E, 0), vertical_lift(basis_section(E, 1)))
         for c in got.horizontal + got.vertical:
             assert equivalent(c, add(), sampler)
 
@@ -117,8 +121,8 @@ class TestProlongationBracket:
         # coordinate bracket of the projected vector fields
         E = bundles["classical"][0]
         rng = np.random.default_rng(2)
-        Z = random_prolong_section(E, rng, degree=1)
-        W = random_prolong_section(E, rng, degree=1)
+        Z = random_prolong_section(E, rng)
+        W = random_prolong_section(E, rng)
         got = rho_tilde(bracket_prolong(Z, W))
         a, b = rho_tilde(Z), rho_tilde(W)
         names = E.total_variables
@@ -282,7 +286,7 @@ class TestKCoefficients:
 class TestHatAndTangentStructure:
     def test_hat_of_frame_form(self, bundles):
         E = bundles["classical"][0]
-        assert hat_form(E, basis_one_form(E.space, 0)) == var("y1")
+        assert hat_form(E, one_form(E.space, (add(1.0), add()))) == var("y1")
 
     def test_hat_scales(self, bundles):
         E = bundles["classical"][0]
@@ -295,7 +299,7 @@ class TestHatAndTangentStructure:
 
     def test_vertical_input_killed(self, bundles, sampler):
         E = bundles["generalized"][0]
-        J = almost_tangent(vertical_basis(E, 0))
+        J = almost_tangent(vertical_lift(basis_section(E, 0)))
         for c in J.horizontal + J.vertical:
             assert equivalent(c, add(), sampler)
 
@@ -480,7 +484,7 @@ def lifted_route_fiber(u):
     """Fiber components of the complete lift with each entry of
     :func:`k_on_n_route` pulled back to M."""
     bundle = u.bundle
-    K_m = [[bundle.lift_from_n(k) for k in row] for row in k_on_n_route(u)]
+    K_m = [[vertical_lift_function(bundle, k) for k in row] for row in k_on_n_route(u)]
     return tuple(
         add(
             *[

@@ -11,7 +11,7 @@ MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
 BUNDLED = sorted(path.stem for path in MODELS.glob("*.model"))
 
 
-def reference_oracle_rows(model, sampler, tol=1e-5, step=1e-6):
+def reference_oracle_rows(model, sampler, tol=1e-5):
     """The per-point oracle loop: each symbolic partial and its central
     difference at every sampled point, then the one witness rule."""
     rows = []
@@ -23,7 +23,7 @@ def reference_oracle_rows(model, sampler, tol=1e-5, step=1e-6):
         for v in names:
             d = E.differentiate(expression, v)
             gaps = [
-                E.relative_gap(E.evaluate(d, point), E.central_difference(expression, v, point, step))
+                E.relative_gap(E.evaluate(d, point), E.central_difference(expression, v, point))
                 for point in points
             ]
             worst, index = E.worst_gap(gaps)
