@@ -19,7 +19,10 @@ with one tiny fiber component (``TINY_COMPONENT_POINTS`` of
 steps, so that the line search is compared too, and
 ``legendre --backward`` of it at the two momenta of ``FAR_TARGETS``,
 whose fiber points lie far from the target the solve starts at, so
-that a change of the start rule shows up in those runs.  Then runs
+that a change of the start rule shows up in those runs, and
+``legendre --backward`` of ``models/diag_quadratic.model`` at
+``p1=9e307``, whose residual at the target overflows, so that the solve
+starts from the target solved with the Hessian there.  Then runs
 ``validate`` once on each rejected model under ``models/negative``, so
 that each model-error line is compared too.  Last, prints
 ``format_model(load_model(path))`` of each model.  Every run happens
@@ -65,6 +68,9 @@ TINY_COMPONENT_POINTS = (
 # target: no convergence within the iteration limit at p1 = 1e20, and a
 # range error at a start point of y1 = 1e200 at p1 = 1e200.
 FAR_TARGETS = ("p1=1e20,p2=1", "p1=1e200,p2=1")
+# A momentum of models/diag_quadratic.model whose residual at the start
+# overflows; the solve starts instead from y1 = 4.5e307.
+OVERFLOW_START = "p1=9e307"
 FORMAT = [
     "-c",
     "import sys; from algebroids import format_model, load_model; print(format_model(load_model(sys.argv[1])))",
@@ -128,6 +134,8 @@ def runs(seeds: list[int]) -> list[tuple[str, list[str]]]:
         out.append((f"legendre --forward --at {at}  {quartic.relative_to(ROOT)}", [*CLI, "legendre", str(quartic), "--forward", "--at", at]))
     for at in FAR_TARGETS:
         out.append((f"legendre --backward --at {at}  {quartic.relative_to(ROOT)}", [*CLI, "legendre", str(quartic), "--backward", "--at", at]))
+    diag = ROOT / "models" / "diag_quadratic.model"
+    out.append((f"legendre --backward --at {OVERFLOW_START}  {diag.relative_to(ROOT)}", [*CLI, "legendre", str(diag), "--backward", "--at", OVERFLOW_START]))
     for model in NEGATIVE_MODELS:
         out.append((f"validate  {model.relative_to(ROOT)}", [*CLI, "validate", str(model)]))
     for model in MODELS:

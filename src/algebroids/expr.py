@@ -856,6 +856,18 @@ def central_difference(e: Expr, name: str, point: Binding) -> float:
 # Sampling and randomized identity testing
 
 
+def box_fault(lo: float, hi: float) -> str | None:
+    """Why the draws ``lo + (hi - lo) * u`` of a sampling box [lo, hi]
+    are not finite points of it, or None when they are."""
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        return "domain bounds must be finite"
+    if not lo < hi:
+        return "domain needs lo < hi"
+    if not math.isfinite(hi - lo):
+        return "domain width hi - lo must be finite"
+    return None
+
+
 @dataclass(frozen=True)
 class Sampler:
     """Deterministic point generator over a coordinate box.
@@ -874,6 +886,10 @@ class Sampler:
         # A check over no points would pass vacuously.
         if self.points < 1:
             raise ValueError(f"a sampler needs at least 1 point, got {self.points}")
+        for name, (lo, hi) in (("the default box", (self.lo, self.hi)), *self.ranges.items()):
+            fault = box_fault(lo, hi)
+            if fault:
+                raise ValueError(f"{fault}, got ({lo!r}, {hi!r}) for {name}")
 
     def _rng(self, names: tuple[str, ...]) -> np.random.Generator:
         tag = zlib.crc32(",".join(names).encode("utf-8"))

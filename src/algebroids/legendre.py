@@ -16,7 +16,6 @@ from typing import Sequence
 import numpy as np
 
 from .expr import (
-    Binding,
     EvaluationError,
     Expr,
     Sampler,
@@ -94,6 +93,8 @@ class FiberFunction:
         self.expr = expression
         self.base_vars = bundle.algebroid.base_m.variables
         self.fiber_vars = bundle.fiber_variables
+        # The names of a binding, as binding() orders them.
+        self._names = self.base_vars + self.fiber_vars
         r = bundle.rank
         self.rank = r
         self.grad = tuple(differentiate(expression, v) for v in self.fiber_vars)
@@ -143,9 +144,11 @@ class FiberFunction:
             return HessianResult(matrix, None, False)
         return HessianResult(matrix, np.linalg.inv(matrix), True)
 
-    def _newton_jacobian(self, b: Binding, fiber: list[float]) -> list[list[float]]:
+    def _newton_jacobian(self, values: list[float], fiber: list[float]) -> list[list[float]]:
+        """The Newton Jacobian at ``fiber`` from the Newton program's
+        ``values`` there."""
         r = self.rank
-        terms = iter(self._newton_fn(b))
+        terms = iter(values)
         J = []
         for row in range(r):
             cells = []
@@ -279,33 +282,65 @@ def _solve_fiber_system(
     residual, and raises :class:`NewtonConvergenceError` when none does.
     The iteration runs on Python floats, which round as numpy's float64
     scalars do; one LU factorization per sweep gives both the singular
-    test and the step."""
-    x = list(map(float, x))
+    test and the step.  One run of the Newton program values each point
+    visited: its Hessian entries give the residual there, and its values
+    the Jacobian once the point is accepted."""
+    m = len(f.base_vars)
+    x = list(map(float, x[:m]))
     target = list(map(float, target))
-    fiber = target
     threshold = NEWTON_TOL * (1.0 + _max_abs(target))
     r = f.rank
+    # binding()'s names; a short x binds only the base names it reaches.
+    names = f._names if len(x) == m else f.base_vars[: len(x)] + f.fiber_vars
 
-    def residual(vec: list[float]) -> list[float]:
-        h = f._hess_fn(f.binding(x, vec))
-        return [sum(vec[a] * h[a * r + c] for a in range(r)) - target[c] for c in range(r)]
+    def residual(vec: list[float], h: list[float], a_step: int, c_step: int) -> list[float]:
+        # Entry a*a_step + c*c_step of h is H[a][c]; each sum runs as
+        # sum() runs it, from int 0.
+        res = []
+        for c in range(r):
+            acc = 0
+            k = c * c_step
+            for a in range(r):
+                acc += vec[a] * h[k]
+                k += a_step
+            res.append(acc - target[c])
+        return res
 
-    res = residual(fiber)
+    def valued(vec: list[float]) -> tuple[dict[str, float], list[float] | None, list[float]]:
+        """The binding at ``vec``, the Newton program's values there and
+        the residual read from their Hessian entries.  Where the Newton
+        program raises, its values are None, and the Hessian program
+        alone values the residual, or raises."""
+        b = dict(zip(names, x + vec))
+        try:
+            values = f._newton_fn(b)
+        except EvaluationError:
+            values = None
+        if values is None:
+            return b, None, residual(vec, f._hess_fn(b), r, 1)
+        # The first term of Newton entry J[c, a] is H[a][c].
+        return b, values, residual(vec, values, r + 1, r * (r + 1))
+
+    fiber = target
+    b, values, res = valued(fiber)
     if not math.isfinite(_max_abs(res)):
         # No halved step lowers a residual that overflows: start instead
         # from the target solved with the Hessian at the start.
-        h = f._hess_fn(f.binding(x, fiber))
+        h = f._hess_fn(b)
         det, lu, swaps = _lu_factor([[h[a * r + c] for a in range(r)] for c in range(r)])
         if math.isfinite(det) and det != 0.0:
             candidate = _lu_solve(lu, swaps, target)
-            cres = residual(candidate)
+            cb, cvalues, cres = valued(candidate)
             if math.isfinite(_max_abs(cres)):
-                fiber, res = candidate, cres
+                fiber, b, values, res = candidate, cb, cvalues, cres
     for iterations in range(1, NEWTON_MAX_ITER + 1):
         norm = _max_abs(res)
         if norm <= threshold:
             return NewtonResult(np.array(fiber), iterations, norm)
-        det, lu, swaps = _lu_factor(f._newton_jacobian(f.binding(x, fiber), fiber))
+        if values is None:
+            # Raises the error that the Newton program raised here.
+            values = f._newton_fn(b)
+        det, lu, swaps = _lu_factor(f._newton_jacobian(values, fiber))
         if not math.isfinite(det) or abs(det) < 1e-300:
             raise SingularJacobianError(
                 "singular Newton Jacobian in fiber solve", np.array(fiber), iterations
@@ -314,9 +349,9 @@ def _solve_fiber_system(
         scale = 1.0
         for _ in range(MAX_HALVINGS):
             candidate = [v - scale * s for v, s in zip(fiber, step)]
-            cres = residual(candidate)
+            cb, cvalues, cres = valued(candidate)
             if _max_abs(cres) < norm:
-                fiber, res = candidate, cres
+                fiber, b, values, res = candidate, cb, cvalues, cres
                 break
             scale *= 0.5
         else:

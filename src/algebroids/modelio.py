@@ -42,6 +42,7 @@ from .expr import (
     Sampler,
     UnknownFunctionError,
     add,
+    box_fault,
     evaluate_columns,
     free_variables,
     is_zero,
@@ -632,12 +633,9 @@ def _parse_domain(value: str, line: int) -> tuple[float, float]:
     if len(parts) != 2:
         raise ModelError("bad-value", f"domain wants 'lo hi', got {value!r}", line)
     lo, hi = _parse_float(parts[0], line), _parse_float(parts[1], line)
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ModelError("bad-value", f"domain bounds must be finite, got {value!r}", line)
-    if not lo < hi:
-        raise ModelError("bad-value", f"domain needs lo < hi, got {value!r}", line)
-    if not math.isfinite(hi - lo):
-        raise ModelError("bad-value", f"domain width hi - lo must be finite, got {value!r}", line)
+    fault = box_fault(lo, hi)
+    if fault:
+        raise ModelError("bad-value", f"{fault}, got {value!r}", line)
     return lo, hi
 
 

@@ -962,6 +962,33 @@ class TestEquivalent:
         with pytest.raises(ValueError):
             replace(E.Sampler(), points=points)
 
+    @pytest.mark.parametrize(
+        "box, fault",
+        [
+            ((-1e308, 1e308), "width hi - lo must be finite"),
+            ((float("nan"), 1.0), "bounds must be finite"),
+            ((0.0, float("inf")), "bounds must be finite"),
+            ((1.0, 1.0), "needs lo < hi"),
+            ((2.0, -2.0), "needs lo < hi"),
+        ],
+        ids=["width-overflows", "nan", "inf", "empty", "reversed"],
+    )
+    def test_sampler_refuses_a_box_it_cannot_draw_from(self, box, fault):
+        # The rule a model file's [sampler] domain meets, for the default
+        # box and for each range.
+        lo, hi = box
+        with pytest.raises(ValueError, match=f"{fault}.* for the default box"):
+            E.Sampler(lo=lo, hi=hi)
+        with pytest.raises(ValueError, match=f"{fault}.* for x1"):
+            E.Sampler(ranges={"y1": (0.0, 1.0), "x1": box})
+        with pytest.raises(ValueError, match=fault):
+            replace(E.Sampler(), lo=lo, hi=hi)
+
+    def test_sampler_box_at_the_float_limits(self):
+        # The widest finite box draws finite points.
+        columns = E.Sampler(points=50, lo=-8e307, hi=8e307, ranges={"y1": (1.0, 1.0 + 2**-52)}).columns(("x1", "y1"))
+        assert np.isfinite(columns).all()
+
     def test_floor_sampling(self):
         sampler = E.Sampler(points=40, seed=3)
         for _, y1, y2 in sampler.columns_with_floor(("x1", "y1", "y2"), ("y1", "y2"), 0.1):

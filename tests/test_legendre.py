@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import pathlib
 
 import numpy as np
@@ -13,6 +14,7 @@ from algebroids import (
     NewtonConvergenceError,
     Sampler,
     SingularJacobianError,
+    UnboundVariableError,
     check_homogeneity,
     check_round_trip,
     evaluate,
@@ -331,6 +333,228 @@ class TestQuarticFiberSolve:
             ref = optimize.root(lambda v: phi_l(quartic, x, v) - target, target, method="lm")
             assert ref.success, (x, y)
             assert ours == pytest.approx(ref.x, abs=1e-7)
+
+
+def reference_solve(f, x, target):
+    """The fiber solver that values each residual with the Hessian
+    program and each Jacobian with one more run of the Newton program:
+    the specification the solver must meet bit for bit, errors
+    included."""
+    x = list(map(float, x))
+    target = list(map(float, target))
+    fiber = target
+    threshold = legendre.NEWTON_TOL * (1.0 + _max_abs(target))
+    r = f.rank
+
+    def residual(vec):
+        h = f._hess_fn(f.binding(x, vec))
+        return [sum(vec[a] * h[a * r + c] for a in range(r)) - target[c] for c in range(r)]
+
+    res = residual(fiber)
+    if not math.isfinite(_max_abs(res)):
+        h = f._hess_fn(f.binding(x, fiber))
+        det, lu, swaps = _lu_factor([[h[a * r + c] for a in range(r)] for c in range(r)])
+        if math.isfinite(det) and det != 0.0:
+            candidate = _lu_solve(lu, swaps, target)
+            cres = residual(candidate)
+            if math.isfinite(_max_abs(cres)):
+                fiber, res = candidate, cres
+    for iterations in range(1, legendre.NEWTON_MAX_ITER + 1):
+        norm = _max_abs(res)
+        if norm <= threshold:
+            return legendre.NewtonResult(np.array(fiber), iterations, norm)
+        det, lu, swaps = _lu_factor(f._newton_jacobian(f._newton_fn(f.binding(x, fiber)), fiber))
+        if not math.isfinite(det) or abs(det) < 1e-300:
+            raise SingularJacobianError("singular Newton Jacobian in fiber solve", np.array(fiber), iterations)
+        step = _lu_solve(lu, swaps, res)
+        scale = 1.0
+        for _ in range(legendre.MAX_HALVINGS):
+            candidate = [v - scale * s for v, s in zip(fiber, step)]
+            cres = residual(candidate)
+            if _max_abs(cres) < norm:
+                fiber, res = candidate, cres
+                break
+            scale *= 0.5
+        else:
+            raise NewtonConvergenceError(
+                f"no convergence: none of {legendre.MAX_HALVINGS} halvings of the Newton step lowers the residual",
+                np.array(fiber),
+                iterations,
+                norm,
+            )
+    raise NewtonConvergenceError(
+        f"no convergence within {legendre.NEWTON_MAX_ITER} iterations",
+        np.array(fiber),
+        legendre.NEWTON_MAX_ITER,
+        _max_abs(res),
+    )
+
+
+def hexes(v):
+    return [float(e).hex() for e in np.asarray(v, dtype=float).ravel()]
+
+
+def outcome(solve, f, x, target):
+    """What ``solve`` gives, by ``float.hex``: solution, iterations and
+    residual, or the error's class, message, iterations, last iterate
+    and residual."""
+    try:
+        out = solve(f, x, target)
+    except (EvaluationError, NewtonConvergenceError, SingularJacobianError) as err:
+        iterate = getattr(err, "last_iterate", None)
+        residual = getattr(err, "residual", None)
+        return (
+            type(err),
+            str(err),
+            getattr(err, "iterations", None),
+            None if iterate is None else hexes(iterate),
+            None if residual is None else float(residual).hex(),
+        )
+    return hexes(out.solution), out.iterations, float(out.residual).hex()
+
+
+def solver_for(f):
+    return solve_fiber if f.variance == "primal" else solve_fiber_h
+
+
+def seeded_solves(f, seed, n=40):
+    """(x, target) pairs: the Legendre images of seeded fiber points, as
+    the benchmark draws them, and seeded targets taken as they are."""
+    rng = np.random.default_rng(seed)
+    m, r = len(f.base_vars), f.rank
+    xs = rng.uniform(-2.0, 2.0, (2 * n, m))
+    fibers = rng.uniform(0.05, 2.0, (n, r)) * rng.choice([-1.0, 1.0], (n, r))
+    out = []
+    for x, fiber in zip(xs[:n], fibers):
+        out.append((x.tolist(), phi_l(f, x, fiber).tolist()))
+    out += [(x.tolist(), rng.uniform(-3.0, 3.0, r).tolist()) for x in xs[n:]]
+    return out
+
+
+def bundled_fiber_functions():
+    for path in sorted(MODELS.glob("*.model")):
+        model = load_model(path)
+        for kind, f in (("L", model.lagrangian), ("H", model.hamiltonian)):
+            if f is not None:
+                yield f"{path.stem}.{kind}", f
+
+
+BUNDLED_FIBER_FUNCTIONS = dict(bundled_fiber_functions())
+
+
+class TestReferenceSolver:
+    """The solver gives what the reference solver gives, bit for bit."""
+
+    def assert_same(self, f, x, target):
+        want = outcome(reference_solve, f, x, target)
+        assert outcome(solver_for(f), f, x, target) == want, (x, target)
+        return want
+
+    def test_nine_bundled_functions(self):
+        assert len(BUNDLED_FIBER_FUNCTIONS) == 9
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("key", sorted(BUNDLED_FIBER_FUNCTIONS))
+    def test_bundled_functions_at_seeded_points(self, key, seed):
+        f = BUNDLED_FIBER_FUNCTIONS[key]
+        for x, target in seeded_solves(f, seed):
+            self.assert_same(f, x, target)
+
+    def test_tiny_components_and_far_targets(self):
+        quartic = BUNDLED_FIBER_FUNCTIONS["quartic.L"]
+        for x, y in TINY_COMPONENT_POINTS:
+            self.assert_same(quartic, x, phi_l(quartic, x, y))
+        # The momenta of FAR_TARGETS in scripts/compare_reports.py: the
+        # first ends after the iteration limit, the second in a range
+        # error of the Hessian at the start.
+        kinds = [self.assert_same(quartic, (0.0, 0.0), p)[0] for p in ((1e20, 1.0), (1e200, 1.0))]
+        assert kinds == [NewtonConvergenceError, EvaluationError]
+
+    def test_overflowing_start(self):
+        diag = BUNDLED_FIBER_FUNCTIONS["diag_quadratic.L"]
+        assert self.assert_same(diag, (0.0, 0.0), (9e307, 0.0)) == ([(4.5e307).hex(), (0.0).hex()], 1, (0.0).hex())
+
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_cross_terms(self, rank):
+        # Every bundled Hessian is diagonal; these are not.
+        from algebroids import parse_model
+
+        text = {
+            2: "1/2*(y1^2 + 2*y2^2) + x1*y1*y2 + y1^4/4 + y1^2*y2^2/2",
+            3: "1/2*(y1^2 + 2*y2^2 + 3*y3^2) + x1*y1*y2 + y3^4/4 + y1*y2*y3/5",
+        }[rank]
+        model = parse_model(
+            f"[base M]\ndim = 1\n[base N]\ndim = 1\n[algebroid]\nrank = {rank}\nrho[1][1] = 1\n"
+            f"[bundle E]\nrank = {rank}\n[lagrangian]\nL = {text}\n"
+        )
+        f = model.lagrangian
+        assert f.hessian[0][1] != f.hessian[0][0]
+        for x, target in seeded_solves(f, 3):
+            self.assert_same(f, x, target)
+
+    def test_where_the_newton_program_fails(self):
+        # The derivative of the Hessian, 1.875*(y1 + x1)^(-0.5), fails
+        # where y1 = -x1, and the Hessian there is 2.
+        line = load_model(MODELS / "generalized.model").bundles["E"]
+        lag = Lagrangian(line, parse("y1^2 + (y1 + x1)^2.5"))
+        assert self.assert_same(lag, (0.0,), (0.0,)) == ([(0.0).hex()], 1, (0.0).hex())
+        # Unsolved at the start, the target: the Jacobian there fails.
+        assert self.assert_same(lag, (-0.5,), (0.5,))[:2] == (
+            EvaluationError,
+            "domain error: math domain error at point {'x1': -0.5, 'y1': 0.5}",
+        )
+        for target in (2.5, -1.0, 0.3):
+            self.assert_same(lag, (0.0,), (target,))
+
+    def test_base_point_of_another_length(self, spaces):
+        # As binding() does, extra base values are dropped and a short
+        # base point leaves the names it does not reach unbound.
+        E, _ = spaces
+        lag = Lagrangian(E, parse("1/4*(y1^4 + y2^4) + x2*y1^2"))
+        assert self.assert_same(lag, (0.5, 0.25, 9.0), (1.0, 2.0))[1] < 50
+        assert self.assert_same(lag, (0.5,), (1.0, 2.0))[0] is UnboundVariableError
+
+
+def counted(monkeypatch, f, name):
+    """Count the runs of program ``name`` of ``f`` from here on."""
+    runs = []
+    program = getattr(f, name)
+
+    def run(binding):
+        runs.append(binding)
+        return program(binding)
+
+    monkeypatch.setattr(f, name, run)
+    return runs
+
+
+class TestProgramRuns:
+    @pytest.fixture
+    def line(self):
+        return load_model(MODELS / "generalized.model").bundles["E"]
+
+    def test_one_newton_run_per_point(self, monkeypatch):
+        lag = load_model(MODELS / "generalized.model").lagrangian
+        newton, hessian = counted(monkeypatch, lag, "_newton_fn"), counted(monkeypatch, lag, "_hess_fn")
+        out = solve_fiber(lag, (0.5,), (0.8,))
+        assert out.iterations == 2
+        assert (len(newton), len(hessian)) == (2, 0)
+
+    def test_hessian_program_where_the_newton_program_fails(self, line, monkeypatch):
+        # 1.875*y1^(-0.5), the derivative of the Hessian, fails at y1 = 0,
+        # where the Hessian is 2.
+        lag = Lagrangian(line, parse("y1^2 + y1^2.5"))
+        with pytest.raises(EvaluationError):
+            lag._newton_fn(lag.binding((0.0,), (0.0,)))
+        hessian = counted(monkeypatch, lag, "_hess_fn")
+        out = solve_fiber(lag, (0.0,), (0.0,))
+        assert (out.solution.tolist(), out.iterations, out.residual) == ([0.0], 1, 0.0)
+        assert len(hessian) == 1
+
+    def test_rank_one_root(self, line):
+        lag = Lagrangian(line, parse("y1^2 + y1^2.5"))
+        out = solve_fiber(lag, (0.0,), (2.5,))
+        assert (out.solution.tolist(), out.iterations) == ([0.5288639435315003], 6)
 
 
 class TestTransforms:
@@ -663,5 +887,9 @@ def test_programs_equal_per_entry_evaluate(name):
                     for a in range(r):
                         acc += fiber[a] * evaluate(f.hessian_fiber_d[a][row][col], b)
                     want.append(float(acc).hex())
-            assert [v.hex() for row in f._newton_jacobian(b, fiber.tolist()) for v in row] == want
+            values = f._newton_fn(b)
+            assert [v.hex() for row in f._newton_jacobian(values, fiber.tolist()) for v in row] == want
+            # The solver reads H[a][c] from entry (c*r + a)*(r + 1).
+            hessian = [[values[(c * r + a) * (r + 1)].hex() for c in range(r)] for a in range(r)]
+            assert hessian == [[v.hex() for v in row] for row in f.hessian_at(x, fiber).tolist()]
             assert f.value(x, fiber) == evaluate(f.expr, b)
