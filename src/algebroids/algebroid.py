@@ -314,14 +314,20 @@ def check_compatibility(
 def random_polynomial(
     variables: Sequence[str], rng: np.random.Generator, degree: int = 2
 ) -> Expr:
-    """Random small polynomial with coefficients in [-1, 1]."""
-    terms = [add(round(float(rng.uniform(-1, 1)), 3))]
-    for v in variables:
-        terms.append(mul(round(float(rng.uniform(-1, 1)), 3), var(v)))
+    """Random small polynomial with coefficients in [-1, 1], each -1 + 2u
+    for a uniform draw u, as ``rng.uniform(-1, 1)`` computes it: the
+    constant and linear ones from one block of draws, then a coin for
+    each quadratic term and, where it lands, that term's coefficient."""
+
+    def coefficient(u: float) -> float:
+        return round(-1.0 + 2.0 * u, 3)
+
+    constant, *linear = map(coefficient, rng.random(1 + len(variables)).tolist())
+    terms = [add(constant)] + [mul(c, var(v)) for c, v in zip(linear, variables)]
     if degree >= 2:
         for u, v in itertools.combinations_with_replacement(variables, 2):
             if rng.random() < 0.5:
-                terms.append(mul(round(float(rng.uniform(-1, 1)), 3), var(u), var(v)))
+                terms.append(mul(coefficient(rng.random()), var(u), var(v)))
     return add(*terms)
 
 

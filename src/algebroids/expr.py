@@ -14,11 +14,12 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import math
+import operator
 import weakref
 import zlib
 from _weakref import _remove_dead_weakref
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -664,19 +665,36 @@ def is_zero(e: Expr) -> bool:
 # Evaluation
 
 
-def compiled_many(roots: Iterable[Expr]) -> Callable[[Binding], list[float]]:
-    """The point driver: the values of all ``roots`` at a binding, from one
-    :func:`_tape` program built once.  Variables are read as floats, sums and
-    products run left to right in term order, powers and calls apply the libm
-    scalars.  Errors, each carrying the binding, are those of evaluating
-    ``roots[0]``, ``roots[1]``, ... in turn: an unbound variable, a domain
-    error, or a root that is not finite after its own segment."""
+def compiled_many(roots: Iterable[Expr], names: Iterable[str]) -> Callable[[Sequence[float]], list[float]]:
+    """The point driver: the values of all ``roots`` at a row, which holds
+    the value of ``names[j]`` at ``row[j]``, from one :func:`_tape` program
+    built once.  Variables are read as floats, sums and products run left
+    to right in term order, powers and calls apply the libm scalars.
+    Errors are those of evaluating ``roots[0]``, ``roots[1]``, ... in turn:
+    a variable outside ``names`` (unbound), a domain error, or a root that
+    is not finite after its own segment.  Each carries the point
+    ``dict(zip(names, row))``, built only for the error."""
+    names = tuple(names)
+    index = {name: j for j, name in enumerate(names)}
     code, ends, outs = _tape(tuple(roots))
+    # The roots' values after a run; itemgetter needs two positions to give
+    # a tuple.
+    gather = operator.itemgetter(*outs) if len(outs) > 1 else lambda values: [values[k] for k in outs]
+    # Constants are finite, so roots that are all constants need no test.
+    finite = all(code[k][0] is Const for k in outs)
     # Constants are placed once; a run computes the other nodes.
     seeded = [entry[1] if entry[0] is Const else None for entry in code]
-    steps = [(pos, entry) for pos, entry in enumerate(code) if entry[0] is not Const]
+    steps = []
+    for pos, entry in enumerate(code):
+        kind = entry[0]
+        if kind is Var:
+            # A variable's step holds its position in the row; one outside
+            # ``names`` has the kind None and holds its name.
+            entry = (Var, index[entry[1]]) if entry[1] in index else (None, entry[1])
+        if kind is not Const:
+            steps.append((pos, entry))
 
-    def run(binding: Binding) -> list[float]:
+    def run(row: Sequence[float]) -> list[float]:
         values = seeded.copy()
         try:
             for pos, entry in steps:
@@ -687,7 +705,7 @@ def compiled_many(roots: Iterable[Expr]) -> Callable[[Binding], list[float]]:
                         acc *= values[k]
                     values[pos] = acc
                 elif kind is Var:
-                    values[pos] = float(binding[entry[1]])
+                    values[pos] = float(row[entry[1]])
                 elif kind is Pow:
                     values[pos] = math.pow(values[entry[1]], values[entry[2]])
                 elif kind is Sum:
@@ -698,17 +716,22 @@ def compiled_many(roots: Iterable[Expr]) -> Callable[[Binding], list[float]]:
                     values[pos] = acc
                 elif kind is Neg:
                     values[pos] = -values[entry[1]]
-                else:
+                elif kind is Call:
                     values[pos] = FUNCTIONS[entry[1]](values[entry[2]])
+                else:
+                    # A variable outside ``names``.
+                    raise KeyError(entry[1])
         except KeyError as err:
-            error: EvaluationError | None = UnboundVariableError(f"unbound variable {err.args[0]!r}", binding)
+            error: EvaluationError | None = UnboundVariableError(
+                f"unbound variable {err.args[0]!r}", dict(zip(names, row))
+            )
         except (ValueError, ZeroDivisionError, OverflowError) as err:
-            error = EvaluationError(f"domain error: {err}", binding)
+            error = EvaluationError(f"domain error: {err}", dict(zip(names, row)))
         else:
-            out = [values[k] for k in outs]
+            out = list(gather(values))
             # A sum of finite values is finite unless it overflows, and
             # then the root-by-root test below decides.
-            if math.isfinite(sum(out)):
+            if finite or math.isfinite(sum(out)):
                 return out
             error = None
             pos = len(code)
@@ -717,7 +740,7 @@ def compiled_many(roots: Iterable[Expr]) -> Callable[[Binding], list[float]]:
             if end > pos:
                 break
             if not math.isfinite(values[k]):
-                raise EvaluationError("overflow to non-finite value", binding)
+                raise EvaluationError("overflow to non-finite value", dict(zip(names, row)))
         if error is None:
             return out
         raise error
@@ -728,14 +751,14 @@ def compiled_many(roots: Iterable[Expr]) -> Callable[[Binding], list[float]]:
 def evaluate(e: Expr, binding: Binding) -> float:
     """The value of ``e`` at ``binding``: one run of the point driver, with
     its errors.  An intermediate that overflowed is no error by itself."""
-    return compiled_many((e,))(binding)[0]
+    return compiled_many((e,), binding)(tuple(binding.values()))[0]
 
 
-def compiled(e: Expr) -> Callable[[Binding], float]:
-    """:func:`evaluate` of ``e`` with its program built once, for
-    callers that evaluate one expression at many points."""
-    run = compiled_many((e,))
-    return lambda binding: run(binding)[0]
+def compiled(e: Expr, names: Iterable[str]) -> Callable[[Sequence[float]], float]:
+    """:func:`evaluate` of ``e`` at rows over ``names``, with its program
+    built once, for callers that evaluate one expression at many points."""
+    run = compiled_many((e,), names)
+    return lambda row: run(row)[0]
 
 
 class _Columns:
@@ -812,9 +835,9 @@ def _column_values(roots: tuple[Expr, ...], names: tuple[str, ...], group: _Colu
         values = [_walk(root, _column_rule, group.values, group) for root in roots]
     values = [v if v.ndim else np.full(len(group.columns), v) for v in values]
     if not group.marked.isdisjoint(roots) or not all(np.isfinite(v).all() for v in values):
-        run = compiled_many(roots)
+        run = compiled_many(roots, names)
         for row in group.columns.tolist():
-            run(dict(zip(names, row)))
+            run(row)
     return values
 
 
@@ -843,12 +866,13 @@ DIFFERENCE_STEP = 1e-6
 
 def central_difference(e: Expr, name: str, point: Binding) -> float:
     """Finite-difference oracle for :func:`differentiate`."""
-    fn = compiled(e)
-    hi = dict(point)
-    lo = dict(point)
+    fn = compiled(e, point)
     x = float(point[name])
-    hi[name] = x + DIFFERENCE_STEP
-    lo[name] = x - DIFFERENCE_STEP
+    j = tuple(point).index(name)
+    hi = list(point.values())
+    lo = list(point.values())
+    hi[j] = x + DIFFERENCE_STEP
+    lo[j] = x - DIFFERENCE_STEP
     return (fn(hi) - fn(lo)) / (2.0 * DIFFERENCE_STEP)
 
 

@@ -93,8 +93,6 @@ class FiberFunction:
         self.expr = expression
         self.base_vars = bundle.algebroid.base_m.variables
         self.fiber_vars = bundle.fiber_variables
-        # The names of a binding, as binding() orders them.
-        self._names = self.base_vars + self.fiber_vars
         r = bundle.rank
         self.rank = r
         self.grad = tuple(differentiate(expression, v) for v in self.fiber_vars)
@@ -116,25 +114,46 @@ class FiberFunction:
             )
             for a in range(r)
         )
-        self._fn = compiled(expression)
-        self._hess_fn = compiled_many(e for row in self.hessian for e in row)
-        # Entry J[row, col] of the Newton Jacobian is H[col][row] plus
+        # The roots of the Hessian and Newton programs.  Entry J[row, col]
+        # of the Newton Jacobian is H[col][row] plus
         # sum_a fiber[a] * dH[a][row][col]: its r + 1 terms in turn.
-        self._newton_fn = compiled_many(
-            e for row in range(r) for col in range(r)
-            for e in (self.hessian[col][row], *(self.hessian_fiber_d[a][row][col] for a in range(r)))
+        self._roots = (
+            tuple(e for row in self.hessian for e in row),
+            tuple(
+                e for row in range(r) for col in range(r)
+                for e in (self.hessian[col][row], *(self.hessian_fiber_d[a][row][col] for a in range(r)))
+            ),
         )
+        names = self.base_vars + self.fiber_vars
+        self._fn = compiled(expression, names)
+        self._hess_fn, self._newton_fn = (compiled_many(roots, names) for roots in self._roots)
 
-    def binding(self, x: Sequence[float], fiber: Sequence[float]) -> dict[str, float]:
-        out = dict(zip(self.base_vars, map(float, x)))
-        out.update(zip(self.fiber_vars, map(float, fiber)))
-        return out
+    def _programs(self, n_base: int, n_fiber: int) -> tuple:
+        """The value, Hessian and Newton programs for rows of ``n_base``
+        base values, then ``n_fiber`` fiber values, neither more than its
+        block holds.  A short block leaves the names past its end
+        unbound, so the programs for it are built anew, over the names it
+        reaches."""
+        if n_base == len(self.base_vars) and n_fiber == self.rank:
+            return self._fn, self._hess_fn, self._newton_fn
+        names = self.base_vars[:n_base] + self.fiber_vars[:n_fiber]
+        return (compiled(self.expr, names), *(compiled_many(roots, names) for roots in self._roots))
+
+    def _row(self, x: Sequence[float], fiber: Sequence[float]) -> tuple[list[float], tuple]:
+        """The row of the point (x, fiber), its base values, then its fiber
+        values, as floats, and the programs to run on it.  Values past
+        the base or the fiber are dropped."""
+        x = list(map(float, x[: len(self.base_vars)]))
+        fiber = list(map(float, fiber[: self.rank]))
+        return x + fiber, self._programs(len(x), len(fiber))
 
     def value(self, x: Sequence[float], fiber: Sequence[float]) -> float:
-        return self._fn(self.binding(x, fiber))
+        row, (fn, _, _) = self._row(x, fiber)
+        return fn(row)
 
     def hessian_at(self, x: Sequence[float], fiber: Sequence[float]) -> np.ndarray:
-        return np.array(self._hess_fn(self.binding(x, fiber))).reshape(self.rank, self.rank)
+        row, (_, hessian, _) = self._row(x, fiber)
+        return np.array(hessian(row)).reshape(self.rank, self.rank)
 
     def fiber_hessian(self, x: Sequence[float], fiber: Sequence[float]) -> HessianResult:
         """Fiber Hessian with inverse and a determinant-based regularity
@@ -271,6 +290,36 @@ def _lu_solve(lu: list[list[float]], swaps: list[int], b: Sequence[float]) -> li
     return x
 
 
+def _valued(
+    hessian, newton, x: list[float], vec: list[float], target: list[float], r: int
+) -> tuple[list[float] | None, list[float]]:
+    """The Newton program's values at the fiber point ``vec`` over ``x``
+    and the residual sum_a vec[a] * H[a][c] - target[c] read from their
+    Hessian entries.  Where the Newton program raises, its values are
+    None, and the Hessian program alone values the residual, or raises."""
+    row = x + vec
+    try:
+        h = newton(row)
+    except EvaluationError:
+        h = None
+    if h is None:
+        values, h, a_step, c_step = None, hessian(row), r, 1
+    else:
+        # The first term of Newton entry J[c, a] is H[a][c].
+        values, a_step, c_step = h, r + 1, r * (r + 1)
+    # Entry a*a_step + c*c_step of h is H[a][c]; each sum runs as sum()
+    # runs it, from int 0.
+    res = []
+    for c in range(r):
+        acc = 0
+        k = c * c_step
+        for a in range(r):
+            acc += vec[a] * h[k]
+            k += a_step
+        res.append(acc - target[c])
+    return values, res
+
+
 def _solve_fiber_system(
     f: FiberFunction,
     x: Sequence[float],
@@ -285,61 +334,34 @@ def _solve_fiber_system(
     test and the step.  One run of the Newton program values each point
     visited: its Hessian entries give the residual there, and its values
     the Jacobian once the point is accepted."""
-    m = len(f.base_vars)
-    x = list(map(float, x[:m]))
+    x = list(map(float, x[: len(f.base_vars)]))
     target = list(map(float, target))
     threshold = NEWTON_TOL * (1.0 + _max_abs(target))
     r = f.rank
-    # binding()'s names; a short x binds only the base names it reaches.
-    names = f._names if len(x) == m else f.base_vars[: len(x)] + f.fiber_vars
-
-    def residual(vec: list[float], h: list[float], a_step: int, c_step: int) -> list[float]:
-        # Entry a*a_step + c*c_step of h is H[a][c]; each sum runs as
-        # sum() runs it, from int 0.
-        res = []
-        for c in range(r):
-            acc = 0
-            k = c * c_step
-            for a in range(r):
-                acc += vec[a] * h[k]
-                k += a_step
-            res.append(acc - target[c])
-        return res
-
-    def valued(vec: list[float]) -> tuple[dict[str, float], list[float] | None, list[float]]:
-        """The binding at ``vec``, the Newton program's values there and
-        the residual read from their Hessian entries.  Where the Newton
-        program raises, its values are None, and the Hessian program
-        alone values the residual, or raises."""
-        b = dict(zip(names, x + vec))
-        try:
-            values = f._newton_fn(b)
-        except EvaluationError:
-            values = None
-        if values is None:
-            return b, None, residual(vec, f._hess_fn(b), r, 1)
-        # The first term of Newton entry J[c, a] is H[a][c].
-        return b, values, residual(vec, values, r + 1, r * (r + 1))
+    # Each point's row is x, then the fiber point; the programs read no
+    # value past the rank.
+    _, hessian, newton = f._programs(len(x), min(len(target), r))
 
     fiber = target
-    b, values, res = valued(fiber)
-    if not math.isfinite(_max_abs(res)):
+    values, res = _valued(hessian, newton, x, fiber, target, r)
+    norm = _max_abs(res)
+    if not math.isfinite(norm):
         # No halved step lowers a residual that overflows: start instead
         # from the target solved with the Hessian at the start.
-        h = f._hess_fn(b)
+        h = hessian(x + fiber)
         det, lu, swaps = _lu_factor([[h[a * r + c] for a in range(r)] for c in range(r)])
         if math.isfinite(det) and det != 0.0:
             candidate = _lu_solve(lu, swaps, target)
-            cb, cvalues, cres = valued(candidate)
-            if math.isfinite(_max_abs(cres)):
-                fiber, b, values, res = candidate, cb, cvalues, cres
+            cvalues, cres = _valued(hessian, newton, x, candidate, target, r)
+            cnorm = _max_abs(cres)
+            if math.isfinite(cnorm):
+                fiber, values, res, norm = candidate, cvalues, cres, cnorm
     for iterations in range(1, NEWTON_MAX_ITER + 1):
-        norm = _max_abs(res)
         if norm <= threshold:
             return NewtonResult(np.array(fiber), iterations, norm)
         if values is None:
             # Raises the error that the Newton program raised here.
-            values = f._newton_fn(b)
+            values = newton(x + fiber)
         det, lu, swaps = _lu_factor(f._newton_jacobian(values, fiber))
         if not math.isfinite(det) or abs(det) < 1e-300:
             raise SingularJacobianError(
@@ -349,9 +371,10 @@ def _solve_fiber_system(
         scale = 1.0
         for _ in range(MAX_HALVINGS):
             candidate = [v - scale * s for v, s in zip(fiber, step)]
-            cb, cvalues, cres = valued(candidate)
-            if _max_abs(cres) < norm:
-                fiber, b, values, res = candidate, cb, cvalues, cres
+            cvalues, cres = _valued(hessian, newton, x, candidate, target, r)
+            cnorm = _max_abs(cres)
+            if cnorm < norm:
+                fiber, values, res, norm = candidate, cvalues, cres, cnorm
                 break
             scale *= 0.5
         else:
@@ -367,7 +390,7 @@ def _solve_fiber_system(
         f"no convergence within {NEWTON_MAX_ITER} iterations",
         np.array(fiber),
         NEWTON_MAX_ITER,
-        _max_abs(res),
+        norm,
     )
 
 

@@ -26,10 +26,10 @@ determinant builds to 0 or vanishes at every point of the model's own
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -750,6 +750,19 @@ def _fmt_float(x: float) -> str:
 
 
 def _emit_json(obj) -> str:
+    # Exact types first: a report is mostly floats, strings, dicts and lists.
+    kind = type(obj)
+    if kind is float:
+        return _fmt_float(obj)
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is dict:
+        inner = ",".join(f"{encode_basestring_ascii(str(k))}:{_emit_json(v)}" for k, v in obj.items())
+        return "{" + inner + "}"
+    if kind is list or kind is tuple:
+        return "[" + ",".join(map(_emit_json, obj)) + "]"
+    # None, booleans, ints, subclasses such as np.float64, and objects
+    # that give their JSON form.
     if obj is None:
         return "null"
     if obj is True:
@@ -757,16 +770,15 @@ def _emit_json(obj) -> str:
     if obj is False:
         return "false"
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return encode_basestring_ascii(obj)
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
         return _fmt_float(obj)
     if isinstance(obj, dict):
-        inner = ",".join(f"{_emit_json(str(k))}:{_emit_json(v)}" for k, v in obj.items())
-        return "{" + inner + "}"
+        return _emit_json(dict(obj.items()))
     if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(_emit_json(v) for v in obj) + "]"
+        return _emit_json(list(obj))
     if hasattr(obj, "to_jsonable"):
         return _emit_json(obj.to_jsonable())
     raise TypeError(f"cannot serialize {obj!r}")

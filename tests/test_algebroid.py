@@ -238,3 +238,28 @@ def test_random_polynomial_uses_declared_variables():
     from algebroids import free_variables
 
     assert free_variables(poly) <= {"k1", "k2"}
+
+
+def reference_random_polynomial(variables, rng, degree=2):
+    """random_polynomial with every coefficient drawn by ``rng.uniform(-1, 1)``,
+    one at a time."""
+    import itertools
+
+    terms = [add(round(float(rng.uniform(-1, 1)), 3))]
+    for v in variables:
+        terms.append(mul(round(float(rng.uniform(-1, 1)), 3), var(v)))
+    if degree >= 2:
+        for u, v in itertools.combinations_with_replacement(variables, 2):
+            if rng.random() < 0.5:
+                terms.append(mul(round(float(rng.uniform(-1, 1)), 3), var(u), var(v)))
+    return add(*terms)
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("variables", [(), ("k1",), ("x1", "x2", "y1", "y2")], ids=["none", "one", "four"])
+def test_random_polynomial_matches_uniform_draws(variables, degree):
+    # The same polynomial, and the generator left in the same state.
+    for seed in range(100):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert random_polynomial(variables, rng, degree) is reference_random_polynomial(variables, ref, degree)
+        assert rng.random() == ref.random()

@@ -702,7 +702,7 @@ assert E.evaluate(e, {"x1": 0.3}) == value
 d = E.differentiate(e, "x1")
 assert isinstance(d, E.Prod) and len(d.factors) == depth
 assert abs(E.evaluate(d, {"x1": 0.3}) - E.central_difference(e, "x1", {"x1": 0.3})) < 1e-6
-slope = E.compiled(d)({"x1": 0.3})
+slope = E.compiled(d, ("x1",))([0.3])
 assert slope == E.evaluate(d, {"x1": 0.3}) == E.evaluate_columns((d,), ("x1",), np.array([[0.3]]))[0][0]
 
 text = E.to_string(e)
@@ -759,18 +759,27 @@ class TestEvaluate:
         b = binding_for(tree)
         names = tuple(b)
         want = outcome(E.evaluate, tree, b)
-        assert outcome(E.compiled(tree), b) == want
+        assert outcome(E.compiled(tree, names), [b[n] for n in names]) == want
         column = outcome(E.evaluate_columns, (tree,), names, np.array([[b[n] for n in names]]))
         assert column == want if isinstance(want, tuple) else column[0].tolist() == [want]
 
     def test_overflowed_intermediate_is_no_error(self):
         e = E.parse("1/(x1*x1)")
-        assert E.evaluate(e, {"x1": 1e200}) == E.compiled(e)({"x1": 1e200}) == 0.0
+        assert E.evaluate(e, {"x1": 1e200}) == E.compiled(e, ("x1",))([1e200]) == 0.0
 
-    @pytest.mark.parametrize("text, x", [("log(x1)", -1.0), ("x1^0.5", -1.0), ("x1^(-1)", 0.0)])
+    @pytest.mark.parametrize(
+        "text, x",
+        [("log(x1)", -1.0), ("x1^0.5", -1.0), ("x1^(-1)", 0.0), ("x1 + x2", 0.5), ("sqrt(x1 - 1)", 0.5)],
+    )
     def test_domain_errors_share_one_message(self, text, x):
-        with pytest.raises(E.EvaluationError, match="^domain error: math domain error at point"):
-            E.evaluate(E.parse(text), {"x1": x})
+        e = E.parse(text)
+        with pytest.raises(E.EvaluationError) as err:
+            E.evaluate(e, {"x1": x})
+        kind = "unbound variable 'x2'" if "x2" in text else "domain error: math domain error"
+        assert str(err.value) == f"{kind} at point {{'x1': {x!r}}}"
+        # A row over more names gives the same error at the point it binds.
+        got = outcome(E.compiled(e, ("x1", "k1")), [x, 2.5])
+        assert got == (type(err.value), f"{kind} at point {{'x1': {x!r}, 'k1': 2.5}}", {"x1": x, "k1": 2.5})
 
     @given(trees(), trees(), st.floats(-2, 2, allow_nan=False))
     @settings(max_examples=100)
@@ -778,11 +787,11 @@ class TestEvaluate:
         roots = (e1, E.exp(E.mul(200, e2)), e1, E.log(E.add(e2, shift)))
         b = {name: 0.3 - 0.4 * i for i, name in enumerate(VARS)}
         want = outcome(lambda: [E.evaluate(root, b) for root in roots])
-        assert outcome(E.compiled_many(roots), b) == want
+        assert outcome(E.compiled_many(roots, b), list(b.values())) == want
 
     def test_finite_roots_whose_sum_overflows(self):
         e = E.parse("x1*1e308")
-        assert E.compiled_many((e, e))({"x1": 1.5}) == [1.5e308, 1.5e308]
+        assert E.compiled_many((e, e), ("x1",))([1.5]) == [1.5e308, 1.5e308]
 
 
 class TestDifferentiate:
@@ -1050,16 +1059,17 @@ def reference_floor_sample(sampler, names, floor_names, floor):
 def compiled_loop(roots, names, sampler):
     """Reference for the column evaluator: every root compiled, called
     point by point, root after root."""
-    fns = [E.compiled(root) for root in roots]
-    return [[fn(point) for fn in fns] for point in sampler.sample(names)]
+    fns = [E.compiled(root, names) for root in roots]
+    return [[fn(row) for fn in fns] for row in sampler.columns(names).tolist()]
 
 
 def reference_max_residual(e1, e2, sampler):
     names = sorted(E.free_variables(e1) | E.free_variables(e2))
-    f1, f2 = E.compiled(e1), E.compiled(e2)
+    f1, f2 = E.compiled(e1, names), E.compiled(e2, names)
     worst, witness = 0.0, None
     for point in sampler.sample(names):
-        gap = E.relative_gap(f1(point), f2(point))
+        row = list(point.values())
+        gap = E.relative_gap(f1(row), f2(row))
         if gap > worst:
             worst, witness = gap, point
     return worst, witness
@@ -1119,7 +1129,7 @@ class TestColumnEvaluator:
         roots = (E.log(x), E.mul(1e300, x, x))
         if swap:
             roots = roots[::-1]
-        want = outcome(lambda: [[E.compiled(r)({"x1": v}) for r in roots] for v in xs])
+        want = outcome(lambda: [[E.compiled(r, ("x1",))([v]) for r in roots] for v in xs])
         assert want[2] == {"x1": xs[1]}
         got = outcome(E.evaluate_columns, roots, ("x1",), np.array([[v] for v in xs]))
         assert got == want
@@ -1172,10 +1182,10 @@ class TestColumnEvaluator:
         roots = [seeded_tree(rng, 5, "c") for _ in range(4)] + [E.const(rng.randrange(-9, 10))]
         names = tuple(f"c{i}" for i in range(6))
         columns = E.Sampler(points=12, seed=seed % 997).columns(names)
-        run = E.compiled_many(roots)
+        run = E.compiled_many(roots, names)
 
         def per_row():
-            return [run(dict(zip(names, row))) for row in columns.tolist()]
+            return [run(row) for row in columns.tolist()]
 
         want = outcome(per_row)
         got = outcome(E.evaluate_columns, roots, names, columns)
@@ -1217,9 +1227,9 @@ class TestColumnEvaluator:
         sampler = E.Sampler(points=25, seed=seed, lo=-2, hi=2)
         names = sorted(E.free_variables(e1) | E.free_variables(e2))
         points = sampler.sample(names)
-        f1, f2 = E.compiled(e1), E.compiled(e2)
+        f1, f2 = E.compiled(e1, names), E.compiled(e2, names)
         try:
-            gaps = [E.relative_gap(f1(point), f2(point)) for point in points]
+            gaps = [E.relative_gap(f1(list(point.values())), f2(list(point.values()))) for point in points]
         except E.EvaluationError:
             return
         worst, index = E.worst_gap(gaps)

@@ -27,7 +27,7 @@ from algebroids import (
     var,
 )
 from algebroids import legendre
-from algebroids.expr import worst_gap
+from algebroids.expr import compiled_many, worst_gap
 from algebroids.legendre import (
     CHOLESKY_PIVOT_TOL,
     FIBER_FLOOR,
@@ -38,6 +38,20 @@ from algebroids.legendre import (
 )
 
 MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
+
+
+def binding(f, x, fiber):
+    """The point (x, fiber) of ``f`` by name: base names, then fiber
+    names, each block bound as far as its values reach."""
+    out = dict(zip(f.base_vars, map(float, x)))
+    out.update(zip(f.fiber_vars, map(float, fiber)))
+    return out
+
+
+def by_name(roots, b):
+    """The point driver's values of ``roots`` at the binding ``b``, from a
+    program built over the names that ``b`` binds."""
+    return compiled_many(roots, b)(list(b.values()))
 CUBE_ROOT_4_OVER_3 = 1.1006424163623729  # real root of 3 y^3 = 4
 CUBE_ROOT_4 = 1.5874010519681994
 
@@ -109,7 +123,7 @@ class TestFiberMaps:
         E, _ = spaces
         lag = Lagrangian(E, parse("1/2*(y1^2 + y2^2)"))
         x, y = (0.5, -0.2), (1.2, 0.7)
-        assert phi_l(lag, x, y) == pytest.approx([evaluate(g, lag.binding(x, y)) for g in lag.grad])
+        assert phi_l(lag, x, y) == pytest.approx([evaluate(g, binding(lag, x, y)) for g in lag.grad])
 
 
 class TestFiberSolve:
@@ -347,12 +361,12 @@ def reference_solve(f, x, target):
     r = f.rank
 
     def residual(vec):
-        h = f._hess_fn(f.binding(x, vec))
+        h = by_name(f._roots[0], binding(f, x, vec))
         return [sum(vec[a] * h[a * r + c] for a in range(r)) - target[c] for c in range(r)]
 
     res = residual(fiber)
     if not math.isfinite(_max_abs(res)):
-        h = f._hess_fn(f.binding(x, fiber))
+        h = by_name(f._roots[0], binding(f, x, fiber))
         det, lu, swaps = _lu_factor([[h[a * r + c] for a in range(r)] for c in range(r)])
         if math.isfinite(det) and det != 0.0:
             candidate = _lu_solve(lu, swaps, target)
@@ -363,7 +377,7 @@ def reference_solve(f, x, target):
         norm = _max_abs(res)
         if norm <= threshold:
             return legendre.NewtonResult(np.array(fiber), iterations, norm)
-        det, lu, swaps = _lu_factor(f._newton_jacobian(f._newton_fn(f.binding(x, fiber)), fiber))
+        det, lu, swaps = _lu_factor(f._newton_jacobian(by_name(f._roots[1], binding(f, x, fiber)), fiber))
         if not math.isfinite(det) or abs(det) < 1e-300:
             raise SingularJacobianError("singular Newton Jacobian in fiber solve", np.array(fiber), iterations)
         step = _lu_solve(lu, swaps, res)
@@ -507,7 +521,7 @@ class TestReferenceSolver:
             self.assert_same(lag, (0.0,), (target,))
 
     def test_base_point_of_another_length(self, spaces):
-        # As binding() does, extra base values are dropped and a short
+        # As a binding by name does, extra base values are dropped and a short
         # base point leaves the names it does not reach unbound.
         E, _ = spaces
         lag = Lagrangian(E, parse("1/4*(y1^4 + y2^4) + x2*y1^2"))
@@ -520,9 +534,9 @@ def counted(monkeypatch, f, name):
     runs = []
     program = getattr(f, name)
 
-    def run(binding):
-        runs.append(binding)
-        return program(binding)
+    def run(row):
+        runs.append(row)
+        return program(row)
 
     monkeypatch.setattr(f, name, run)
     return runs
@@ -545,7 +559,7 @@ class TestProgramRuns:
         # where the Hessian is 2.
         lag = Lagrangian(line, parse("y1^2 + y1^2.5"))
         with pytest.raises(EvaluationError):
-            lag._newton_fn(lag.binding((0.0,), (0.0,)))
+            lag._newton_fn([0.0, 0.0])
         hessian = counted(monkeypatch, lag, "_hess_fn")
         out = solve_fiber(lag, (0.0,), (0.0,))
         assert (out.solution.tolist(), out.iterations, out.residual) == ([0.0], 1, 0.0)
@@ -752,10 +766,10 @@ def reference_round_trip(L, H, sampler, tol=1e-8):
         for x, v in reference_points(f, sampler):
             w = phi_l(f, x, v)
             back = phi_l(g, x, w)
-            back_pairs.append((float(np.abs(back - v).max()) / (1.0 + float(np.abs(v).max())), f.binding(x, v)))
+            back_pairs.append((float(np.abs(back - v).max()) / (1.0 + float(np.abs(v).max())), binding(f, x, v)))
             hess = f.fiber_hessian(x, v)
             if hess.regular:
-                hessian_pairs.append((float(np.abs(hess.inverse - g.hessian_at(x, w)).max()), f.binding(x, v)))
+                hessian_pairs.append((float(np.abs(hess.inverse - g.hessian_at(x, w)).max()), binding(f, x, v)))
         return back_pairs, hessian_pairs
 
     ll, lt = direction(L, H)
@@ -777,9 +791,9 @@ def reference_homogeneity(f, sampler, degree=2.0, tol=1e-8):
     pd = regular = True
     for x, fiber in reference_points(f, sampler):
         value = f.value(x, fiber)
-        gradient = np.array([evaluate(g, f.binding(x, fiber)) for g in f.grad])
+        gradient = np.array([evaluate(g, binding(f, x, fiber)) for g in f.grad])
         euler = float(fiber @ gradient) - degree * value
-        pairs.append((abs(euler) / (1.0 + abs(degree * value)), f.binding(x, fiber)))
+        pairs.append((abs(euler) / (1.0 + abs(degree * value)), binding(f, x, fiber)))
         hess = f.fiber_hessian(x, fiber)
         regular = regular and hess.regular
         pd = pd and is_positive_definite(hess.matrix)
@@ -877,7 +891,7 @@ def test_programs_equal_per_entry_evaluate(name):
         for point in Sampler(points=15, seed=2).sample(f.base_vars + f.fiber_vars):
             x = [point[v] for v in f.base_vars]
             fiber = np.array([point[v] for v in f.fiber_vars])
-            b = f.binding(x, fiber)
+            b = binding(f, x, fiber)
             want = [[evaluate(f.hessian[a][c], b).hex() for c in range(r)] for a in range(r)]
             assert [[v.hex() for v in row] for row in f.hessian_at(x, fiber).tolist()] == want
             want = []
@@ -887,9 +901,34 @@ def test_programs_equal_per_entry_evaluate(name):
                     for a in range(r):
                         acc += fiber[a] * evaluate(f.hessian_fiber_d[a][row][col], b)
                     want.append(float(acc).hex())
-            values = f._newton_fn(b)
+            values = f._newton_fn([*x, *fiber])
             assert [v.hex() for row in f._newton_jacobian(values, fiber.tolist()) for v in row] == want
             # The solver reads H[a][c] from entry (c*r + a)*(r + 1).
             hessian = [[values[(c * r + a) * (r + 1)].hex() for c in range(r)] for a in range(r)]
             assert hessian == [[v.hex() for v in row] for row in f.hessian_at(x, fiber).tolist()]
             assert f.value(x, fiber) == evaluate(f.expr, b)
+
+
+def test_points_of_another_length_read_as_bindings(spaces):
+    """value and hessian_at drop values past the base or the fiber, and a
+    short base point or fiber leaves the names it does not reach unbound,
+    as evaluating by name at the binding does."""
+    E, _ = spaces
+    lag = Lagrangian(E, parse("1/4*(y1^4 + y2^4) + x2*y1^2"))
+
+    def outcome(fn, *args):
+        try:
+            return fn(*args)
+        except EvaluationError as err:
+            return type(err), str(err), err.point
+
+    points = (((0.5, 0.25, 9.0), (1.0, 2.0, 7.0)), ((0.5,), (1.0, 2.0)), ((0.5, 0.25), (1.0,)), ((), ()))
+    for x, fiber in points:
+        b = binding(lag, x, fiber)
+        assert outcome(lag.value, x, fiber) == outcome(lambda: by_name((lag.expr,), b)[0])
+        want = outcome(lambda: np.array(by_name(lag._roots[0], b)).reshape(2, 2).tolist())
+        assert outcome(lambda: lag.hessian_at(x, fiber).tolist()) == want
+    assert outcome(lag.value, (0.5,), (1.0, 2.0))[:2] == (
+        UnboundVariableError,
+        "unbound variable 'x2' at point {'x1': 0.5, 'y1': 1.0, 'y2': 2.0}",
+    )

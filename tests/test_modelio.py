@@ -366,8 +366,12 @@ class TestReportEmission:
         assert json.loads(emit_report([], {"section": text})) == {"checks": [], "section": text}
 
     def test_valid_json_round_trip(self):
-        payload = emit_report([], {"nested": {"a": [1, 2.5, None, True, "s"]}})
-        assert json.loads(payload) == {"checks": [], "nested": {"a": [1, 2.5, None, True, "s"]}}
+        class Key(str):
+            pass
+
+        payload = emit_report([], {"nested": {"a": [1, 2.5, None, True, "s"], Key("k"): np.float64(0.1)}})
+        assert payload == '{"checks":[],"nested":{"a":[1,2.5,null,true,"s"],"k":0.10000000000000001}}'
+        assert json.loads(payload) == {"checks": [], "nested": {"a": [1, 2.5, None, True, "s"], "k": 0.1}}
 
 
 class TestMorphismKeyOrientation:
