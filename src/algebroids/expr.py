@@ -677,9 +677,10 @@ def compiled_many(roots: Iterable[Expr], names: Iterable[str]) -> Callable[[Sequ
     names = tuple(names)
     index = {name: j for j, name in enumerate(names)}
     code, ends, outs = _tape(tuple(roots))
-    # The roots' values after a run; itemgetter needs two positions to give
-    # a tuple.
-    gather = operator.itemgetter(*outs) if len(outs) > 1 else lambda values: [values[k] for k in outs]
+    # The roots' values after a run; itemgetter gives a tuple only for two
+    # or more positions.
+    many = len(outs) > 1
+    gather = operator.itemgetter(*outs) if many else None
     # Constants are finite, so roots that are all constants need no test.
     finite = all(code[k][0] is Const for k in outs)
     # Constants are placed once; a run computes the other nodes.
@@ -728,7 +729,7 @@ def compiled_many(roots: Iterable[Expr], names: Iterable[str]) -> Callable[[Sequ
         except (ValueError, ZeroDivisionError, OverflowError) as err:
             error = EvaluationError(f"domain error: {err}", dict(zip(names, row)))
         else:
-            out = list(gather(values))
+            out = list(gather(values)) if many else [values[k] for k in outs]
             # A sum of finite values is finite unless it overflows, and
             # then the root-by-root test below decides.
             if finite or math.isfinite(sum(out)):

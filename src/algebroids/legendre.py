@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -128,31 +128,35 @@ class FiberFunction:
         self._fn = compiled(expression, names)
         self._hess_fn, self._newton_fn = (compiled_many(roots, names) for roots in self._roots)
 
-    def _programs(self, n_base: int, n_fiber: int) -> tuple:
-        """The value, Hessian and Newton programs for rows of ``n_base``
-        base values, then ``n_fiber`` fiber values, neither more than its
+    def _programs(self, n_base: int, n_fiber: int, start: int, stop: int) -> Sequence[Callable]:
+        """The programs ``start`` to ``stop`` (exclusive) of the value, the
+        Hessian and the Newton program, for rows of ``n_base`` base
+        values, then ``n_fiber`` fiber values, neither more than its
         block holds.  A short block leaves the names past its end
         unbound, so the programs for it are built anew, over the names it
         reaches."""
         if n_base == len(self.base_vars) and n_fiber == self.rank:
-            return self._fn, self._hess_fn, self._newton_fn
+            return (self._fn, self._hess_fn, self._newton_fn)[start:stop]
         names = self.base_vars[:n_base] + self.fiber_vars[:n_fiber]
-        return (compiled(self.expr, names), *(compiled_many(roots, names) for roots in self._roots))
+        return [
+            compiled_many(self._roots[k - 1], names) if k else compiled(self.expr, names)
+            for k in range(start, stop)
+        ]
 
-    def _row(self, x: Sequence[float], fiber: Sequence[float]) -> tuple[list[float], tuple]:
+    def _row(self, x: Sequence[float], fiber: Sequence[float], kind: int) -> tuple[list[float], Callable]:
         """The row of the point (x, fiber), its base values, then its fiber
-        values, as floats, and the programs to run on it.  Values past
-        the base or the fiber are dropped."""
+        values, as floats, and program ``kind`` of :meth:`_programs` to
+        run on it.  Values past the base or the fiber are dropped."""
         x = list(map(float, x[: len(self.base_vars)]))
         fiber = list(map(float, fiber[: self.rank]))
-        return x + fiber, self._programs(len(x), len(fiber))
+        return x + fiber, self._programs(len(x), len(fiber), kind, kind + 1)[0]
 
     def value(self, x: Sequence[float], fiber: Sequence[float]) -> float:
-        row, (fn, _, _) = self._row(x, fiber)
+        row, fn = self._row(x, fiber, 0)
         return fn(row)
 
     def hessian_at(self, x: Sequence[float], fiber: Sequence[float]) -> np.ndarray:
-        row, (_, hessian, _) = self._row(x, fiber)
+        row, hessian = self._row(x, fiber, 1)
         return np.array(hessian(row)).reshape(self.rank, self.rank)
 
     def fiber_hessian(self, x: Sequence[float], fiber: Sequence[float]) -> HessianResult:
@@ -340,7 +344,7 @@ def _solve_fiber_system(
     r = f.rank
     # Each point's row is x, then the fiber point; the programs read no
     # value past the rank.
-    _, hessian, newton = f._programs(len(x), min(len(target), r))
+    hessian, newton = f._programs(len(x), min(len(target), r), 1, 3)
 
     fiber = target
     values, res = _valued(hessian, newton, x, fiber, target, r)

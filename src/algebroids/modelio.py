@@ -750,35 +750,25 @@ def _fmt_float(x: float) -> str:
 
 
 def _emit_json(obj) -> str:
-    # Exact types first: a report is mostly floats, strings, dicts and lists.
-    kind = type(obj)
-    if kind is float:
+    # A report is mostly floats, strings, dicts and lists, so they are
+    # tested first; np.float64 is a float.
+    if isinstance(obj, float):
         return _fmt_float(obj)
-    if kind is str:
+    if isinstance(obj, str):
         return encode_basestring_ascii(obj)
-    if kind is dict:
+    if isinstance(obj, dict):
         inner = ",".join(f"{encode_basestring_ascii(str(k))}:{_emit_json(v)}" for k, v in obj.items())
         return "{" + inner + "}"
-    if kind is list or kind is tuple:
+    if isinstance(obj, (list, tuple)):
         return "[" + ",".join(map(_emit_json, obj)) + "]"
-    # None, booleans, ints, subclasses such as np.float64, and objects
-    # that give their JSON form.
     if obj is None:
         return "null"
     if obj is True:
         return "true"
     if obj is False:
         return "false"
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
     if isinstance(obj, int):
         return str(obj)
-    if isinstance(obj, float):
-        return _fmt_float(obj)
-    if isinstance(obj, dict):
-        return _emit_json(dict(obj.items()))
-    if isinstance(obj, (list, tuple)):
-        return _emit_json(list(obj))
     if hasattr(obj, "to_jsonable"):
         return _emit_json(obj.to_jsonable())
     raise TypeError(f"cannot serialize {obj!r}")

@@ -932,3 +932,33 @@ def test_points_of_another_length_read_as_bindings(spaces):
         UnboundVariableError,
         "unbound variable 'x2' at point {'x1': 0.5, 'y1': 1.0, 'y2': 2.0}",
     )
+
+
+def test_short_point_builds_only_the_programs_run(spaces, monkeypatch):
+    """At a short base point, value builds the value program alone,
+    hessian_at the Hessian program alone, and the fiber solve the Hessian
+    and Newton programs."""
+    E, _ = spaces
+    lag = Lagrangian(E, parse("1/4*(y1^4 + y2^4) + x1^2*y1^2"))
+    built = []
+    for name in ("compiled", "compiled_many"):
+
+        def counted_build(roots, names, build=getattr(legendre, name), name=name):
+            built.append(name)
+            return build(roots, names)
+
+        monkeypatch.setattr(legendre, name, counted_build)
+    x, fiber = (0.5,), (1.0, 2.0)
+    lag.value(x, fiber)
+    assert built == ["compiled"]
+    built.clear()
+    lag.hessian_at(x, fiber)
+    assert built == ["compiled_many"]
+    built.clear()
+    solve_fiber(lag, x, fiber)
+    assert built == ["compiled_many", "compiled_many"]
+    built.clear()
+    lag.value((0.5, 0.25), fiber)
+    lag.hessian_at((0.5, 0.25), fiber)
+    solve_fiber(lag, (0.5, 0.25), fiber)
+    assert built == []
