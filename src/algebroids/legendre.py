@@ -61,11 +61,16 @@ class NewtonConvergenceError(RuntimeError):
         self.residual = residual
 
 
-@dataclass(frozen=True)
 class NewtonResult:
-    solution: np.ndarray
-    iterations: int
-    residual: float
+    """A converged fiber solve: the fiber point, the sweeps it took and
+    its max-norm residual."""
+
+    __slots__ = ("solution", "iterations", "residual")
+
+    def __init__(self, solution: np.ndarray, iterations: int, residual: float):
+        self.solution = solution
+        self.iterations = iterations
+        self.residual = residual
 
 
 @dataclass(frozen=True)
@@ -167,22 +172,6 @@ class FiberFunction:
             return HessianResult(matrix, None, False)
         return HessianResult(matrix, np.linalg.inv(matrix), True)
 
-    def _newton_jacobian(self, values: list[float], fiber: list[float]) -> list[list[float]]:
-        """The Newton Jacobian at ``fiber`` from the Newton program's
-        ``values`` there."""
-        r = self.rank
-        terms = iter(values)
-        J = []
-        for row in range(r):
-            cells = []
-            for col in range(r):
-                acc = next(terms)
-                for a in range(r):
-                    acc += fiber[a] * next(terms)
-                cells.append(acc)
-            J.append(cells)
-        return J
-
 
 class Lagrangian(FiberFunction):
     """Fundamental function in base and primal-fiber coordinates."""
@@ -235,19 +224,23 @@ def _max_abs(v: Sequence[float]) -> float:
     return out
 
 
-def _lu_factor(a: list[list[float]]) -> tuple[float, list[list[float]], list[int]]:
-    """LU factorization with partial pivoting of the square matrix ``a``
-    (a list of rows, overwritten): returns its determinant, the rows of
-    L (below the diagonal, unit diagonal implied) and U packed in one
-    matrix, and the row swapped with each row in turn.
+def _lu_solve(a: list[list[float]], b: list[float]) -> tuple[float, list[float] | None]:
+    """The determinant of the square matrix ``a`` (a list of rows) and
+    the solution of a x = b, both overwritten, from one pass of LU
+    factorization with partial pivoting that swaps and eliminates ``b``
+    with the rows, then back substitution.
 
-    The determinant is computed as ``np.linalg.det`` computes it from
-    LAPACK's factorization, sign * exp(sum log|pivot|), so it is 0.0 at
-    a zero pivot and NaN at a NaN or infinite one.  At a zero pivot the
-    factorization stops, and its factors must not be solved with."""
+    The determinant is the product of the pivots, negated at each row
+    swap (Golub & Van Loan, *Matrix Computations*, 4th ed., 3.2): 0.0
+    at a zero pivot, where the solution is None, and not finite at a
+    NaN or infinite pivot.  Up to rank 2 it is the pivots' product
+    rounded once, so a threshold test of it, such as the solver's 1e-300
+    floor, decides as one of ``np.linalg.det``'s sign * exp(sum
+    log|pivot|) does except within rounding of the threshold; from rank
+    3 a partial product can underflow or overflow where the whole does
+    not."""
     n = len(a)
-    swaps = []
-    sign, logdet = 1.0, 0.0
+    det = 1.0
     for k in range(n):
         # The first entry of largest magnitude; a NaN is the pivot only
         # where it stands on the diagonal.
@@ -255,43 +248,51 @@ def _lu_factor(a: list[list[float]]) -> tuple[float, list[list[float]], list[int
         for i in range(k + 1, n):
             if abs(a[i][k]) > best:
                 p, best = i, abs(a[i][k])
-        swaps.append(p)
         if p != k:
             a[k], a[p] = a[p], a[k]
-            sign = -sign
+            b[k], b[p] = b[p], b[k]
+            det = -det
         pivot_row = a[k]
         pivot = pivot_row[k]
         if pivot == 0.0:
-            return 0.0, a, swaps
-        sign *= pivot / abs(pivot)
-        logdet += math.log(abs(pivot))
+            return 0.0, None
+        det *= pivot
+        bk = b[k]
         for i in range(k + 1, n):
             row = a[i]
-            l = row[k] = row[k] / pivot
+            l = row[k] / pivot
             for j in range(k + 1, n):
                 row[j] -= l * pivot_row[j]
-    try:
-        return sign * math.exp(logdet), a, swaps
-    except OverflowError:
-        return sign * math.inf, a, swaps
-
-
-def _lu_solve(lu: list[list[float]], swaps: list[int], b: Sequence[float]) -> list[float]:
-    """Solution of a x = b from :func:`_lu_factor`'s factors of a."""
-    x = list(b)
-    n = len(x)
-    for k, p in enumerate(swaps):
-        x[k], x[p] = x[p], x[k]
-    for i in range(n):
-        row = lu[i]
-        for j in range(i):
-            x[i] -= row[j] * x[j]
+            b[i] -= l * bk
     for i in reversed(range(n)):
-        row = lu[i]
+        row = a[i]
         for j in range(n - 1, i, -1):
-            x[i] -= row[j] * x[j]
-        x[i] /= row[i]
-    return x
+            b[i] -= row[j] * b[j]
+        b[i] /= row[i]
+    return det, b
+
+
+def _newton_step(values: list[float], fiber: list[float], res: list[float]) -> list[float] | None:
+    """The Newton step at ``fiber`` for the residual ``res``, from the
+    Newton program's ``values`` there, or None where the Jacobian is
+    singular: its determinant is not finite or below 1e-300 in
+    magnitude.  Entry J[row, col] is the first of its r + 1 values plus
+    sum_a fiber[a] times the others in turn; fiber values past the rank
+    r = len(res) are not read."""
+    r = len(res)
+    fiber = fiber[:r]
+    terms = iter(values)
+    jacobian = []
+    for _ in range(r):
+        cells = []
+        for _ in range(r):
+            acc = next(terms)
+            for v in fiber:
+                acc += v * next(terms)
+            cells.append(acc)
+        jacobian.append(cells)
+    det, step = _lu_solve(jacobian, list(res))
+    return None if not math.isfinite(det) or abs(det) < 1e-300 else step
 
 
 def _valued(
@@ -334,10 +335,11 @@ def _solve_fiber_system(
     Each iteration takes the longest halved step that lowers the max-norm
     residual, and raises :class:`NewtonConvergenceError` when none does.
     The iteration runs on Python floats, which round as numpy's float64
-    scalars do; one LU factorization per sweep gives both the singular
-    test and the step.  One run of the Newton program values each point
-    visited: its Hessian entries give the residual there, and its values
-    the Jacobian once the point is accepted."""
+    scalars do; one call of :func:`_newton_step` per sweep assembles the
+    Jacobian and gives both the singular test and the step.  One run of
+    the Newton program values each point visited: its Hessian entries
+    give the residual there, and its values the Jacobian once the point
+    is accepted."""
     x = list(map(float, x[: len(f.base_vars)]))
     target = list(map(float, target))
     threshold = NEWTON_TOL * (1.0 + _max_abs(target))
@@ -353,9 +355,8 @@ def _solve_fiber_system(
         # No halved step lowers a residual that overflows: start instead
         # from the target solved with the Hessian at the start.
         h = hessian(x + fiber)
-        det, lu, swaps = _lu_factor([[h[a * r + c] for a in range(r)] for c in range(r)])
+        det, candidate = _lu_solve([[h[a * r + c] for a in range(r)] for c in range(r)], list(target))
         if math.isfinite(det) and det != 0.0:
-            candidate = _lu_solve(lu, swaps, target)
             cvalues, cres = _valued(hessian, newton, x, candidate, target, r)
             cnorm = _max_abs(cres)
             if math.isfinite(cnorm):
@@ -366,12 +367,11 @@ def _solve_fiber_system(
         if values is None:
             # Raises the error that the Newton program raised here.
             values = newton(x + fiber)
-        det, lu, swaps = _lu_factor(f._newton_jacobian(values, fiber))
-        if not math.isfinite(det) or abs(det) < 1e-300:
+        step = _newton_step(values, fiber, res)
+        if step is None:
             raise SingularJacobianError(
                 "singular Newton Jacobian in fiber solve", np.array(fiber), iterations
             )
-        step = _lu_solve(lu, swaps, res)
         scale = 1.0
         for _ in range(MAX_HALVINGS):
             candidate = [v - scale * s for v, s in zip(fiber, step)]

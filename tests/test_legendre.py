@@ -12,6 +12,7 @@ from algebroids import (
     Hamiltonian,
     Lagrangian,
     NewtonConvergenceError,
+    NewtonResult,
     Sampler,
     SingularJacobianError,
     UnboundVariableError,
@@ -32,9 +33,9 @@ from algebroids.legendre import (
     CHOLESKY_PIVOT_TOL,
     FIBER_FLOOR,
     HomogeneityReport,
-    _lu_factor,
     _lu_solve,
     _max_abs,
+    _newton_step,
 )
 
 MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
@@ -208,6 +209,15 @@ class TestFiberSolve:
         out = solve_fiber(Lagrangian(E, parse("1/4*(y1^4 + y2^4)")), (0, 0), (2.5, -1.5))
         assert isinstance(out.solution, np.ndarray) and out.solution.dtype == np.float64
 
+    def test_newton_result_contract(self, spaces):
+        E, _ = spaces
+        out = solve_fiber(Lagrangian(E, parse("1/2*(y1^2 + y2^2)")), (0, 0), (2.5, -1.5))
+        assert type(out) is NewtonResult is legendre.NewtonResult
+        assert (out.solution.tolist(), out.iterations, out.residual) == ([2.5, -1.5], 1, 0.0)
+        assert not hasattr(out, "__dict__")
+        with pytest.raises(AttributeError):
+            out.extra = 1
+
     @given(
         st.lists(st.floats(-2, 2, allow_nan=False), min_size=3, max_size=3),
         st.lists(st.floats(-3, 3, allow_nan=False), min_size=2, max_size=2),
@@ -236,8 +246,99 @@ def numpy_singular(a):
     return not np.isfinite(det) or abs(det) < 1e-300
 
 
+def ref_lu_factor(a):
+    """LU factorization with partial pivoting of the square matrix ``a``
+    (a list of rows, overwritten): its determinant, sign * exp(sum
+    log|pivot|) as ``np.linalg.det`` computes it, the rows of L (below
+    the diagonal, unit diagonal implied) and U packed in one matrix, and
+    the row swapped with each row in turn.  At a zero pivot it stops and
+    gives 0.0; its factors must not be solved with then."""
+    n = len(a)
+    swaps = []
+    sign, logdet = 1.0, 0.0
+    for k in range(n):
+        p, best = k, abs(a[k][k])
+        for i in range(k + 1, n):
+            if abs(a[i][k]) > best:
+                p, best = i, abs(a[i][k])
+        swaps.append(p)
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            sign = -sign
+        pivot_row = a[k]
+        pivot = pivot_row[k]
+        if pivot == 0.0:
+            return 0.0, a, swaps
+        sign *= pivot / abs(pivot)
+        logdet += math.log(abs(pivot))
+        for i in range(k + 1, n):
+            row = a[i]
+            l = row[k] = row[k] / pivot
+            for j in range(k + 1, n):
+                row[j] -= l * pivot_row[j]
+    try:
+        return sign * math.exp(logdet), a, swaps
+    except OverflowError:
+        return sign * math.inf, a, swaps
+
+
+def ref_lu_solve(lu, swaps, b):
+    """Solution of a x = b from :func:`ref_lu_factor`'s factors of a."""
+    x = list(b)
+    n = len(x)
+    for k, p in enumerate(swaps):
+        x[k], x[p] = x[p], x[k]
+    for i in range(n):
+        row = lu[i]
+        for j in range(i):
+            x[i] -= row[j] * x[j]
+    for i in reversed(range(n)):
+        row = lu[i]
+        for j in range(n - 1, i, -1):
+            x[i] -= row[j] * x[j]
+        x[i] /= row[i]
+    return x
+
+
+def ref_newton_jacobian(r, values, fiber):
+    """The rank-``r`` Newton Jacobian at ``fiber`` from the Newton
+    program's ``values`` there: J[row, col] is H[col][row] plus
+    sum_a fiber[a] * dH[a][row][col], its r + 1 values in turn."""
+    terms = iter(values)
+    J = []
+    for row in range(r):
+        cells = []
+        for col in range(r):
+            acc = next(terms)
+            for a in range(r):
+                acc += fiber[a] * next(terms)
+            cells.append(acc)
+        J.append(cells)
+    return J
+
+
+def ref_newton_step(values, fiber, res):
+    """The reference's Newton step, or None at its singular test."""
+    det, lu, swaps = ref_lu_factor(ref_newton_jacobian(len(res), values, fiber))
+    if not math.isfinite(det) or abs(det) < 1e-300:
+        return None
+    return ref_lu_solve(lu, swaps, res)
+
+
+def newton_values(a):
+    """Newton program values whose Jacobian at the zero fiber point is
+    the square matrix ``a``."""
+    return [v for row in a for e in row for v in (e, *[0.0] * len(a))]
+
+
 def lu_singular(a):
-    det, _, _ = _lu_factor(a.tolist())
+    """The solver's singular test on the kernel's determinant of ``a``."""
+    r = len(a)
+    return _newton_step(newton_values(np.asarray(a).tolist()), [0.0] * r, [1.0] * r) is None
+
+
+def ref_singular(a):
+    det, _, _ = ref_lu_factor(np.asarray(a).tolist())
     return not np.isfinite(det) or abs(det) < 1e-300
 
 
@@ -248,11 +349,23 @@ class TestLUKernel:
         for _ in range(200):
             a = rng.standard_normal((r, r)) * np.exp(rng.uniform(-3.0, 3.0, (r, r)))
             b = rng.standard_normal(r)
-            det, lu, swaps = _lu_factor(a.tolist())
+            det, x = _lu_solve(a.tolist(), b.tolist())
             assert det == pytest.approx(np.linalg.det(a), rel=1e-10)
             want = np.linalg.solve(a, b)
             tol = 1e-12 * np.linalg.cond(a) * (1.0 + np.abs(want).max())
-            assert np.abs(np.array(_lu_solve(lu, swaps, b.tolist())) - want).max() <= tol
+            assert np.abs(np.array(x) - want).max() <= tol
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_step_matches_reference_bit_for_bit(self, r):
+        # Swapping and eliminating the right-hand side with the rows runs
+        # the reference's forward substitution in its order.
+        rng = np.random.default_rng(300 + r)
+        for _ in range(200):
+            values = (rng.standard_normal(r * r * (r + 1)) * np.exp(rng.uniform(-3.0, 3.0, r * r * (r + 1)))).tolist()
+            fiber, res = rng.standard_normal(r).tolist(), rng.standard_normal(r).tolist()
+            want = ref_newton_step(values, fiber, res)
+            got = _newton_step(values, fiber, res)
+            assert want is not None and hexes(got) == hexes(want)
 
     @pytest.mark.parametrize("v", [[np.nan, 1.0], [1.0, np.nan], [2.0, np.nan, -3.0], [np.inf, np.nan]])
     def test_nan_is_the_largest_entry(self, v):
@@ -266,11 +379,14 @@ class TestLUKernel:
 
     def test_row_swap(self):
         a = np.array([[1e-3, 1.0, 2.0], [1.0, 1.0, 0.0], [2.0, 0.0, 1.0]])
-        det, lu, swaps = _lu_factor(a.tolist())
-        assert swaps[0] == 2
-        assert det == pytest.approx(np.linalg.det(a), rel=1e-12)
+        rows = a.tolist()
+        third = rows[2]
         b = [1.0, 2.0, 3.0]
-        assert _lu_solve(lu, swaps, b) == pytest.approx(np.linalg.solve(a, b), rel=1e-12)
+        det, x = _lu_solve(rows, list(b))
+        # The rows are swapped in place: the third is the first pivot row.
+        assert rows[0] is third
+        assert det == pytest.approx(np.linalg.det(a), rel=1e-12)
+        assert x == pytest.approx(np.linalg.solve(a, b), rel=1e-12)
 
     @pytest.mark.parametrize(
         "a",
@@ -283,7 +399,7 @@ class TestLUKernel:
     )
     def test_exact_zero_pivot_gives_zero(self, a):
         assert np.linalg.det(np.array(a)) == 0.0
-        assert _lu_factor(a)[0] == 0.0
+        assert _lu_solve([list(row) for row in a], [1.0] * len(a)) == (0.0, None)
 
     @pytest.mark.parametrize(
         "a, singular",
@@ -292,12 +408,18 @@ class TestLUKernel:
             ([[1e-150, 0.0], [0.0, 1e-149]], False),
             ([[1e200, 0.0], [0.0, 1e200]], True),
             ([[1e200, 0.0], [0.0, 1e100]], False),
+            # From rank 3 the running product of the pivots can underflow
+            # or overflow where the log sum does not.
+            (np.diag([1e-200, 1e-200, 1e200]).tolist(), True),
+            (np.diag([1e200, 1e200, 1e-200]).tolist(), True),
         ],
     )
     def test_extreme_determinants(self, a, singular):
         a = np.array(a)
-        assert numpy_singular(a) is singular
         assert lu_singular(a) is singular
+        # numpy and the log sum decide alike: at rank 2 as the kernel
+        # does, at these rank-3 pivots not.
+        assert numpy_singular(a) is ref_singular(a) is (singular if len(a) <= 2 else not singular)
 
     @pytest.mark.parametrize("r", [1, 2, 3, 4])
     def test_non_finite_entries_decide_as_numpy(self, r):
@@ -367,9 +489,9 @@ def reference_solve(f, x, target):
     res = residual(fiber)
     if not math.isfinite(_max_abs(res)):
         h = by_name(f._roots[0], binding(f, x, fiber))
-        det, lu, swaps = _lu_factor([[h[a * r + c] for a in range(r)] for c in range(r)])
+        det, lu, swaps = ref_lu_factor([[h[a * r + c] for a in range(r)] for c in range(r)])
         if math.isfinite(det) and det != 0.0:
-            candidate = _lu_solve(lu, swaps, target)
+            candidate = ref_lu_solve(lu, swaps, target)
             cres = residual(candidate)
             if math.isfinite(_max_abs(cres)):
                 fiber, res = candidate, cres
@@ -377,10 +499,9 @@ def reference_solve(f, x, target):
         norm = _max_abs(res)
         if norm <= threshold:
             return legendre.NewtonResult(np.array(fiber), iterations, norm)
-        det, lu, swaps = _lu_factor(f._newton_jacobian(by_name(f._roots[1], binding(f, x, fiber)), fiber))
-        if not math.isfinite(det) or abs(det) < 1e-300:
+        step = ref_newton_step(by_name(f._roots[1], binding(f, x, fiber)), fiber, res)
+        if step is None:
             raise SingularJacobianError("singular Newton Jacobian in fiber solve", np.array(fiber), iterations)
-        step = _lu_solve(lu, swaps, res)
         scale = 1.0
         for _ in range(legendre.MAX_HALVINGS):
             candidate = [v - scale * s for v, s in zip(fiber, step)]
@@ -467,7 +588,7 @@ class TestReferenceSolver:
     def test_nine_bundled_functions(self):
         assert len(BUNDLED_FIBER_FUNCTIONS) == 9
 
-    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("key", sorted(BUNDLED_FIBER_FUNCTIONS))
     def test_bundled_functions_at_seeded_points(self, key, seed):
         f = BUNDLED_FIBER_FUNCTIONS[key]
@@ -527,6 +648,14 @@ class TestReferenceSolver:
         lag = Lagrangian(E, parse("1/4*(y1^4 + y2^4) + x2*y1^2"))
         assert self.assert_same(lag, (0.5, 0.25, 9.0), (1.0, 2.0))[1] < 50
         assert self.assert_same(lag, (0.5,), (1.0, 2.0))[0] is UnboundVariableError
+
+    def test_target_of_another_length(self, spaces):
+        # Target values past the rank count only in the threshold, and
+        # the solution drops them once a step is taken.
+        E, _ = spaces
+        lag = Lagrangian(E, parse("1/4*(y1^4 + y2^4) + x2*y1^2"))
+        assert len(self.assert_same(lag, (0.5, 0.25), (1.0, 2.0, 9.0))[0]) == 2
+        assert self.assert_same(lag, (0.5, 0.25), (1.0, 2.0, 9.0, -4.0))[1] < 50
 
 
 def counted(monkeypatch, f, name):
@@ -902,7 +1031,7 @@ def test_programs_equal_per_entry_evaluate(name):
                         acc += fiber[a] * evaluate(f.hessian_fiber_d[a][row][col], b)
                     want.append(float(acc).hex())
             values = f._newton_fn([*x, *fiber])
-            assert [v.hex() for row in f._newton_jacobian(values, fiber.tolist()) for v in row] == want
+            assert [v.hex() for row in ref_newton_jacobian(r, values, fiber.tolist()) for v in row] == want
             # The solver reads H[a][c] from entry (c*r + a)*(r + 1).
             hessian = [[values[(c * r + a) * (r + 1)].hex() for c in range(r)] for a in range(r)]
             assert hessian == [[v.hex() for v in row] for row in f.hessian_at(x, fiber).tolist()]
