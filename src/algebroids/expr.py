@@ -43,6 +43,9 @@ class UnknownFunctionError(ExprSyntaxError):
 
 class EvaluationError(ExprError):
     def __init__(self, message: str, point: Binding | None = None):
+        # The message without the point, for a caller that names the
+        # point in its own terms.
+        self.reason = message
         if point is not None:
             message = f"{message} at point {dict(point)!r}"
         super().__init__(message)

@@ -278,8 +278,41 @@ def _newton_step(values: list[float], fiber: list[float], res: list[float]) -> l
     singular: its determinant is not finite or below 1e-300 in
     magnitude.  Entry J[row, col] is the first of its r + 1 values plus
     sum_a fiber[a] times the others in turn; fiber values past the rank
-    r = len(res) are not read."""
+    r = len(res) are not read.  Ranks 1 and 2 run straight-line code
+    that does what the loops and :func:`_lu_solve` do, operation for
+    operation; from rank 3 the loops run."""
     r = len(res)
+    if r == 2:
+        f0, f1 = fiber[0], fiber[1]
+        a00 = values[0] + f0 * values[1] + f1 * values[2]
+        a01 = values[3] + f0 * values[4] + f1 * values[5]
+        a10 = values[6] + f0 * values[7] + f1 * values[8]
+        a11 = values[9] + f0 * values[10] + f1 * values[11]
+        b0, b1 = res
+        # The rows swap only where the second pivot candidate is
+        # strictly larger, so a NaN there never swaps.
+        if abs(a10) > abs(a00):
+            a00, a01, a10, a11, b0, b1 = a10, a11, a00, a01, b1, b0
+            det = -a00
+        else:
+            det = a00
+        if a00 == 0.0:
+            return None
+        l = a10 / a00
+        a11 -= l * a01
+        if a11 == 0.0:
+            return None
+        det *= a11
+        if not math.isfinite(det) or abs(det) < 1e-300:
+            return None
+        x1 = (b1 - l * b0) / a11
+        return [(b0 - a01 * x1) / a00, x1]
+    if r == 1:
+        # The one pivot is the determinant; a zero one fails the floor.
+        a00 = values[0] + fiber[0] * values[1]
+        if not math.isfinite(a00) or abs(a00) < 1e-300:
+            return None
+        return [res[0] / a00]
     fiber = fiber[:r]
     terms = iter(values)
     jacobian = []
@@ -309,6 +342,15 @@ def _valued(
         h = None
     if h is None:
         values, h, a_step, c_step = None, hessian(row), r, 1
+    elif r == 2:
+        # The loop below, unrolled.  Its int 0 start adds as +0.0 does,
+        # so products that are all -0.0 still sum to +0.0.
+        return h, [
+            0.0 + vec[0] * h[0] + vec[1] * h[3] - target[0],
+            0.0 + vec[0] * h[6] + vec[1] * h[9] - target[1],
+        ]
+    elif r == 1:
+        return h, [0.0 + vec[0] * h[0] - target[0]]
     else:
         # The first term of Newton entry J[c, a] is H[a][c].
         values, a_step, c_step = h, r + 1, r * (r + 1)
@@ -349,7 +391,13 @@ def _solve_fiber_system(
     hessian, newton = f._programs(len(x), min(len(target), r), 1, 3)
 
     fiber = target
-    values, res = _valued(hessian, newton, x, fiber, target, r)
+    try:
+        values, res = _valued(hessian, newton, x, fiber, target, r)
+    except EvaluationError as err:
+        # The caller gave the target, not this point.
+        start = type(err)(f"{err.reason} at the fiber solve's start, the target read as a fiber point: {err.point!r}")
+        start.point = err.point
+        raise start from err
     norm = _max_abs(res)
     if not math.isfinite(norm):
         # No halved step lowers a residual that overflows: start instead

@@ -226,6 +226,21 @@ class TestLegendreCommand:
         assert code == 2 and out == ""
         assert "domain error" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "at, y",
+        [("p1=1e200,p2=1", "'y1': 1e+200, 'y2': 1.0"), ("p1=1e308,p2=1e308", "'y1': 1e+308, 'y2': 1e+308")],
+        ids=["p1=1e200", "p1=p2=1e308"],
+    )
+    def test_error_at_the_solve_start_names_the_start(self, capsys, models_dir, at, y):
+        # The Hessian 3*y1^2 raises at the start, the target read as a
+        # fiber point, which the user did not give as one.
+        code, out, err = run(capsys, "legendre", str(models_dir / "quartic.model"), "--backward", "--at", at)
+        assert code == 2 and out == ""
+        assert err == (
+            "error: domain error: math range error at the fiber solve's start,"
+            f" the target read as a fiber point: {{'x1': 0.0, 'x2': 0.0, {y}}}\n"
+        )
+
     def test_overflowing_image_exits_two_with_one_line(self, models_dir):
         # A fresh interpreter, so that a numpy warning would reach stderr.
         at = "x1=0,x2=0,y1=1e150,y2=1e-150"

@@ -325,6 +325,22 @@ def ref_newton_step(values, fiber, res):
     return ref_lu_solve(lu, swaps, res)
 
 
+def ref_residual(h, vec, target, r, a_step, c_step):
+    """The residual sum_a vec[a] * H[a][c] - target[c] read as the
+    solver's loop reads it from the program values ``h``, where entry
+    a*a_step + c*c_step is H[a][c]: each sum runs as sum() runs it, from
+    int 0."""
+    res = []
+    for c in range(r):
+        acc = 0
+        k = c * c_step
+        for a in range(r):
+            acc += vec[a] * h[k]
+            k += a_step
+        res.append(acc - target[c])
+    return res
+
+
 def newton_values(a):
     """Newton program values whose Jacobian at the zero fiber point is
     the square matrix ``a``."""
@@ -358,14 +374,69 @@ class TestLUKernel:
     @pytest.mark.parametrize("r", [1, 2, 3, 4])
     def test_step_matches_reference_bit_for_bit(self, r):
         # Swapping and eliminating the right-hand side with the rows runs
-        # the reference's forward substitution in its order.
+        # the reference's forward substitution in its order.  Every other
+        # draw makes some Jacobian entries a signed zero or a subnormal:
+        # their first value is one, and the values fiber[a] multiplies are
+        # signed zeros.
         rng = np.random.default_rng(300 + r)
-        for _ in range(200):
+        specials = (0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-308)
+        singular = set()
+        for i in range(200):
             values = (rng.standard_normal(r * r * (r + 1)) * np.exp(rng.uniform(-3.0, 3.0, r * r * (r + 1)))).tolist()
             fiber, res = rng.standard_normal(r).tolist(), rng.standard_normal(r).tolist()
+            if i % 2:
+                for cell in rng.choice(r * r, rng.integers(1, r * r + 1), replace=False):
+                    k = cell * (r + 1)
+                    values[k : k + r + 1] = [specials[rng.integers(len(specials))], *rng.choice([0.0, -0.0], r).tolist()]
             want = ref_newton_step(values, fiber, res)
             got = _newton_step(values, fiber, res)
-            assert want is not None and hexes(got) == hexes(want)
+            assert (None if got is None else hexes(got)) == (None if want is None else hexes(want))
+            if i % 2:
+                singular.add(want is None)
+            else:
+                assert want is not None
+        # Subnormal pivots are singular; from rank 2 signed zeros off the
+        # pivots leave a step.
+        assert singular == ({True} if r == 1 else {True, False})
+
+    def test_pivot_tie_keeps_the_rows(self):
+        # |J[1, 0]| == |J[0, 0]|: the rows swap only where it is larger.
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            a = rng.standard_normal((2, 2))
+            a[1, 0] = -a[0, 0]
+            res = rng.standard_normal(2).tolist()
+            want = ref_newton_step(newton_values(a.tolist()), [0.0, 0.0], res)
+            assert hexes(_newton_step(newton_values(a.tolist()), [0.0, 0.0], res)) == hexes(want)
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_residual_read_matches_the_loop_bit_for_bit(self, r):
+        # Newton values with signed zeros, subnormals, infinities and
+        # NaN, at fiber points and targets with signed zeros: a sum whose
+        # products are all -0.0 starts from int 0 and so ends at +0.0.
+        rng = np.random.default_rng(500 + r)
+        specials = (0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-308, math.inf, -math.inf, math.nan)
+
+        def draw(n, pool):
+            out = rng.standard_normal(n).tolist()
+            for k in np.flatnonzero(rng.random(n) < 0.4):
+                out[k] = pool[rng.integers(len(pool))]
+            return out
+
+        def failing(row):
+            raise EvaluationError("domain error: math domain error", {})
+
+        for _ in range(300):
+            values = draw(r * r * (r + 1), specials)
+            vec, target = draw(r, (0.0, -0.0)), draw(r, (0.0, -0.0))
+            got_values, got = legendre._valued(failing, lambda row: values, [], vec, target, r)
+            assert got_values is values
+            assert hexes(got) == hexes(ref_residual(values, vec, target, r, r + 1, r * (r + 1)))
+            # Where the Newton program raises, the Hessian program's values.
+            h = values[: r * r]
+            got_values, got = legendre._valued(lambda row: h, failing, [], vec, target, r)
+            assert got_values is None
+            assert hexes(got) == hexes(ref_residual(h, vec, target, r, r, 1))
 
     @pytest.mark.parametrize("v", [[np.nan, 1.0], [1.0, np.nan], [2.0, np.nan, -3.0], [np.inf, np.nan]])
     def test_nan_is_the_largest_entry(self, v):
@@ -486,7 +557,14 @@ def reference_solve(f, x, target):
         h = by_name(f._roots[0], binding(f, x, vec))
         return [sum(vec[a] * h[a * r + c] for a in range(r)) - target[c] for c in range(r)]
 
-    res = residual(fiber)
+    try:
+        res = residual(fiber)
+    except EvaluationError as err:
+        # The start is the target read as a fiber point, and the error
+        # says so rather than naming it as a point the caller gave.
+        start = type(err)(f"{err.reason} at the fiber solve's start, the target read as a fiber point: {err.point!r}")
+        start.point = err.point
+        raise start from err
     if not math.isfinite(_max_abs(res)):
         h = by_name(f._roots[0], binding(f, x, fiber))
         det, lu, swaps = ref_lu_factor([[h[a * r + c] for a in range(r)] for c in range(r)])
