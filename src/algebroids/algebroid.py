@@ -106,13 +106,6 @@ class SmoothMap:
     def inverted(self) -> "SmoothMap":
         return SmoothMap(self.codomain, self.domain, self.inverse, self.forward)
 
-    def jacobian(self) -> tuple[tuple[Expr, ...], ...]:
-        """d forward[j] / d domain[i], indexed [j][i], on the domain."""
-        return tuple(
-            tuple(differentiate(fj, xi) for xi in self.domain.variables)
-            for fj in self.forward
-        )
-
     def check_inverse(self, sampler: Sampler, tol: float = 1e-8) -> CheckReport:
         report = CheckReport(f"inverse-pair {self.domain.name}->{self.codomain.name}")
         for i, xname in enumerate(self.domain.variables):

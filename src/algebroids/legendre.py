@@ -367,6 +367,14 @@ def _valued(
     return values, res
 
 
+def _start_error(err: EvaluationError) -> EvaluationError:
+    """``err``, raised at the fiber solve's start, reworded: the caller
+    gave the target, not this point."""
+    start = type(err)(f"{err.reason} at the fiber solve's start, the target read as a fiber point: {err.point!r}")
+    start.point = err.point
+    return start
+
+
 def _solve_fiber_system(
     f: FiberFunction,
     x: Sequence[float],
@@ -394,10 +402,7 @@ def _solve_fiber_system(
     try:
         values, res = _valued(hessian, newton, x, fiber, target, r)
     except EvaluationError as err:
-        # The caller gave the target, not this point.
-        start = type(err)(f"{err.reason} at the fiber solve's start, the target read as a fiber point: {err.point!r}")
-        start.point = err.point
-        raise start from err
+        raise _start_error(err) from err
     norm = _max_abs(res)
     if not math.isfinite(norm):
         # No halved step lowers a residual that overflows: start instead
@@ -414,7 +419,12 @@ def _solve_fiber_system(
             return NewtonResult(np.array(fiber), iterations, norm)
         if values is None:
             # Raises the error that the Newton program raised here.
-            values = newton(x + fiber)
+            try:
+                values = newton(x + fiber)
+            except EvaluationError as err:
+                if fiber is not target:
+                    raise
+                raise _start_error(err) from err
         step = _newton_step(values, fiber, res)
         if step is None:
             raise SingularJacobianError(

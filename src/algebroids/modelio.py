@@ -402,7 +402,6 @@ def parse_model(text: str) -> Model:
         a = _index_in(m.group(1), line, rank, "anchor row")
         i = _index_in(m.group(2), line, base_m.dim, "anchor column")
         rho[a][i] = _parse_scoped(value, line, base_n.variables, f"rho[{a + 1}][{i + 1}]")
-    structure: dict[tuple[int, int, int], Expr] = {}
     raw_structure: dict[tuple[int, int, int], tuple[Expr, int]] = {}
     for m, value, line in entries.take_matching(r"L\[(\d+),(\d+)\]\^(\d+)"):
         a = _index_in(m.group(1), line, rank, "structure")
@@ -422,9 +421,9 @@ def parse_model(text: str) -> Model:
                 f"L[{a + 1},{b + 1}]^{g + 1} and L[{b + 1},{a + 1}]^{g + 1} are not antisymmetric",
                 line,
             )
-        key = (a, b, g) if a < b else (b, a, g)
-        structure[key] = entry if a < b else neg(entry)
     entries.finish()
+    # The algebroid keeps each entry once, under a < b.
+    structure = {key: entry for key, (entry, _) in raw_structure.items()}
     algebroid = GeneralizedLieAlgebroid(base_m, base_n, h, eta, rank, tuple(tuple(r) for r in rho), structure)
 
     # The sampler comes first: ginv = auto tests g at its points.

@@ -33,7 +33,7 @@ from .expr import (
     neg,
     var,
 )
-from .exterior import BundleMorphism, FormQ, VectorBundle, algebroid_bundle
+from .exterior import BundleMorphism, FormQ, VectorBundle, algebroid_bundle, pushforward_section
 from .reporting import CheckReport, residual_row as _residual_row
 
 Variance = Literal["primal", "dual"]
@@ -175,16 +175,22 @@ def basis_section(bundle: AnchoredBundle, a: int) -> Section:
     return Section(bundle, tuple(add(1.0) if i == a else add() for i in range(bundle.rank)))
 
 
-def _coeff_str(coeff: Expr, basis: str) -> str:
-    text = str(coeff)
-    if text == "1":
-        return basis
-    needs_parens = isinstance(coeff, (Sum, Neg)) or (
-        isinstance(coeff, Const) and coeff.value < 0
-    )
-    if needs_parens:
-        return f"({text})*{basis}"
-    return f"{text}*{basis}"
+def _frame_str(coefficients: Sequence[Expr], frame: Sequence[str]) -> str:
+    """The nonzero ``coeff*basis`` terms joined by `` + ``, ``0`` when
+    there are none.  A unit coefficient prints as the bare basis name; a
+    sum, a negation or a negative constant goes in parentheses."""
+    parts = []
+    for coeff, basis in zip(coefficients, frame):
+        if is_zero(coeff):
+            continue
+        text = str(coeff)
+        if text == "1":
+            parts.append(basis)
+        elif isinstance(coeff, (Sum, Neg)) or (isinstance(coeff, Const) and coeff.value < 0):
+            parts.append(f"({text})*{basis}")
+        else:
+            parts.append(f"{text}*{basis}")
+    return " + ".join(parts) if parts else "0"
 
 
 @dataclass(frozen=True)
@@ -221,14 +227,8 @@ class VectorFieldOnE:
         )
 
     def __str__(self):
-        parts = []
-        for coeff, x in zip(self.d_base, self.bundle.algebroid.base_m.variables):
-            if not is_zero(coeff):
-                parts.append(_coeff_str(coeff, f"d_{x}"))
-        for coeff, y in zip(self.d_fiber, self.bundle.fiber_variables):
-            if not is_zero(coeff):
-                parts.append(_coeff_str(coeff, f"dot_{y}"))
-        return " + ".join(parts) if parts else "0"
+        xs, ys = self.bundle.algebroid.base_m.variables, self.bundle.fiber_variables
+        return _frame_str(self.d_base + self.d_fiber, [f"d_{x}" for x in xs] + [f"dot_{y}" for y in ys])
 
 
 @dataclass(frozen=True)
@@ -267,14 +267,8 @@ class ProlongSection:
         )
 
     def __str__(self):
-        parts = []
-        for alpha, coeff in enumerate(self.horizontal):
-            if not is_zero(coeff):
-                parts.append(_coeff_str(coeff, f"td_{alpha + 1}"))
-        for coeff, y in zip(self.vertical, self.bundle.fiber_variables):
-            if not is_zero(coeff):
-                parts.append(_coeff_str(coeff, f"dot_td_{y}"))
-        return " + ".join(parts) if parts else "0"
+        frame = [f"td_{alpha + 1}" for alpha in range(len(self.horizontal))]
+        return _frame_str(self.horizontal + self.vertical, frame + [f"dot_td_{y}" for y in self.bundle.fiber_variables])
 
 
 # ---------------------------------------------------------------------------
@@ -380,10 +374,7 @@ def _gu(u: Section) -> tuple[Expr, ...]:
 
 def push_to_algebroid(u: Section) -> SectionF:
     """Image of the section through the fiber morphism, on N."""
-    bundle = u.bundle
-    bundle._need_g()
-    h = bundle.algebroid.h
-    return SectionF(bundle.algebroid, tuple(h.push(e) for e in _gu(u)))
+    return SectionF(u.bundle.algebroid, pushforward_section(u.bundle.morphism(), u.coefficients))
 
 
 def pull_from_algebroid(bundle: AnchoredBundle, w: SectionF) -> Section:

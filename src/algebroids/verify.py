@@ -39,6 +39,7 @@ from .expr import (
     free_variables,
     mul,
     shared_walks,
+    var,
 )
 from .exterior import gh_lie_derivative, one_form
 from .legendre import check_homogeneity, check_round_trip
@@ -93,7 +94,6 @@ def complete_lift_conditions_report(
     functions matches the conjugated Lie derivative of one-forms."""
     alg = bundle.algebroid
     h = alg.h
-    Jh = h.jacobian()
     report = CheckReport(f"complete-lift-conditions {bundle.name}")
     rng = np.random.default_rng(sampler.seed + 1001)
     morphism = bundle.morphism()
@@ -102,25 +102,9 @@ def complete_lift_conditions_report(
         u = random_bundle_section(bundle, rng)
         uc = complete_lift_vf(u)
         z = push_to_algebroid(u)
-        for j in range(alg.base_n.dim):
-            lhs = add(
-                *[mul(uc.d_base[i], Jh[j][i]) for i in range(alg.base_m.dim)]
-            )
-            wj = add(
-                *[
-                    mul(
-                        z.coefficients[alpha],
-                        add(
-                            *[
-                                mul(alg.rho[alpha][i], h.push(Jh[j][i]))
-                                for i in range(alg.base_m.dim)
-                            ]
-                        ),
-                    )
-                    for alpha in range(alg.rank)
-                ]
-            )
-            residual_row(report, "projects-to-anchored-image", (trial, j + 1), lhs, h.pull(wj), sampler, tol)
+        for j, k in enumerate(alg.base_n.variables):
+            lhs, rhs = uc.apply(h.forward[j]), h.pull(alg.anchor_action(z, var(k)))
+            residual_row(report, "projects-to-anchored-image", (trial, j + 1), lhs, rhs, sampler, tol)
         omega = one_form(bundle.space, random_bundle_section(bundle, rng).coefficients)
         lhs = uc.apply(hat_form(bundle, omega))
         derived = gh_lie_derivative(alg, morphism, inverse, u.coefficients, omega)
@@ -387,7 +371,7 @@ def duality_reports(
     equivalence verdict as an extra report field."""
     pair = dual.LegendrePair(model.lagrangian, model.hamiltonian)
     verdict = dual.legendre_equivalence(pair, sampler, tol_conditions, tol_brackets, trials)
-    return verdict.reports(), {"verdict": "equivalent" if verdict.equivalent else "not-equivalent"}
+    return verdict.reports, {"verdict": "equivalent" if verdict.equivalent else "not-equivalent"}
 
 
 class Check(NamedTuple):

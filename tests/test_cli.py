@@ -241,6 +241,20 @@ class TestLegendreCommand:
             f" the target read as a fiber point: {{'x1': 0.0, 'x2': 0.0, {y}}}\n"
         )
 
+    def test_newton_error_at_the_solve_start_names_the_start(self, capsys, models_dir, tmp_path):
+        # The Hessian 2 + 3.75*(y1 + x1)^0.5 values at the start, but its
+        # derivative 1.875*(y1 + x1)^(-0.5), which the Newton step needs,
+        # fails there.
+        text = (models_dir / "generalized.model").read_text(encoding="utf-8")
+        path = tmp_path / "changed.model"
+        path.write_text(text.replace("L = 1/2*(1 + x1^2)*y1^2", "L = y1^2 + (y1 + x1)^2.5"), encoding="utf-8")
+        code, out, err = run(capsys, "legendre", str(path), "--backward", "--at", "x1=-0.5,p1=0.5")
+        assert code == 2 and out == ""
+        assert err == (
+            "error: domain error: math domain error at the fiber solve's start,"
+            " the target read as a fiber point: {'x1': -0.5, 'y1': 0.5}\n"
+        )
+
     def test_overflowing_image_exits_two_with_one_line(self, models_dir):
         # A fresh interpreter, so that a numpy warning would reach stderr.
         at = "x1=0,x2=0,y1=1e150,y2=1e-150"

@@ -250,7 +250,7 @@ class TestEquivalenceVerdict:
     def test_euclidean_classical(self, euclid_pair, sampler):
         verdict = legendre_equivalence(euclid_pair, sampler)
         assert verdict.equivalent
-        for report in verdict.reports():
+        for report in verdict.reports:
             assert report.worst_residual <= 1e-10
 
     def test_mismatched_rejected(self, mismatched_pair, sampler):
@@ -264,7 +264,7 @@ class TestEquivalenceVerdict:
         pair = LegendrePair(generalized.lagrangian, generalized.hamiltonian)
         verdict = legendre_equivalence(pair, sampler)
         assert verdict.equivalent
-        for report in verdict.reports():
+        for report in verdict.reports:
             assert report.worst_residual <= 1e-10
 
 

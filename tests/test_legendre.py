@@ -557,14 +557,17 @@ def reference_solve(f, x, target):
         h = by_name(f._roots[0], binding(f, x, vec))
         return [sum(vec[a] * h[a * r + c] for a in range(r)) - target[c] for c in range(r)]
 
-    try:
-        res = residual(fiber)
-    except EvaluationError as err:
+    def at_start(err):
         # The start is the target read as a fiber point, and the error
         # says so rather than naming it as a point the caller gave.
         start = type(err)(f"{err.reason} at the fiber solve's start, the target read as a fiber point: {err.point!r}")
         start.point = err.point
-        raise start from err
+        return start
+
+    try:
+        res = residual(fiber)
+    except EvaluationError as err:
+        raise at_start(err) from err
     if not math.isfinite(_max_abs(res)):
         h = by_name(f._roots[0], binding(f, x, fiber))
         det, lu, swaps = ref_lu_factor([[h[a * r + c] for a in range(r)] for c in range(r)])
@@ -577,7 +580,13 @@ def reference_solve(f, x, target):
         norm = _max_abs(res)
         if norm <= threshold:
             return legendre.NewtonResult(np.array(fiber), iterations, norm)
-        step = ref_newton_step(by_name(f._roots[1], binding(f, x, fiber)), fiber, res)
+        try:
+            jacobian_values = by_name(f._roots[1], binding(f, x, fiber))
+        except EvaluationError as err:
+            if fiber is not target:
+                raise
+            raise at_start(err) from err
+        step = ref_newton_step(jacobian_values, fiber, res)
         if step is None:
             raise SingularJacobianError("singular Newton Jacobian in fiber solve", np.array(fiber), iterations)
         scale = 1.0
@@ -711,10 +720,12 @@ class TestReferenceSolver:
         line = load_model(MODELS / "generalized.model").bundles["E"]
         lag = Lagrangian(line, parse("y1^2 + (y1 + x1)^2.5"))
         assert self.assert_same(lag, (0.0,), (0.0,)) == ([(0.0).hex()], 1, (0.0).hex())
-        # Unsolved at the start, the target: the Jacobian there fails.
+        # Unsolved at the start, the target: the Jacobian there fails,
+        # and the error names the start.
         assert self.assert_same(lag, (-0.5,), (0.5,))[:2] == (
             EvaluationError,
-            "domain error: math domain error at point {'x1': -0.5, 'y1': 0.5}",
+            "domain error: math domain error at the fiber solve's start,"
+            " the target read as a fiber point: {'x1': -0.5, 'y1': 0.5}",
         )
         for target in (2.5, -1.0, 0.3):
             self.assert_same(lag, (0.0,), (target,))

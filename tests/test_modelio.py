@@ -10,6 +10,7 @@ from algebroids import (
     format_model,
     load_model,
     mul,
+    neg,
     parse,
     parse_model,
     to_string,
@@ -71,20 +72,24 @@ class TestParsing:
         assert str(model.algebroid.rho[1][0]) == "0"
         assert str(model.algebroid.L(0, 1, 0)) == "0"
 
-    def test_consistent_double_entry_accepted(self):
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            ("L[1,2]^1 = k1",),
+            ("L[2,1]^1 = -k1",),
+            ("L[1,2]^1 = k1", "L[2,1]^1 = -k1"),
+            ("L[2,1]^1 = -k1", "L[1,2]^1 = k1"),
+        ],
+        ids=["12-only", "21-only", "12-then-21", "21-then-12"],
+    )
+    def test_consistent_double_entry_accepted(self, entries):
+        # Either entry, or both, is stored once, under a < b.
         model = parse_model(
-            """
-            [base M]
-            dim = 1
-            [base N]
-            dim = 1
-            [algebroid]
-            rank = 2
-            L[1,2]^1 = k1
-            L[2,1]^1 = -k1
-            """
+            "[base M]\ndim = 1\n[base N]\ndim = 1\n[algebroid]\nrank = 2\n" + "\n".join(entries)
         )
+        assert list(model.algebroid.structure.items()) == [((0, 1, 0), var("k1"))]
         assert model.algebroid.L(0, 1, 0) == var("k1")
+        assert model.algebroid.L(1, 0, 0) == neg(var("k1"))
 
     def test_maps_default_to_identity(self, classical):
         h = classical.algebroid.h

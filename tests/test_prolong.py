@@ -33,7 +33,7 @@ from algebroids import (
     vertical_lift_vf,
 )
 from algebroids.algebroid import random_polynomial
-from algebroids.prolong import MissingMorphismError, random_bundle_section, random_prolong_section
+from algebroids.prolong import MissingMorphismError, VectorFieldOnE, random_bundle_section, random_prolong_section
 from algebroids.verify import (
     complete_lift_conditions_report,
     function_lift_rules_report,
@@ -93,6 +93,21 @@ class TestAnchorOfProlongation:
         E = bundles["classical"][0]
         vf = rho_tilde(horizontal_basis(E, 0))
         assert str(vf) == "d_x1"
+        # Both printers skip zero terms, print a unit coefficient as the
+        # bare basis name and bracket a sum, a negation or a negative
+        # constant, but not a product.
+        for coefficients, vf_text, section_text in (
+            (
+                ("1", "-2", "x1 + y1", "-x2"),
+                "d_x1 + (-2)*d_x2 + (x1 + y1)*dot_y1 + (-x2)*dot_y2",
+                "td_1 + (-2)*td_2 + (x1 + y1)*dot_td_y1 + (-x2)*dot_td_y2",
+            ),
+            (("x1*y2", "0", "0", "1"), "x1*y2*d_x1 + dot_y2", "x1*y2*td_1 + dot_td_y2"),
+            (("0", "0", "0", "0"), "0", "0"),
+        ):
+            base, fiber = [parse(c) for c in coefficients[:2]], [parse(c) for c in coefficients[2:]]
+            assert str(VectorFieldOnE(E, tuple(base), tuple(fiber))) == vf_text
+            assert str(ProlongSection(E, tuple(base), tuple(fiber))) == section_text
 
     def test_multiplicative_anchor_pulls_through_base(self):
         E = line_bundle(var("k1"))
@@ -553,6 +568,30 @@ class TestLiftIdentities:
             for bundle in bs:
                 report = complete_lift_conditions_report(bundle, sampler, 1e-8, trials=3)
                 assert report.passed, (name, report.worst_row())
+
+    def test_complete_lift_conditions_can_fail(self, bundles, sampler, monkeypatch):
+        # A wrong base part of the lift breaks the projection rows, a
+        # wrong fiber part the Lie derivative rows.
+        from algebroids import verify
+
+        def doubled_base(u):
+            uc = complete_lift_vf(u)
+            return VectorFieldOnE(uc.bundle, tuple(mul(2.0, c) for c in uc.d_base), uc.d_fiber)
+
+        def shifted_fiber(u):
+            uc = complete_lift_vf(u)
+            return VectorFieldOnE(uc.bundle, uc.d_base, (add(uc.d_fiber[0], 1.0),) + uc.d_fiber[1:])
+
+        for lift, failing in (
+            (doubled_base, "projects-to-anchored-image"),
+            (shifted_fiber, "acts-as-lie-derivative-on-hats"),
+        ):
+            monkeypatch.setattr(verify, "complete_lift_vf", lift)
+            for name, bs in bundles.items():
+                for bundle in bs:
+                    report = complete_lift_conditions_report(bundle, sampler, 1e-8, trials=2)
+                    passed = [row.passed for row in report.rows if row.name == failing]
+                    assert passed and not any(passed), (name, lift.__name__)
 
     def test_lift_brackets(self, bundles, sampler):
         for name, bs in bundles.items():
