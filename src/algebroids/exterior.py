@@ -1,9 +1,11 @@
 """Differential forms on a vector bundle, wedge product, pull-backs
 along bundle morphisms, and the two covariant Lie derivatives.
 
-Forms are stored dense over strictly increasing index tuples; lookups
-at arbitrary tuples resolve the permutation sign.  Ranks stay small in
-practice, so density is cheap.
+A form keeps only its nonzero coefficients, keyed by strictly
+increasing index tuples; a lookup at an arbitrary tuple resolves the
+permutation sign and reads a missing coefficient as zero.  The
+operations loop over every increasing index tuple, which the small
+ranks met in practice keep cheap.
 """
 
 from __future__ import annotations

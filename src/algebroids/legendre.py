@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -133,36 +133,21 @@ class FiberFunction:
         self._fn = compiled(expression, names)
         self._hess_fn, self._newton_fn = (compiled_many(roots, names) for roots in self._roots)
 
-    def _programs(self, n_base: int, n_fiber: int, start: int, stop: int) -> Sequence[Callable]:
-        """The programs ``start`` to ``stop`` (exclusive) of the value, the
-        Hessian and the Newton program, for rows of ``n_base`` base
-        values, then ``n_fiber`` fiber values, neither more than its
-        block holds.  A short block leaves the names past its end
-        unbound, so the programs for it are built anew, over the names it
-        reaches."""
-        if n_base == len(self.base_vars) and n_fiber == self.rank:
-            return (self._fn, self._hess_fn, self._newton_fn)[start:stop]
-        names = self.base_vars[:n_base] + self.fiber_vars[:n_fiber]
-        return [
-            compiled_many(self._roots[k - 1], names) if k else compiled(self.expr, names)
-            for k in range(start, stop)
-        ]
-
-    def _row(self, x: Sequence[float], fiber: Sequence[float], kind: int) -> tuple[list[float], Callable]:
+    def _row(self, x: Sequence[float], fiber: Sequence[float]) -> list[float]:
         """The row of the point (x, fiber), its base values, then its fiber
-        values, as floats, and program ``kind`` of :meth:`_programs` to
-        run on it.  Values past the base or the fiber are dropped."""
-        x = list(map(float, x[: len(self.base_vars)]))
-        fiber = list(map(float, fiber[: self.rank]))
-        return x + fiber, self._programs(len(x), len(fiber), kind, kind + 1)[0]
+        values, as floats; a point of another shape raises ValueError."""
+        if len(x) != len(self.base_vars) or len(fiber) != self.rank:
+            raise ValueError(
+                f"expected {len(self.base_vars)} base and {self.rank} fiber values,"
+                f" got {len(x)} and {len(fiber)}"
+            )
+        return [*map(float, x), *map(float, fiber)]
 
     def value(self, x: Sequence[float], fiber: Sequence[float]) -> float:
-        row, fn = self._row(x, fiber, 0)
-        return fn(row)
+        return self._fn(self._row(x, fiber))
 
     def hessian_at(self, x: Sequence[float], fiber: Sequence[float]) -> np.ndarray:
-        row, hessian = self._row(x, fiber, 1)
-        return np.array(hessian(row)).reshape(self.rank, self.rank)
+        return np.array(self._hess_fn(self._row(x, fiber))).reshape(self.rank, self.rank)
 
     def fiber_hessian(self, x: Sequence[float], fiber: Sequence[float]) -> HessianResult:
         """Fiber Hessian with inverse and a determinant-based regularity
@@ -276,11 +261,11 @@ def _newton_step(values: list[float], fiber: list[float], res: list[float]) -> l
     """The Newton step at ``fiber`` for the residual ``res``, from the
     Newton program's ``values`` there, or None where the Jacobian is
     singular: its determinant is not finite or below 1e-300 in
-    magnitude.  Entry J[row, col] is the first of its r + 1 values plus
-    sum_a fiber[a] times the others in turn; fiber values past the rank
-    r = len(res) are not read.  Ranks 1 and 2 run straight-line code
-    that does what the loops and :func:`_lu_solve` do, operation for
-    operation; from rank 3 the loops run."""
+    magnitude.  At the rank r = len(res), entry J[row, col] is the first
+    of its r + 1 values plus sum_a fiber[a] times the others in turn.
+    Ranks 1 and 2 run straight-line code that does what the loops and
+    :func:`_lu_solve` do, operation for operation; from rank 3 the loops
+    run."""
     r = len(res)
     if r == 2:
         f0, f1 = fiber[0], fiber[1]
@@ -313,7 +298,6 @@ def _newton_step(values: list[float], fiber: list[float], res: list[float]) -> l
         if not math.isfinite(a00) or abs(a00) < 1e-300:
             return None
         return [res[0] / a00]
-    fiber = fiber[:r]
     terms = iter(values)
     jacobian = []
     for _ in range(r):
@@ -390,13 +374,11 @@ def _solve_fiber_system(
     the Newton program values each point visited: its Hessian entries
     give the residual there, and its values the Jacobian once the point
     is accepted."""
-    x = list(map(float, x[: len(f.base_vars)]))
-    target = list(map(float, target))
+    row = f._row(x, target)
+    m, r = len(f.base_vars), f.rank
+    x, target = row[:m], row[m:]
     threshold = NEWTON_TOL * (1.0 + _max_abs(target))
-    r = f.rank
-    # Each point's row is x, then the fiber point; the programs read no
-    # value past the rank.
-    hessian, newton = f._programs(len(x), min(len(target), r), 1, 3)
+    hessian, newton = f._hess_fn, f._newton_fn
 
     fiber = target
     try:
@@ -509,6 +491,8 @@ class LegendreTransform:
         the other side, for a caller-registered closed-form solution of the
         source's fiber point in ``bundle``'s coordinates."""
         source = self.source
+        if isinstance(source, LegendreTransform):
+            raise ValueError("only the transform of a fundamental function has a symbolic form")
         if len(fiber_solution) != source.rank:
             raise ValueError("need one fiber expression per fiber coordinate")
         mapping = dict(zip(source.fiber_vars, fiber_solution))

@@ -156,60 +156,27 @@ def function_lift_rules_report(
         f1 = random_polynomial(alg.base_n.variables, rng)
         f2 = random_polynomial(alg.base_n.variables, rng)
         got = vertical_lift_vf(u + v)
-        want = vertical_lift_vf(u) + vertical_lift_vf(v)
+        uV = vertical_lift_vf(u)
+        want = uV + vertical_lift_vf(v)
         residual_rows(report, "vertical-additive", (trial,), got.d_fiber, want.d_fiber, sampler, tol)
         got = vertical_lift_vf(u.scaled(f_m))
-        want = [mul(f_m, b) for b in vertical_lift_vf(u).d_fiber]
+        want = [mul(f_m, b) for b in uV.d_fiber]
         residual_rows(report, "vertical-module", (trial,), got.d_fiber, want, sampler, tol)
-        residual_row(
-            report,
-            "vertical-kills-vertical-lifts",
-            (trial,),
-            vertical_lift_vf(u).apply(f_m),
-            add(),
-            sampler,
-            tol,
-        )
-        residual_row(
-            report,
-            "complete-additive",
-            (trial,),
-            complete_lift_function(bundle, f1 + f2),
-            add(complete_lift_function(bundle, f1), complete_lift_function(bundle, f2)),
-            sampler,
-            tol,
-        )
-        residual_row(
-            report,
-            "complete-product",
-            (trial,),
-            complete_lift_function(bundle, mul(f1, f2)),
-            add(
-                mul(complete_lift_function(bundle, f1), vertical_lift_function(bundle, f2)),
-                mul(vertical_lift_function(bundle, f1), complete_lift_function(bundle, f2)),
-            ),
-            sampler,
-            tol,
-        )
+        residual_row(report, "vertical-kills-vertical-lifts", (trial,), uV.apply(f_m), add(), sampler, tol)
+        got = complete_lift_function(bundle, f1 + f2)
+        f1C = complete_lift_function(bundle, f1)
+        f2C = complete_lift_function(bundle, f2)
+        residual_row(report, "complete-additive", (trial,), got, add(f1C, f2C), sampler, tol)
+        got = complete_lift_function(bundle, mul(f1, f2))
+        f1V = vertical_lift_function(bundle, f1)
+        f2V = vertical_lift_function(bundle, f2)
+        want = add(mul(f1C, f2V), mul(f1V, f2C))
+        residual_row(report, "complete-product", (trial,), got, want, sampler, tol)
         action = alg.anchor_action(push_to_algebroid(u), f1)
-        residual_row(
-            report,
-            "vertical-of-complete",
-            (trial,),
-            vertical_lift_vf(u).apply(complete_lift_function(bundle, f1)),
-            vertical_lift_function(bundle, action),
-            sampler,
-            tol,
-        )
-        residual_row(
-            report,
-            "complete-of-complete",
-            (trial,),
-            complete_lift_vf(u).apply(complete_lift_function(bundle, f1)),
-            complete_lift_function(bundle, action),
-            sampler,
-            tol,
-        )
+        want = vertical_lift_function(bundle, action)
+        residual_row(report, "vertical-of-complete", (trial,), uV.apply(f1C), want, sampler, tol)
+        want = complete_lift_function(bundle, action)
+        residual_row(report, "complete-of-complete", (trial,), complete_lift_vf(u).apply(f1C), want, sampler, tol)
     return report
 
 

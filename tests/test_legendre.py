@@ -15,7 +15,6 @@ from algebroids import (
     NewtonResult,
     Sampler,
     SingularJacobianError,
-    UnboundVariableError,
     check_homogeneity,
     check_round_trip,
     evaluate,
@@ -43,7 +42,7 @@ MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
 
 def binding(f, x, fiber):
     """The point (x, fiber) of ``f`` by name: base names, then fiber
-    names, each block bound as far as its values reach."""
+    names."""
     out = dict(zip(f.base_vars, map(float, x)))
     out.update(zip(f.fiber_vars, map(float, fiber)))
     return out
@@ -730,22 +729,6 @@ class TestReferenceSolver:
         for target in (2.5, -1.0, 0.3):
             self.assert_same(lag, (0.0,), (target,))
 
-    def test_base_point_of_another_length(self, spaces):
-        # As a binding by name does, extra base values are dropped and a short
-        # base point leaves the names it does not reach unbound.
-        E, _ = spaces
-        lag = Lagrangian(E, parse("1/4*(y1^4 + y2^4) + x2*y1^2"))
-        assert self.assert_same(lag, (0.5, 0.25, 9.0), (1.0, 2.0))[1] < 50
-        assert self.assert_same(lag, (0.5,), (1.0, 2.0))[0] is UnboundVariableError
-
-    def test_target_of_another_length(self, spaces):
-        # Target values past the rank count only in the threshold, and
-        # the solution drops them once a step is taken.
-        E, _ = spaces
-        lag = Lagrangian(E, parse("1/4*(y1^4 + y2^4) + x2*y1^2"))
-        assert len(self.assert_same(lag, (0.5, 0.25), (1.0, 2.0, 9.0))[0]) == 2
-        assert self.assert_same(lag, (0.5, 0.25), (1.0, 2.0, 9.0, -4.0))[1] < 50
-
 
 def counted(monkeypatch, f, name):
     """Count the runs of program ``name`` of ``f`` from here on."""
@@ -846,6 +829,13 @@ class TestTransforms:
 
         assert isinstance(lag, Lagrangian)
         assert equivalent(lag.expr, parse("1/2*(y1^2 + y2^2)"), Sampler(points=30, seed=5))
+
+    def test_symbolic_transform_of_a_transform_is_refused(self, spaces):
+        E, _ = spaces
+        lag = Lagrangian(E, parse("1/2*(y1^2 + y2^2)"))
+        back = legendre_transform(legendre_transform(lag))
+        with pytest.raises(ValueError, match="only the transform of a fundamental function has a symbolic form"):
+            back.symbolic(E, (var("y1"), var("y2")))
 
     def test_homogeneous_pair_composes_to_identity_on_values(self, spaces):
         # for the fiberwise 2-homogeneous example the transform evaluated
@@ -1127,35 +1117,59 @@ def test_programs_equal_per_entry_evaluate(name):
             assert f.value(x, fiber) == evaluate(f.expr, b)
 
 
-def test_points_of_another_length_read_as_bindings(spaces):
-    """value and hessian_at drop values past the base or the fiber, and a
-    short base point or fiber leaves the names it does not reach unbound,
-    as evaluating by name at the binding does."""
-    E, _ = spaces
-    lag = Lagrangian(E, parse("1/4*(y1^4 + y2^4) + x2*y1^2"))
-
-    def outcome(fn, *args):
-        try:
-            return fn(*args)
-        except EvaluationError as err:
-            return type(err), str(err), err.point
-
-    points = (((0.5, 0.25, 9.0), (1.0, 2.0, 7.0)), ((0.5,), (1.0, 2.0)), ((0.5, 0.25), (1.0,)), ((), ()))
-    for x, fiber in points:
-        b = binding(lag, x, fiber)
-        assert outcome(lag.value, x, fiber) == outcome(lambda: by_name((lag.expr,), b)[0])
-        want = outcome(lambda: np.array(by_name(lag._roots[0], b)).reshape(2, 2).tolist())
-        assert outcome(lambda: lag.hessian_at(x, fiber).tolist()) == want
-    assert outcome(lag.value, (0.5,), (1.0, 2.0))[:2] == (
-        UnboundVariableError,
-        "unbound variable 'x2' at point {'x1': 0.5, 'y1': 1.0, 'y2': 2.0}",
-    )
+WRONG_SHAPES = {
+    "short_base_point": ((0.5,), (1.0, 2.0)),
+    "long_base_point": ((0.5, 0.25, 9.0), (1.0, 2.0)),
+    "short_fiber": ((0.5, 0.25), (1.0,)),
+    "long_fiber": ((0.5, 0.25), (1.0, 2.0, 9.0)),
+}
 
 
-def test_short_point_builds_only_the_programs_run(spaces, monkeypatch):
-    """At a short base point, value builds the value program alone,
-    hessian_at the Hessian program alone, and the fiber solve the Hessian
-    and Newton programs."""
+QUARTIC, CLASSICAL_H = BUNDLED_FIBER_FUNCTIONS["quartic.L"], BUNDLED_FIBER_FUNCTIONS["classical.H"]
+# Each entry point that takes a point of a fundamental function, as a
+# call of (x, fiber); for the solvers the fiber is the target.
+ENTRY_POINTS = {
+    "value": QUARTIC.value,
+    "hessian_at": QUARTIC.hessian_at,
+    "fiber_hessian": QUARTIC.fiber_hessian,
+    "phi_l": lambda x, fiber: phi_l(QUARTIC, x, fiber),
+    "solve_fiber": lambda x, fiber: solve_fiber(QUARTIC, x, fiber),
+    "solve_fiber_h": lambda x, fiber: solve_fiber_h(CLASSICAL_H, x, fiber),
+    "LegendreTransform.value": legendre_transform(QUARTIC).value,
+    "LegendreTransform.value_of_a_transform": legendre_transform(legendre_transform(CLASSICAL_H)).value,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("shape", sorted(WRONG_SHAPES))
+def test_points_of_another_shape_are_refused(shape, entry):
+    """A point is m base values, then r fiber values: any other length
+    raises one ValueError naming the expected and the given counts."""
+    x, fiber = WRONG_SHAPES[shape]
+    message = f"expected 2 base and 2 fiber values, got {len(x)} and {len(fiber)}"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ENTRY_POINTS[entry](x, fiber)
+
+
+def test_over_long_target_is_refused():
+    """A target with a value past the rank is refused: counted in the
+    stopping threshold NEWTON_TOL * (1 + max|target|), the 1e12 would
+    pass the unsolved target, residual 22, after one sweep, and the
+    transform would read 27.5 where it is 2.5 at (1, 2)."""
+    with pytest.raises(ValueError, match="got 2 and 3"):
+        solve_fiber(QUARTIC, (0.5, 0.25), (1.0, 2.0, 1e12))
+    solved = solve_fiber(QUARTIC, (0.5, 0.25), (1.0, 2.0))
+    assert solved.residual <= legendre.NEWTON_TOL * 3.0
+    assert phi_l(QUARTIC, (0.5, 0.25), solved.solution) == pytest.approx([1.0, 2.0])
+    transform = legendre_transform(BUNDLED_FIBER_FUNCTIONS["classical.L"])
+    with pytest.raises(ValueError, match="got 2 and 3"):
+        transform.value((0.5, 0.5), (1.0, 2.0, 5.0))
+    assert transform.value((0.5, 0.5), (1.0, 2.0)) == pytest.approx(2.5)
+
+
+def test_points_of_the_functions_shape_build_no_program(spaces, monkeypatch):
+    """The value, Hessian and Newton programs are built once, with the
+    function: valuing and solving at its points builds none."""
     E, _ = spaces
     lag = Lagrangian(E, parse("1/4*(y1^4 + y2^4) + x1^2*y1^2"))
     built = []
@@ -1166,17 +1180,8 @@ def test_short_point_builds_only_the_programs_run(spaces, monkeypatch):
             return build(roots, names)
 
         monkeypatch.setattr(legendre, name, counted_build)
-    x, fiber = (0.5,), (1.0, 2.0)
+    x, fiber = (0.5, 0.25), (1.0, 2.0)
     lag.value(x, fiber)
-    assert built == ["compiled"]
-    built.clear()
     lag.hessian_at(x, fiber)
-    assert built == ["compiled_many"]
-    built.clear()
     solve_fiber(lag, x, fiber)
-    assert built == ["compiled_many", "compiled_many"]
-    built.clear()
-    lag.value((0.5, 0.25), fiber)
-    lag.hessian_at((0.5, 0.25), fiber)
-    solve_fiber(lag, (0.5, 0.25), fiber)
     assert built == []
