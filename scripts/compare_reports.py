@@ -12,7 +12,11 @@ that the 3 trials of ``report-all`` never build.  Then runs ``lift u``,
 ``lift u --gh`` and ``lift u --vertical`` on each of those models that
 defines section ``u``, ``bracket w w`` on each that defines section
 ``w`` on TE, ``legendre --forward`` and ``legendre --backward`` at one
-fixed point on each with a fundamental function, and
+fixed point on each with a fundamental function, and on each such model
+one run of ``SOLVE_DIGEST``, which prints a SHA-256 of 300 seeded
+``solve_fiber``/``solve_fiber_h`` outcomes per fundamental function,
+targets from 1e-12 to 1e7 in magnitude, so that the fiber solver is
+compared bit for bit, errors included, over thousands of solves, and
 ``legendre --forward`` of ``models/quartic.model`` at the four points
 with one tiny fiber component (``TINY_COMPONENT_POINTS`` of
 ``tests/test_legendre.py``), where the fiber solve halves its Newton
@@ -75,6 +79,41 @@ FORMAT = [
     "-c",
     "import sys; from algebroids import format_model, load_model; print(format_model(load_model(sys.argv[1])))",
 ]
+# Seeded fiber solves of each fundamental function of the model at
+# argv[1]: argv[3] (x, target) pairs drawn from seed argv[2], x uniform in
+# [-2, 2] and each target component of magnitude 1e-12 to 1e7, log-uniform,
+# with a random sign.  Prints, per function, how many solves failed and
+# the SHA-256 of one line per solve: the solution, iterations and residual
+# by ``float.hex``, or the error's class and message.
+SOLVE_DIGEST = [
+    "-c",
+    r"""
+import hashlib, sys
+import numpy as np
+from algebroids import (
+    EvaluationError, NewtonConvergenceError, SingularJacobianError, load_model, solve_fiber, solve_fiber_h,
+)
+model, seed, n = load_model(sys.argv[1]), int(sys.argv[2]), int(sys.argv[3])
+for kind, f, solve in (("L", model.lagrangian, solve_fiber), ("H", model.hamiltonian, solve_fiber_h)):
+    if f is None:
+        continue
+    rng = np.random.default_rng(seed)
+    digest, failed = hashlib.sha256(), 0
+    for _ in range(n):
+        x = rng.uniform(-2.0, 2.0, len(f.base_vars)).tolist()
+        target = (rng.choice([-1.0, 1.0], f.rank) * 10.0 ** rng.uniform(-12.0, 7.0, f.rank)).tolist()
+        try:
+            out = solve(f, x, target)
+        except (EvaluationError, NewtonConvergenceError, SingularJacobianError) as err:
+            failed += 1
+            line = f"{type(err).__name__}: {err}"
+        else:
+            line = " ".join([*map(float.hex, out.solution.tolist()), str(out.iterations), float(out.residual).hex()])
+        digest.update(line.encode() + b"\n")
+    print(f"{kind}: {n} solves, {failed} failed, sha256 {digest.hexdigest()}")
+""",
+]
+SOLVE_SEED, SOLVES = 0, 300
 
 
 def start(src: pathlib.Path, argv: list[str]) -> subprocess.Popen:
@@ -128,6 +167,7 @@ def runs(seeds: list[int]) -> list[tuple[str, list[str]]]:
             for flag, fiber in (("--forward", "y"), ("--backward", "p")):
                 at = legendre_point(spec, fiber)
                 out.append((f"legendre {flag} --at {at}  {name}", [*CLI, "legendre", str(model), flag, "--at", at]))
+            out.append((f"solve digest  {name}", [*SOLVE_DIGEST, str(model), str(SOLVE_SEED), str(SOLVES)]))
     quartic = ROOT / "models" / "quartic.model"
     for x, y in TINY_COMPONENT_POINTS:
         at = ",".join(f"{name}{i + 1}={v!r}" for name, vs in (("x", x), ("y", y)) for i, v in enumerate(vs))

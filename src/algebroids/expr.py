@@ -676,16 +676,12 @@ def compiled_many(roots: Iterable[Expr], names: Iterable[str]) -> Callable[[Sequ
     Errors are those of evaluating ``roots[0]``, ``roots[1]``, ... in turn:
     a variable outside ``names`` (unbound), a domain error, or a root that
     is not finite after its own segment.  Each carries the point
-    ``dict(zip(names, row))``, built only for the error."""
+    ``dict(zip(names, row))``, built only for the error.  Where every
+    root is a constant, a run reads nothing and gives a new list of
+    their values."""
     names = tuple(names)
     index = {name: j for j, name in enumerate(names)}
     code, ends, outs = _tape(tuple(roots))
-    # The roots' values after a run; itemgetter gives a tuple only for two
-    # or more positions.
-    many = len(outs) > 1
-    gather = operator.itemgetter(*outs) if many else None
-    # Constants are finite, so roots that are all constants need no test.
-    finite = all(code[k][0] is Const for k in outs)
     # Constants are placed once; a run computes the other nodes.
     seeded = [entry[1] if entry[0] is Const else None for entry in code]
     steps = []
@@ -697,6 +693,15 @@ def compiled_many(roots: Iterable[Expr], names: Iterable[str]) -> Callable[[Sequ
             entry = (Var, index[entry[1]]) if entry[1] in index else (None, entry[1])
         if kind is not Const:
             steps.append((pos, entry))
+    if not steps:
+        # Every root is a constant, finite by construction: a run reads no
+        # row and gives a fresh list of the same values.
+        constants = [seeded[k] for k in outs]
+        return lambda row: constants.copy()
+    # The roots' values after a run; itemgetter gives a tuple only for two
+    # or more positions.
+    many = len(outs) > 1
+    gather = operator.itemgetter(*outs) if many else None
 
     def run(row: Sequence[float]) -> list[float]:
         values = seeded.copy()
@@ -735,7 +740,7 @@ def compiled_many(roots: Iterable[Expr], names: Iterable[str]) -> Callable[[Sequ
             out = list(gather(values)) if many else [values[k] for k in outs]
             # A sum of finite values is finite unless it overflows, and
             # then the root-by-root test below decides.
-            if finite or math.isfinite(sum(out)):
+            if math.isfinite(sum(out)):
                 return out
             error = None
             pos = len(code)

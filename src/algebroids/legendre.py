@@ -83,7 +83,10 @@ class HessianResult:
 class FiberFunction:
     """A fundamental function on the total space of an anchored bundle,
     with cached symbolic fiber derivatives and one compiled program each
-    for its value, Hessian and Newton Jacobian."""
+    for its value, Hessian and Newton Jacobian.  Where no root of the
+    Newton program reads a fiber coordinate, as where the fiber Hessian
+    depends on the base point only, the fiber solve runs that program
+    once per solve, not at each fiber point it visits."""
 
     variance = "primal"
 
@@ -129,6 +132,10 @@ class FiberFunction:
                 for e in (self.hessian[col][row], *(self.hessian_fiber_d[a][row][col] for a in range(r)))
             ),
         )
+        # Whether no root of the Newton program reads a fiber coordinate,
+        # so that it gives at every fiber point over a base point what it
+        # gives at one.
+        self._fiber_free = all(e.free.isdisjoint(self.fiber_vars) for e in self._roots[1])
         names = self.base_vars + self.fiber_vars
         self._fn = compiled(expression, names)
         self._hess_fn, self._newton_fn = (compiled_many(roots, names) for roots in self._roots)
@@ -313,17 +320,28 @@ def _newton_step(values: list[float], fiber: list[float], res: list[float]) -> l
 
 
 def _valued(
-    hessian, newton, x: list[float], vec: list[float], target: list[float], r: int
+    hessian,
+    newton,
+    x: list[float],
+    vec: list[float],
+    target: list[float],
+    r: int,
+    fixed: list[float] | None = None,
 ) -> tuple[list[float] | None, list[float]]:
     """The Newton program's values at the fiber point ``vec`` over ``x``
     and the residual sum_a vec[a] * H[a][c] - target[c] read from their
-    Hessian entries.  Where the Newton program raises, its values are
-    None, and the Hessian program alone values the residual, or raises."""
-    row = x + vec
-    try:
-        h = newton(row)
-    except EvaluationError:
-        h = None
+    Hessian entries.  ``fixed``, where not None, is those values, from a
+    run at another fiber point over ``x`` of a program that reads no fiber
+    coordinate, and no program runs.  Where the Newton program raises,
+    its values are None, and the Hessian program alone values the
+    residual, or raises."""
+    h = fixed
+    if h is None:
+        row = x + vec
+        try:
+            h = newton(row)
+        except EvaluationError:
+            pass
     if h is None:
         values, h, a_step, c_step = None, hessian(row), r, 1
     elif r == 2:
@@ -373,7 +391,8 @@ def _solve_fiber_system(
     Jacobian and gives both the singular test and the step.  One run of
     the Newton program values each point visited: its Hessian entries
     give the residual there, and its values the Jacobian once the point
-    is accepted."""
+    is accepted.  Where that program reads no fiber coordinate, its run
+    at the start, if it succeeds, values every later point too."""
     row = f._row(x, target)
     m, r = len(f.base_vars), f.rank
     x, target = row[:m], row[m:]
@@ -385,6 +404,9 @@ def _solve_fiber_system(
         values, res = _valued(hessian, newton, x, fiber, target, r)
     except EvaluationError as err:
         raise _start_error(err) from err
+    # Where the run at the start raised, each later point keeps its own,
+    # so that an error names the point it was raised at.
+    fixed = values if f._fiber_free else None
     norm = _max_abs(res)
     if not math.isfinite(norm):
         # No halved step lowers a residual that overflows: start instead
@@ -392,7 +414,7 @@ def _solve_fiber_system(
         h = hessian(x + fiber)
         det, candidate = _lu_solve([[h[a * r + c] for a in range(r)] for c in range(r)], list(target))
         if math.isfinite(det) and det != 0.0:
-            cvalues, cres = _valued(hessian, newton, x, candidate, target, r)
+            cvalues, cres = _valued(hessian, newton, x, candidate, target, r, fixed)
             cnorm = _max_abs(cres)
             if math.isfinite(cnorm):
                 fiber, values, res, norm = candidate, cvalues, cres, cnorm
@@ -415,7 +437,7 @@ def _solve_fiber_system(
         scale = 1.0
         for _ in range(MAX_HALVINGS):
             candidate = [v - scale * s for v, s in zip(fiber, step)]
-            cvalues, cres = _valued(hessian, newton, x, candidate, target, r)
+            cvalues, cres = _valued(hessian, newton, x, candidate, target, r, fixed)
             cnorm = _max_abs(cres)
             if cnorm < norm:
                 fiber, values, res, norm = candidate, cvalues, cres, cnorm

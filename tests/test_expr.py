@@ -792,6 +792,16 @@ class TestEvaluate:
     def test_finite_roots_whose_sum_overflows(self):
         e = E.parse("x1*1e308")
         assert E.compiled_many((e, e), ("x1",))([1.5]) == [1.5e308, 1.5e308]
+        # Roots that are all constants give their values in a new list on
+        # every call, so a caller's change to one result reaches no other.
+        for roots in ((E.const(1e308), E.const(1e308), E.ZERO), (E.const(-2.5),), ()):
+            run = E.compiled_many(roots, ("x1",))
+            want = [root.value for root in roots]
+            first = run([1.5])
+            assert first == want
+            first.append(7.0)
+            second = run([0.5])
+            assert second == want and second is not first
 
 
 class TestDifferentiate:

@@ -697,21 +697,33 @@ class TestReferenceSolver:
 
     @pytest.mark.parametrize("rank", [2, 3])
     def test_cross_terms(self, rank):
-        # Every bundled Hessian is diagonal; these are not.
+        # Every bundled Hessian is diagonal; these are not.  The second
+        # of each rank reads no fiber coordinate but does read x1, so
+        # the solve values every point with its run at the start.
         from algebroids import parse_model
 
-        text = {
-            2: "1/2*(y1^2 + 2*y2^2) + x1*y1*y2 + y1^4/4 + y1^2*y2^2/2",
-            3: "1/2*(y1^2 + 2*y2^2 + 3*y3^2) + x1*y1*y2 + y3^4/4 + y1*y2*y3/5",
+        texts = {
+            2: (
+                "1/2*(y1^2 + 2*y2^2) + x1*y1*y2 + y1^4/4 + y1^2*y2^2/2",
+                "1/2*(1 + x1^2)*y1^2 + x1*y1*y2 + (1 + sin(x1)^2)*y2^2",
+            ),
+            3: (
+                "1/2*(y1^2 + 2*y2^2 + 3*y3^2) + x1*y1*y2 + y3^4/4 + y1*y2*y3/5",
+                "1/2*(2 + x1^2)*y1^2 + x1*y1*y2 + cos(x1)*y2*y3 + (3 + x1)*y3^2 + y1*y3/5",
+            ),
         }[rank]
-        model = parse_model(
-            f"[base M]\ndim = 1\n[base N]\ndim = 1\n[algebroid]\nrank = {rank}\nrho[1][1] = 1\n"
-            f"[bundle E]\nrank = {rank}\n[lagrangian]\nL = {text}\n"
-        )
-        f = model.lagrangian
-        assert f.hessian[0][1] != f.hessian[0][0]
-        for x, target in seeded_solves(f, 3):
-            self.assert_same(f, x, target)
+        functions = []
+        for text in texts:
+            model = parse_model(
+                f"[base M]\ndim = 1\n[base N]\ndim = 1\n[algebroid]\nrank = {rank}\nrho[1][1] = 1\n"
+                f"[bundle E]\nrank = {rank}\n[lagrangian]\nL = {text}\n"
+            )
+            functions.append(model.lagrangian)
+        assert [f._fiber_free for f in functions] == [False, True]
+        for f in functions:
+            assert f.hessian[0][1] != f.hessian[0][0]
+            for x, target in seeded_solves(f, 3):
+                self.assert_same(f, x, target)
 
     def test_where_the_newton_program_fails(self):
         # The derivative of the Hessian, 1.875*(y1 + x1)^(-0.5), fails
@@ -728,6 +740,19 @@ class TestReferenceSolver:
         )
         for target in (2.5, -1.0, 0.3):
             self.assert_same(lag, (0.0,), (target,))
+        # A Newton program that reads no fiber coordinate and fails at the
+        # base point fails at the start, and the error names it.
+        flat = Lagrangian(line, parse("1/2*log(x1)*y1^2"))
+        assert flat._fiber_free
+        assert self.assert_same(flat, (-1.0,), (0.5,))[:2] == (
+            EvaluationError,
+            "domain error: math domain error at the fiber solve's start,"
+            " the target read as a fiber point: {'x1': -1.0, 'y1': 0.5}",
+        )
+        # Its Hessian, log(x1), is singular at x1 = 1.
+        assert self.assert_same(flat, (1.0,), (0.5,))[0] is SingularJacobianError
+        for x in (0.5, 3.0):
+            self.assert_same(flat, (x,), (0.5,))
 
 
 def counted(monkeypatch, f, name):
@@ -749,11 +774,32 @@ class TestProgramRuns:
         return load_model(MODELS / "generalized.model").bundles["E"]
 
     def test_one_newton_run_per_point(self, monkeypatch):
+        # The Hessian of generalized.L reads no fiber coordinate, so the
+        # run at the start values the second point too.
         lag = load_model(MODELS / "generalized.model").lagrangian
         newton, hessian = counted(monkeypatch, lag, "_newton_fn"), counted(monkeypatch, lag, "_hess_fn")
         out = solve_fiber(lag, (0.5,), (0.8,))
         assert out.iterations == 2
-        assert (len(newton), len(hessian)) == (2, 0)
+        assert (len(newton), len(hessian)) == (1, 0)
+
+    def test_one_newton_run_per_valued_point_where_the_hessian_reads_the_fiber(self, monkeypatch):
+        quartic = load_model(MODELS / "quartic.model").lagrangian
+        assert not quartic._fiber_free
+        x, y = TINY_COMPONENT_POINTS[0]
+        target = phi_l(quartic, x, y)
+        newton, hessian = counted(monkeypatch, quartic, "_newton_fn"), counted(monkeypatch, quartic, "_hess_fn")
+        points = []
+        valued = legendre._valued
+
+        def spy(hessian, newton, x, vec, *rest):
+            points.append(x + vec)
+            return valued(hessian, newton, x, vec, *rest)
+
+        monkeypatch.setattr(legendre, "_valued", spy)
+        out = solve_fiber(quartic, x, target)
+        # The start, then each halving candidate, one run each.
+        assert len(points) > out.iterations
+        assert (newton, hessian) == (points, [])
 
     def test_hessian_program_where_the_newton_program_fails(self, line, monkeypatch):
         # 1.875*y1^(-0.5), the derivative of the Hessian, fails at y1 = 0,
