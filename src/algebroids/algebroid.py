@@ -16,16 +16,19 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .expr import (
+    MINUS_ONE,
     ZERO,
     Expr,
     Sampler,
     Var,
     add,
+    contract,
     differentiate,
     free_variables,
     is_zero,
     mul,
     neg,
+    nonzero,
     substitute,
     var,
 )
@@ -133,7 +136,8 @@ class GeneralizedLieAlgebroid:
     construction and alpha == beta entries are forced to zero.  Both are
     pulled to M through h once, here: ``rho_m[alpha][i]`` is
     ``h.pull(rho[alpha][i])`` and ``L_m(a, b, g)`` is ``h.pull(L(a, b, g))``.
-    The full antisymmetric table behind ``L`` is also built once, here.
+    The full antisymmetric table behind ``L`` is also built once, here,
+    and so is the :func:`~algebroids.expr.nonzero` list of each table.
     """
 
     base_m: CoordSystem
@@ -146,6 +150,10 @@ class GeneralizedLieAlgebroid:
     rho_m: tuple[tuple[Expr, ...], ...] = field(init=False, repr=False, compare=False)
     _structure: tuple = field(init=False, repr=False, compare=False)
     _structure_m: tuple = field(init=False, repr=False, compare=False)
+    rho_nonzero: tuple = field(init=False, repr=False, compare=False)
+    rho_m_nonzero: tuple = field(init=False, repr=False, compare=False)
+    L_nonzero: tuple = field(init=False, repr=False, compare=False)
+    L_m_nonzero: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.base_m.dim != self.base_n.dim:
@@ -189,6 +197,8 @@ class GeneralizedLieAlgebroid:
         object.__setattr__(
             self, "_structure_m", tuple(tuple(tuple(pull(e) for e in row) for row in plane) for plane in table)
         )
+        for name, entries in (("rho", self.rho), ("rho_m", self.rho_m), ("L", table), ("L_m", self._structure_m)):
+            object.__setattr__(self, f"{name}_nonzero", nonzero(entries))
 
     # -- accessors ---------------------------------------------------------
 
@@ -222,30 +232,26 @@ class GeneralizedLieAlgebroid:
         else:
             f_on_m = h.pull(f)
             pushed = [h.push(differentiate(f_on_m, xi)) for xi in self.base_m.variables]
-        return add(
-            *[
-                mul(z.coefficients[alpha], add(*[mul(self.rho[alpha][i], d) for i, d in enumerate(pushed)]))
-                for alpha in range(self.rank)
-            ]
+        # A variable f does not hold builds no product either.
+        terms = [(a, r, pushed[i]) for a, i, r in self.rho_nonzero if pushed[i] is not ZERO]
+        return contract(
+            (z.coefficients[alpha], contract((r, d) for a, r, d in terms if a == alpha)) for alpha in range(self.rank)
         )
 
     def bracket(self, u: "SectionF", v: "SectionF") -> "SectionF":
         """Section bracket: anchor derivations of the coefficients plus
         the structure-function contraction."""
-        out = []
-        for g in range(self.rank):
-            out.append(
-                add(
+        return SectionF(
+            self,
+            tuple(
+                contract(
+                    ((u.coefficients[a], v.coefficients[b], e) for a, b, c, e in self.L_nonzero if c == g),
                     self.anchor_action(u, v.coefficients[g]),
                     neg(self.anchor_action(v, u.coefficients[g])),
-                    *[
-                        mul(u.coefficients[a], v.coefficients[b], self.L(a, b, g))
-                        for a in range(self.rank)
-                        for b in range(self.rank)
-                    ],
                 )
-            )
-        return SectionF(self, tuple(out))
+                for g in range(self.rank)
+            ),
+        )
 
 
 @dataclass(frozen=True)
@@ -284,21 +290,17 @@ def check_compatibility(
     composed with h so both sides live on M."""
     report = CheckReport("anchor-compatibility")
     p, m = algebroid.rank, algebroid.base_m.dim
-    rho_m = algebroid.rho_m
+    rho_m, nz = algebroid.rho_m, algebroid.rho_m_nonzero
     xs = algebroid.base_m.variables
     for a in range(p):
         for b in range(a + 1, p):
             for k in range(m):
-                lhs = add(*[mul(algebroid.L_m(a, b, g), rho_m[g][k]) for g in range(p)])
-                rhs = add(
-                    *[
-                        mul(rho_m[a][i], differentiate(rho_m[b][k], xs[i]))
-                        for i in range(m)
-                    ],
-                    *[
-                        neg(mul(rho_m[b][j], differentiate(rho_m[a][k], xs[j])))
-                        for j in range(m)
-                    ],
+                lhs = contract((e, rho_m[g][k]) for a2, b2, g, e in algebroid.L_m_nonzero if (a2, b2) == (a, b))
+                rhs = contract(
+                    itertools.chain(
+                        ((r, differentiate(rho_m[b][k], xs[i])) for c, i, r in nz if c == a),
+                        ((MINUS_ONE, r, differentiate(rho_m[a][k], xs[j])) for c, j, r in nz if c == b),
+                    )
                 )
                 _residual_row(report, "compatibility", (a + 1, b + 1, k + 1), lhs, rhs, sampler, tol)
     return report

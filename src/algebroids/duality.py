@@ -23,7 +23,7 @@ from typing import Literal
 
 import numpy as np
 
-from .expr import Expr, Sampler, add, differentiate, mul, neg, substitute
+from .expr import Expr, Sampler, add, contract, differentiate, mul, neg, substitute
 from .legendre import FiberFunction, Hamiltonian, Lagrangian, legendre_fiber_exprs
 from .prolong import (
     AnchoredBundle,
@@ -94,17 +94,15 @@ def tangent_legendre(pair: LegendrePair, Z: ProlongSection, side: Side) -> Prolo
     if Z.bundle != source:
         raise ValueError(f"section must live on the {source.variance} bundle")
     alg = source.algebroid
-    p, r, m = alg.rank, source.rank, alg.base_m.dim
-    horizontal = tuple(transport(Z.horizontal[alpha]) for alpha in range(p))
+    r = source.rank
+    horizontal = tuple(transport(Z.horizontal[alpha]) for alpha in range(alg.rank))
     vertical = tuple(
         transport(
-            add(
-                *[
-                    mul(alg.rho_m[alpha][i], Z.horizontal[alpha], fn.mixed[i][b])
-                    for alpha in range(p)
-                    for i in range(m)
-                ],
-                *[mul(Z.vertical[a], fn.hessian[a][b]) for a in range(r)],
+            contract(
+                itertools.chain(
+                    ((e, Z.horizontal[alpha], fn.mixed[i][b]) for alpha, i, e in alg.rho_m_nonzero),
+                    ((Z.vertical[a], fn.hessian[a][b]) for a in range(r)),
+                )
             )
         )
         for b in range(r)
@@ -128,8 +126,9 @@ def morphism_conditions(
     """
     source, target, fn, transport = _sides(pair, side)
     alg = source.algebroid
-    p, r, m = alg.rank, source.rank, alg.base_m.dim
-    rho = alg.rho_m
+    p, r = alg.rank, source.rank
+    # The anchor's zero entries build no product and no derivative.
+    nz = alg.rho_m_nonzero
     xs = alg.base_m.variables
     target_fiber = target.fiber_variables
     # P[alpha][b]: vertical image of the anchored frame; Q[a][b]: of the fiber frame.
@@ -144,17 +143,17 @@ def morphism_conditions(
             residual_row(report, "structure-transport", (alpha + 1, beta + 1, gamma + 1), lhs, rhs, sampler, tol)
         for b in range(r):
             lhs = transport(
-                add(
-                    *[
-                        mul(alg.L_m(alpha, beta, gamma), rho[gamma][k], fn.mixed[k][b])
-                        for gamma in range(p)
-                        for k in range(m)
-                    ]
+                contract(
+                    (e, rk, fn.mixed[k][b])
+                    for a2, b2, gamma, e in alg.L_m_nonzero
+                    if (a2, b2) == (alpha, beta)
+                    for g, k, rk in nz
+                    if g == gamma
                 )
             )
             rhs = add(
-                *[mul(rho[alpha][i], differentiate(P[beta][b], xs[i])) for i in range(m)],
-                *[neg(mul(rho[beta][j], differentiate(P[alpha][b], xs[j]))) for j in range(m)],
+                *[mul(e, differentiate(P[beta][b], xs[i])) for c, i, e in nz if c == alpha],
+                *[neg(mul(e, differentiate(P[alpha][b], xs[j]))) for c, j, e in nz if c == beta],
                 *[mul(P[alpha][a], differentiate(P[beta][b], target_fiber[a])) for a in range(r)],
                 *[neg(mul(P[beta][a], differentiate(P[alpha][b], target_fiber[a]))) for a in range(r)],
             )
@@ -163,7 +162,7 @@ def morphism_conditions(
         for b in range(r):
             for a in range(r):
                 rhs = add(
-                    *[mul(rho[alpha][i], differentiate(Q[b][a], xs[i])) for i in range(m)],
+                    *[mul(e, differentiate(Q[b][a], xs[i])) for c, i, e in nz if c == alpha],
                     *[mul(P[alpha][c], differentiate(Q[b][a], target_fiber[c])) for c in range(r)],
                     *[neg(mul(Q[b][c], differentiate(P[alpha][a], target_fiber[c]))) for c in range(r)],
                 )

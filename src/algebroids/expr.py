@@ -262,6 +262,7 @@ FUNCTIONS: dict[str, Callable[[float], float]] = {
 
 ZERO = Const(0.0)
 ONE = Const(1.0)
+MINUS_ONE = Const(-1.0)
 # Every class of node; the constructors dispatch on type(), and any
 # other argument goes through _coerce.
 _KINDS = frozenset((Const, Var, Sum, Prod, Pow, Neg, Call))
@@ -280,16 +281,18 @@ def _coerce(x) -> Expr:
 # printer relies on: constants folded, nested sums/products flattened,
 # no unit factors, Neg never wrapping Const/Neg, products carrying at
 # most one leading constant and no Neg factors.  Zero is absorbed: a
-# product with a zero factor is ZERO, and add drops ZERO terms, so the
-# builders write every sum of products in full and never test a factor
-# first.  is_zero belongs where a zero saves real work (a skipped
-# differentiation) or changes what is stored or shown (sparse forms,
-# printers, validations).  Const, Var and these constructors are the only
-# way to build a node: calling Sum, Prod, Neg, Pow or Call raises
-# TypeError, and unpickling interns the nodes a constructor built.
-# Re-applying a constructor to a node's children gives the same node
-# back, so the form is already canonical: is_zero relies on this and
-# never rebuilds a tree.
+# product with a zero factor is ZERO, and add drops ZERO terms.  So a
+# contraction with a structure table (the anchor, the structure functions,
+# a fiber morphism) is summed by contract over the table's nonzero list
+# alone: the products it skips would be ZERO, and the sum is the very node
+# the dense sum builds.  A zero is tested only where that saves real work
+# (a skipped product or differentiation) or changes what is stored or
+# shown (sparse forms, printers, validations).  Const, Var and these
+# constructors are the only way to build a node: calling Sum, Prod, Neg,
+# Pow or Call raises TypeError, and unpickling interns the nodes a
+# constructor built.  Re-applying a constructor to a node's children gives
+# the same node back, so the form is already canonical: is_zero relies on
+# this and never rebuilds a tree.
 
 
 def const(value: float) -> Expr:
@@ -331,11 +334,9 @@ def add(*terms) -> Expr:
 
 
 def mul(*factors) -> Expr:
-    # Not needed for the result, which folds to ZERO below anyway, but a
-    # third of the products the builders write hold ZERO, and the scan
-    # spares them the flattening.
-    if ZERO in factors:
-        return ZERO
+    # A ZERO factor needs no test of its own: it folds into acc, and the
+    # product is ZERO below.  Few products hold one, since contract skips
+    # the zero entries of the structure tables.
     flat: list[Expr] = []
     acc = 1.0
     negative = False
@@ -391,6 +392,22 @@ def neg(x) -> Expr:
     if kind is Prod and type(x.factors[0]) is Const:
         return mul(_interned((Const, -x.factors[0].value)), *x.factors[1:])
     return _interned((Neg, x))
+
+
+def nonzero(table) -> tuple[tuple, ...]:
+    """The ``(i, j, ..., entry)`` tuple of each entry of the nested tuple
+    ``table`` that is not ``ZERO``, in row-major order."""
+    if isinstance(table, Expr):
+        return () if table is ZERO else ((table,),)
+    return tuple((i, *rest) for i, sub in enumerate(table) for rest in nonzero(sub))
+
+
+def contract(terms: Iterable[Sequence], *lead: Expr) -> Expr:
+    """``add(*lead, *[mul(*factors) for factors in terms])``, where the
+    terms are drawn from the :func:`nonzero` list of a table, so that a
+    structurally zero entry builds no product; a leading ``MINUS_ONE``
+    factor negates a term."""
+    return add(*lead, *[mul(*factors) for factors in terms])
 
 
 def power(base, exponent) -> Expr:

@@ -11,11 +11,11 @@ ranks met in practice keep cheap.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .algebroid import CoordSystem, GeneralizedLieAlgebroid, SectionF, SmoothMap
-from .expr import Expr, add, free_variables, is_zero, mul, neg
+from .expr import Expr, add, contract, free_variables, is_zero, mul, neg, nonzero
 
 
 @dataclass(frozen=True)
@@ -136,13 +136,15 @@ class BundleMorphism:
     """Fiberwise-linear bundle map over an invertible base map.
 
     ``components[alpha][a]`` (on the source base) sends source fiber
-    direction a to target direction alpha.
+    direction a to target direction alpha; ``components_nonzero`` is
+    their :func:`~algebroids.expr.nonzero` list.
     """
 
     source: VectorBundle
     target: VectorBundle
     base_map: SmoothMap
     components: tuple[tuple[Expr, ...], ...]
+    components_nonzero: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.base_map.domain != self.source.base or self.base_map.codomain != self.target.base:
@@ -159,6 +161,7 @@ class BundleMorphism:
                     raise ValueError(
                         f"morphism components must use source base coordinates, got {sorted(bad)}"
                     )
+        object.__setattr__(self, "components_nonzero", nonzero(self.components))
 
 
 def pushforward_section(morphism: BundleMorphism, coefficients: Sequence[Expr]) -> tuple[Expr, ...]:
@@ -166,16 +169,10 @@ def pushforward_section(morphism: BundleMorphism, coefficients: Sequence[Expr]) 
     components, then transport through the inverse base map."""
     if len(coefficients) != morphism.source.rank:
         raise ValueError("section length must match the source rank")
-    out = []
-    for alpha in range(morphism.target.rank):
-        total = add(
-            *[
-                mul(morphism.components[alpha][a], coefficients[a])
-                for a in range(morphism.source.rank)
-            ]
-        )
-        out.append(morphism.base_map.push(total))
-    return tuple(out)
+    return tuple(
+        morphism.base_map.push(contract((e, coefficients[a]) for b, a, e in morphism.components_nonzero if b == alpha))
+        for alpha in range(morphism.target.rank)
+    )
 
 
 def pullback_form(morphism: BundleMorphism, omega: FormQ) -> FormQ:

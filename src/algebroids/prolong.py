@@ -14,23 +14,28 @@ composing with (h o projection) is substitution through h.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Literal, Sequence
 
 import numpy as np
 
 from .algebroid import GeneralizedLieAlgebroid, SectionF, random_polynomial
 from .expr import (
+    MINUS_ONE,
     Const,
     Expr,
     Neg,
     Sampler,
     Sum,
+    ZERO,
     add,
+    contract,
     differentiate,
     free_variables,
     is_zero,
     mul,
     neg,
+    nonzero,
     var,
 )
 from .exterior import BundleMorphism, FormQ, VectorBundle, algebroid_bundle, pushforward_section
@@ -48,7 +53,8 @@ class AnchoredBundle:
     """Vector bundle over M anchored into an algebroid by fiber
     components ``g[alpha][b]`` with declared inverse ``g_inv[b][alpha]``
     (both on M).  The declared inverse is verified by sampling, never
-    computed symbolically here."""
+    computed symbolically here.  The :func:`~algebroids.expr.nonzero`
+    lists of both are built once, here (empty without a morphism)."""
 
     algebroid: GeneralizedLieAlgebroid
     rank: int
@@ -58,6 +64,8 @@ class AnchoredBundle:
     # The coordinate names, set once by __post_init__.
     fiber_variables: tuple[str, ...] = field(init=False, repr=False, compare=False)
     total_variables: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    g_nonzero: tuple = field(init=False, repr=False, compare=False)
+    g_inv_nonzero: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.rank < 1:
@@ -88,6 +96,8 @@ class AnchoredBundle:
         fiber = tuple(f"{self.fiber_prefix}{a + 1}" for a in range(self.rank))
         object.__setattr__(self, "fiber_variables", fiber)
         object.__setattr__(self, "total_variables", self.algebroid.base_m.variables + fiber)
+        object.__setattr__(self, "g_nonzero", nonzero(self.g or ()))
+        object.__setattr__(self, "g_inv_nonzero", nonzero(self.g_inv or ()))
 
     # -- coordinates -------------------------------------------------------
 
@@ -134,12 +144,12 @@ class AnchoredBundle:
         p = self.algebroid.rank
         for b in range(self.rank):
             for a in range(self.rank):
-                acc = add(*[mul(self.g_inv[b][alpha], self.g[alpha][a]) for alpha in range(p)])
+                acc = contract((e, self.g[alpha][a]) for c, alpha, e in self.g_inv_nonzero if c == b)
                 want = add(1.0) if a == b else add()
                 _residual_row(report, "ginv-g", (b + 1, a + 1), acc, want, sampler, tol)
         for alpha in range(p):
             for beta in range(p):
-                acc = add(*[mul(self.g_inv[a][beta], self.g[alpha][a]) for a in range(self.rank)])
+                acc = contract((e, self.g[alpha][a]) for a, c, e in self.g_inv_nonzero if c == beta)
                 want = add(1.0) if alpha == beta else add()
                 _residual_row(report, "g-ginv", (alpha + 1, beta + 1), acc, want, sampler, tol)
         return report
@@ -210,13 +220,12 @@ class VectorFieldOnE:
 
     def apply(self, f: Expr) -> Expr:
         """Act as a derivation on a function on the total space."""
-        # A zero coefficient skips a whole differentiation.
-        return add(
-            *[
-                mul(coeff, differentiate(f, x))
-                for coeff, x in zip(self.d_base + self.d_fiber, self.bundle.total_variables)
-                if not is_zero(coeff)
-            ]
+        # A zero coefficient, or a variable that f does not hold, skips a
+        # whole differentiation.
+        return contract(
+            (coeff, differentiate(f, x))
+            for coeff, x in zip(self.d_base + self.d_fiber, self.bundle.total_variables)
+            if x in f.free and not is_zero(coeff)
         )
 
     def __add__(self, other: "VectorFieldOnE") -> "VectorFieldOnE":
@@ -280,7 +289,7 @@ def rho_tilde(Z: ProlongSection) -> VectorFieldOnE:
     contract with (anchor o h o projection), vertical pass through."""
     alg = Z.bundle.algebroid
     d_base = tuple(
-        add(*[mul(Z.horizontal[alpha], alg.rho_m[alpha][i]) for alpha in range(alg.rank)])
+        contract((Z.horizontal[alpha], r) for alpha, j, r in alg.rho_m_nonzero if j == i)
         for i in range(alg.base_m.dim)
     )
     return VectorFieldOnE(Z.bundle, d_base, Z.vertical)
@@ -296,14 +305,10 @@ def bracket_prolong(Z: ProlongSection, W: ProlongSection) -> ProlongSection:
     rz = rho_tilde(Z)
     rw = rho_tilde(W)
     horizontal = [
-        add(
+        contract(
+            ((Z.horizontal[a], W.horizontal[b], e) for a, b, c, e in alg.L_m_nonzero if c == g),
             rz.apply(W.horizontal[g]),
             neg(rw.apply(Z.horizontal[g])),
-            *[
-                mul(Z.horizontal[a], W.horizontal[b], alg.L_m(a, b, g))
-                for a in range(alg.rank)
-                for b in range(alg.rank)
-            ],
         )
         for g in range(alg.rank)
     ]
@@ -329,20 +334,10 @@ def complete_lift_function(bundle: AnchoredBundle, f: Expr) -> Expr:
     alg = bundle.algebroid
     f_lift = vertical_lift_function(bundle, f)
     d = [differentiate(f_lift, x) for x in alg.base_m.variables]
-    return add(
-        *[
-            mul(
-                bundle.fiber_var(a),
-                add(
-                    *[
-                        mul(bundle.g[alpha][a], alg.rho_m[alpha][i], d[i])
-                        for alpha in range(alg.rank)
-                        for i in range(alg.base_m.dim)
-                    ]
-                ),
-            )
-            for a in range(bundle.rank)
-        ]
+    g = bundle.g
+    return contract(
+        (bundle.fiber_var(a), contract((g[c][a], r, d[i]) for c, i, r in alg.rho_m_nonzero if g[c][a] is not ZERO))
+        for a in range(bundle.rank)
     )
 
 
@@ -367,7 +362,7 @@ def _gu(u: Section) -> tuple[Expr, ...]:
     through the fiber morphism, still on M."""
     bundle = u.bundle
     return tuple(
-        add(*[mul(bundle.g[alpha][c], u.coefficients[c]) for c in range(bundle.rank)])
+        contract((e, u.coefficients[c]) for a, c, e in bundle.g_nonzero if a == alpha)
         for alpha in range(bundle.algebroid.rank)
     )
 
@@ -380,17 +375,8 @@ def push_to_algebroid(u: Section) -> SectionF:
 def pull_from_algebroid(bundle: AnchoredBundle, w: SectionF) -> Section:
     """Image of an algebroid section through the inverse morphism, on M."""
     bundle._need_g()
-    h = bundle.algebroid.h
-    coeffs = []
-    for b in range(bundle.rank):
-        coeffs.append(
-            add(
-                *[
-                    mul(h.pull(w.coefficients[alpha]), bundle.g_inv[b][alpha])
-                    for alpha in range(bundle.algebroid.rank)
-                ]
-            )
-        )
+    pulled = [bundle.algebroid.h.pull(c) for c in w.coefficients]
+    coeffs = (contract((pulled[a], e) for c, a, e in bundle.g_inv_nonzero if c == b) for b in range(bundle.rank))
     return Section(bundle, tuple(coeffs))
 
 
@@ -401,20 +387,23 @@ def _k_on_m(bundle: AnchoredBundle, gu: tuple[Expr, ...]) -> tuple[tuple[Expr, .
     functions, and derivatives by the M coordinates."""
     alg = bundle.algebroid
     xs = alg.base_m.variables
-    p, m = alg.rank, alg.base_m.dim
-    g = bundle.g
+    g, rho, L = bundle.g, alg.rho_m_nonzero, alg.L_m_nonzero
     dg = [[[differentiate(e, x) for x in xs] for e in row] for row in g]
     dgu = [[differentiate(e, x) for x in xs] for e in gu]
+    # Each sum runs over the anchor's or the structure functions' nonzero
+    # list and skips the entries of g, or of its derivatives, that are ZERO.
     return tuple(
         tuple(
-            add(
-                *[mul(gu[beta], alg.rho_m[beta][j], dg[gamma][a][j]) for beta in range(p) for j in range(m)],
-                *[neg(mul(g[alpha][a], alg.rho_m[alpha][i], dgu[gamma][i])) for alpha in range(p) for i in range(m)],
-                *[mul(gu[alpha], g[beta][a], alg.L_m(alpha, beta, gamma)) for alpha in range(p) for beta in range(p)],
+            contract(
+                chain(
+                    ((gu[beta], r, dg[gamma][a][j]) for beta, j, r in rho if dg[gamma][a][j] is not ZERO),
+                    ((MINUS_ONE, g[alpha][a], r, dgu[gamma][i]) for alpha, i, r in rho if g[alpha][a] is not ZERO),
+                    ((gu[alpha], g[beta][a], e) for alpha, beta, c, e in L if c == gamma and g[beta][a] is not ZERO),
+                )
             )
             for a in range(bundle.rank)
         )
-        for gamma in range(p)
+        for gamma in range(alg.rank)
     )
 
 
@@ -451,12 +440,11 @@ def complete_lift(u: Section) -> ProlongSection:
     gu = _gu(u)
     K_m = _k_on_m(bundle, gu)
     vertical = tuple(
-        add(
-            *[
-                neg(mul(bundle.fiber_var(a), K_m[gamma][a], bundle.g_inv[b][gamma]))
-                for a in range(bundle.rank)
-                for gamma in range(bundle.algebroid.rank)
-            ]
+        contract(
+            (MINUS_ONE, bundle.fiber_var(a), K_m[gamma][a], e)
+            for a in range(bundle.rank)
+            for c, gamma, e in bundle.g_inv_nonzero
+            if c == b
         )
         for b in range(bundle.rank)
     )
@@ -483,21 +471,11 @@ def almost_tangent(Z: ProlongSection) -> ProlongSection:
     inverse fiber morphism; vertical directions to zero."""
     bundle = Z.bundle
     bundle._need_g()
-    vertical = []
-    for b in range(bundle.rank):
-        vertical.append(
-            add(
-                *[
-                    mul(bundle.g_inv[b][alpha], Z.horizontal[alpha])
-                    for alpha in range(bundle.algebroid.rank)
-                ]
-            )
-        )
-    return ProlongSection(
-        bundle,
-        tuple(add() for _ in range(bundle.algebroid.rank)),
-        tuple(vertical),
+    vertical = tuple(
+        contract((e, Z.horizontal[alpha]) for c, alpha, e in bundle.g_inv_nonzero if c == b)
+        for b in range(bundle.rank)
     )
+    return ProlongSection(bundle, tuple(add() for _ in range(bundle.algebroid.rank)), vertical)
 
 
 # ---------------------------------------------------------------------------

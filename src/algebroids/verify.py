@@ -296,16 +296,21 @@ def derivative_oracle_report(
             continue
         columns = sampler.columns(names)
         symbolic = evaluate_columns([differentiate(expression, v) for v in names], names, columns)
+        # central_difference at every sampled point, in one pass over the
+        # shifted copies stacked hi_0, lo_0, hi_1, lo_1, ... (x_j + step,
+        # then x_j - step), so the first error raised is the one that a
+        # pass per copy, in that order, would raise.
+        n, k = columns.shape
+        shifted = np.repeat(columns[np.newaxis], 2 * k, axis=0)
+        for j in range(k):
+            shifted[2 * j, :, j] += DIFFERENCE_STEP
+            shifted[2 * j + 1, :, j] -= DIFFERENCE_STEP
+        (f,) = evaluate_columns((expression,), names, shifted.reshape(2 * k * n, k))
+        f = f.reshape(k, 2, n)
+        with np.errstate(over="ignore"):
+            differences = (f[:, 0] - f[:, 1]) / (2.0 * DIFFERENCE_STEP)
         for j, v in enumerate(names):
-            # central_difference at every sampled point: x_j + step and
-            # x_j - step, each one pass over the columns.
-            hi, lo = columns.copy(), columns.copy()
-            hi[:, j] += DIFFERENCE_STEP
-            lo[:, j] -= DIFFERENCE_STEP
-            (f_hi,), (f_lo,) = (evaluate_columns((expression,), names, c) for c in (hi, lo))
-            with np.errstate(over="ignore"):
-                difference = (f_hi - f_lo) / (2.0 * DIFFERENCE_STEP)
-            worst, witness = column_residual(symbolic[j], difference, names, columns)
+            worst, witness = column_residual(symbolic[j], differences[j], names, columns)
             report.add(f"d/d{v} {name}", (), worst, tol, witness)
     return report
 

@@ -3,7 +3,7 @@ import pathlib
 import pytest
 
 from algebroids import expr as E
-from algebroids import load_model
+from algebroids import load_model, parse_model
 from algebroids import verify
 from algebroids.verify import PLAN, derivative_oracle_report, model_expressions, run_checks
 
@@ -38,6 +38,42 @@ def test_column_oracle_equals_per_point_loop(name):
     report = derivative_oracle_report(model, sampler)
     got = [(row.name, row.residual, row.passed, row.witness) for row in report.rows]
     assert got == reference_oracle_rows(model, sampler)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        # x + step leaves sqrt's domain at some points, x - step at others.
+        "sqrt(-k1) + sqrt(k1 + 0.000003) + log(-k2)",
+        # x + step stays in the domain; x - step leaves it at some points,
+        # and k2 + step leaves log's at every point.
+        "sqrt(k1 + 0.000003) + log(-k2)",
+    ],
+)
+def test_column_oracle_raises_the_point_drivers_first_error(entry):
+    """Sampled within DIFFERENCE_STEP of 0, the shifted copies of an anchor
+    entry leave the domain of sqrt or log.  The oracle raises the error,
+    point and all, that the point driver meets first when it values the
+    copies hi_0, lo_0, hi_1, lo_1 in turn, each at every sampled point."""
+    text = (MODELS / "classical.model").read_text().replace("rho[1][1] = 1", f"rho[1][1] = {entry}")
+    ranges = "domain k1 = -0.0000025 -0.0000005\ndomain k2 = -0.0000005 -0.0000001"
+    text = text.replace("domain = -2 2", f"domain = -2 2\n{ranges}")
+    model = parse_model(text)
+    name, expression = model_expressions(model)[0]
+    assert name == "rho[1][1]"
+    names = tuple(sorted(E.free_variables(expression)))
+    want = None
+    for v in names:
+        for step in (E.DIFFERENCE_STEP, -E.DIFFERENCE_STEP):
+            for point in model.sampler.sample(names):
+                try:
+                    E.evaluate(expression, {**point, v: point[v] + step})
+                except E.EvaluationError as err:
+                    want = want or (str(err), err.point)
+    assert want is not None
+    with pytest.raises(E.EvaluationError) as err:
+        derivative_oracle_report(model, model.sampler)
+    assert (str(err.value), err.value.point) == want
 
 
 def test_plan_calls_suites_by_module_name(classical, monkeypatch):
