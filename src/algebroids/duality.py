@@ -23,7 +23,7 @@ from typing import Literal
 
 import numpy as np
 
-from .expr import Expr, Sampler, add, contract, differentiate, mul, neg, substitute
+from .expr import MINUS_ONE, ZERO, Expr, Sampler, add, contract, differentiate, substitute
 from .legendre import FiberFunction, Hamiltonian, Lagrangian, legendre_fiber_exprs
 from .prolong import (
     AnchoredBundle,
@@ -96,12 +96,19 @@ def tangent_legendre(pair: LegendrePair, Z: ProlongSection, side: Side) -> Prolo
     alg = source.algebroid
     r = source.rank
     horizontal = tuple(transport(Z.horizontal[alpha]) for alpha in range(alg.rank))
+    # The sums run over the anchor's nonzero list and skip the ZERO entries
+    # of Z and of the mixed and fiber Hessians.
+    zh, zv, mixed, hessian = Z.horizontal, Z.vertical, fn.mixed, fn.hessian
     vertical = tuple(
         transport(
             contract(
                 itertools.chain(
-                    ((e, Z.horizontal[alpha], fn.mixed[i][b]) for alpha, i, e in alg.rho_m_nonzero),
-                    ((Z.vertical[a], fn.hessian[a][b]) for a in range(r)),
+                    (
+                        (e, zh[alpha], mixed[i][b])
+                        for alpha, i, e in alg.rho_m_nonzero
+                        if zh[alpha] is not ZERO and mixed[i][b] is not ZERO
+                    ),
+                    ((zv[a], hessian[a][b]) for a in range(r) if zv[a] is not ZERO and hessian[a][b] is not ZERO),
                 )
             )
         )
@@ -112,6 +119,17 @@ def tangent_legendre(pair: LegendrePair, Z: ProlongSection, side: Side) -> Prolo
 
 # ---------------------------------------------------------------------------
 # Morphism conditions for the basis brackets
+
+
+def _derivative_terms(triples, *lead: Expr):
+    """The factors ``(*lead, c, differentiate(f, name))`` of each ``(c, f,
+    name)`` in ``triples`` whose ``c`` and derivative are not ZERO; with
+    ``lead = (MINUS_ONE,)``, :func:`contract` negates each term."""
+    for c, f, name in triples:
+        if c is not ZERO:
+            d = differentiate(f, name)
+            if d is not ZERO:
+                yield (*lead, c, d)
 
 
 def morphism_conditions(
@@ -148,30 +166,36 @@ def morphism_conditions(
                     for a2, b2, gamma, e in alg.L_m_nonzero
                     if (a2, b2) == (alpha, beta)
                     for g, k, rk in nz
-                    if g == gamma
+                    if g == gamma and fn.mixed[k][b] is not ZERO
                 )
             )
-            rhs = add(
-                *[mul(e, differentiate(P[beta][b], xs[i])) for c, i, e in nz if c == alpha],
-                *[neg(mul(e, differentiate(P[alpha][b], xs[j]))) for c, j, e in nz if c == beta],
-                *[mul(P[alpha][a], differentiate(P[beta][b], target_fiber[a])) for a in range(r)],
-                *[neg(mul(P[beta][a], differentiate(P[alpha][b], target_fiber[a]))) for a in range(r)],
+            rhs = contract(
+                itertools.chain(
+                    _derivative_terms((e, P[beta][b], xs[i]) for c, i, e in nz if c == alpha),
+                    _derivative_terms(((e, P[alpha][b], xs[j]) for c, j, e in nz if c == beta), MINUS_ONE),
+                    _derivative_terms((P[alpha][a], P[beta][b], target_fiber[a]) for a in range(r)),
+                    _derivative_terms(((P[beta][a], P[alpha][b], target_fiber[a]) for a in range(r)), MINUS_ONE),
+                )
             )
             residual_row(report, "anchored-anchored", (alpha + 1, beta + 1, b + 1), lhs, rhs, sampler, tol)
     for alpha in range(p):
         for b in range(r):
             for a in range(r):
-                rhs = add(
-                    *[mul(e, differentiate(Q[b][a], xs[i])) for c, i, e in nz if c == alpha],
-                    *[mul(P[alpha][c], differentiate(Q[b][a], target_fiber[c])) for c in range(r)],
-                    *[neg(mul(Q[b][c], differentiate(P[alpha][a], target_fiber[c]))) for c in range(r)],
+                rhs = contract(
+                    itertools.chain(
+                        _derivative_terms((e, Q[b][a], xs[i]) for c, i, e in nz if c == alpha),
+                        _derivative_terms((P[alpha][c], Q[b][a], target_fiber[c]) for c in range(r)),
+                        _derivative_terms(((Q[b][c], P[alpha][a], target_fiber[c]) for c in range(r)), MINUS_ONE),
+                    )
                 )
                 residual_row(report, "anchored-fiber", (alpha + 1, b + 1, a + 1), add(), rhs, sampler, tol)
     for a, b in itertools.combinations(range(r), 2):
         for c in range(r):
-            rhs = add(
-                *[mul(Q[a][d], differentiate(Q[b][c], target_fiber[d])) for d in range(r)],
-                *[neg(mul(Q[b][d], differentiate(Q[a][c], target_fiber[d]))) for d in range(r)],
+            rhs = contract(
+                itertools.chain(
+                    _derivative_terms((Q[a][d], Q[b][c], target_fiber[d]) for d in range(r)),
+                    _derivative_terms(((Q[b][d], Q[a][c], target_fiber[d]) for d in range(r)), MINUS_ONE),
+                )
             )
             residual_row(report, "fiber-fiber", (a + 1, b + 1, c + 1), add(), rhs, sampler, tol)
     return report
@@ -237,16 +261,14 @@ def transformed_section(pair: LegendrePair, u: Section, side: Side) -> Section:
     if u.bundle != source:
         raise ValueError("section must live on the source bundle")
     along = dict(zip(fn.fiber_vars, u.coefficients))
-    coeffs = []
-    for b in range(source.rank):
-        coeffs.append(
-            add(
-                *[
-                    mul(u.coefficients[a], substitute(fn.hessian[a][b], along))
-                    for a in range(source.rank)
-                ]
-            )
+    coeffs = (
+        contract(
+            (u.coefficients[a], substitute(fn.hessian[a][b], along))
+            for a in range(source.rank)
+            if fn.hessian[a][b] is not ZERO
         )
+        for b in range(source.rank)
+    )
     return Section(target, tuple(coeffs))
 
 

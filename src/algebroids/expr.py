@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import gc
 import math
 import operator
 import weakref
@@ -477,6 +478,12 @@ def sqrt(x) -> Expr:
 # calls of the same pass already valued.  Nodes are interned, so a kept
 # value is the very node a fresh walk builds.  Free variables need no
 # walk: each node carries its set.
+#
+# A block also pauses the cyclic garbage collector.  A node's kids exist
+# before it does, so nodes form a DAG that reference counting alone
+# frees; the collector would only rescan the block's many live nodes to
+# find no cycle among them.  The outermost block restores the state it
+# found, after it drops the tables.
 _WALKS: contextvars.ContextVar[dict | None] = contextvars.ContextVar("algebroids.expr.walks", default=None)
 
 
@@ -485,15 +492,21 @@ def shared_walks():
     """Keep the tables of :func:`substitute`, :func:`differentiate` and
     :func:`max_residual` for the block, and drop them when it ends.  A
     nested block joins the outermost one.  The tables belong to the
-    current context, so a thread started inside the block sees none."""
+    current context, so a thread started inside the block sees none.
+    The outermost block turns the cyclic garbage collector off, and back
+    on at its end if it was on when the block began."""
     if _WALKS.get() is not None:
         yield
         return
+    collecting = gc.isenabled()
+    gc.disable()
     token = _WALKS.set({})
     try:
         yield
     finally:
         _WALKS.reset(token)
+        if collecting:
+            gc.enable()
 
 
 def _kept(key, make):
@@ -667,9 +680,12 @@ def _derivative_rule(node, out, name):
 
 
 def differentiate(e: Expr, name: str) -> Expr:
-    """Exact symbolic partial derivative with respect to ``name``.  The
-    walk stops at every subtree without ``name``, whose derivative is
-    ``ZERO``."""
+    """Exact symbolic partial derivative with respect to ``name``.  An
+    expression without ``name`` gives ``ZERO`` with no walk and no table;
+    below the root, the walk stops at every subtree without ``name``,
+    whose derivative is ``ZERO``."""
+    if name not in e.free:
+        return ZERO
     return _walk(e, _derivative_rule, _kept((_derivative_rule, name), dict), name, prune=True)
 
 
@@ -769,7 +785,12 @@ def compiled_many(roots: Iterable[Expr], names: Iterable[str]) -> Callable[[Sequ
                 raise EvaluationError("overflow to non-finite value", dict(zip(names, row)))
         if error is None:
             return out
-        raise error
+        try:
+            raise error
+        finally:
+            # Else this frame and the error's traceback would hold each
+            # other, a cycle that only the collector frees.
+            del error
 
     return run
 

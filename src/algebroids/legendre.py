@@ -16,12 +16,14 @@ from typing import Sequence
 import numpy as np
 
 from .expr import (
+    ZERO,
     EvaluationError,
     Expr,
     Sampler,
     add,
     compiled,
     compiled_many,
+    contract,
     differentiate,
     evaluate_columns,
     free_variables,
@@ -185,7 +187,7 @@ def legendre_fiber_exprs(f: FiberFunction) -> tuple[Expr, ...]:
     """Symbolic fiber map of the Legendre morphism: contraction of the
     fiber coordinates with the fiber Hessian."""
     return tuple(
-        add(*[mul(var(f.fiber_vars[a]), f.hessian[a][b]) for a in range(f.rank)])
+        contract((var(f.fiber_vars[a]), f.hessian[a][b]) for a in range(f.rank) if f.hessian[a][b] is not ZERO)
         for b in range(f.rank)
     )
 
@@ -590,7 +592,11 @@ def check_round_trip(L: Lagrangian, H: Hamiltonian, sampler: Sampler, tol: float
         w = _contract(v, hf)
         hg = _hessians(g, np.hstack((x, w)))
         if failure is not None:
-            raise failure
+            try:
+                raise failure
+            finally:
+                # No cycle between this frame and the error's traceback.
+                del failure
         witnesses = [dict(zip(names, row)) for row in points.tolist()]
         with np.errstate(over="ignore", invalid="ignore"):
             back = _contract(w, hg)

@@ -54,7 +54,8 @@ class AnchoredBundle:
     components ``g[alpha][b]`` with declared inverse ``g_inv[b][alpha]``
     (both on M).  The declared inverse is verified by sampling, never
     computed symbolically here.  The :func:`~algebroids.expr.nonzero`
-    lists of both are built once, here (empty without a morphism)."""
+    lists of both, and the derivatives ``g_d[alpha][b][j]`` of g by the
+    M coordinates, are built once, here (empty without a morphism)."""
 
     algebroid: GeneralizedLieAlgebroid
     rank: int
@@ -66,6 +67,7 @@ class AnchoredBundle:
     total_variables: tuple[str, ...] = field(init=False, repr=False, compare=False)
     g_nonzero: tuple = field(init=False, repr=False, compare=False)
     g_inv_nonzero: tuple = field(init=False, repr=False, compare=False)
+    g_d: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.rank < 1:
@@ -98,6 +100,9 @@ class AnchoredBundle:
         object.__setattr__(self, "total_variables", self.algebroid.base_m.variables + fiber)
         object.__setattr__(self, "g_nonzero", nonzero(self.g or ()))
         object.__setattr__(self, "g_inv_nonzero", nonzero(self.g_inv or ()))
+        xs = self.algebroid.base_m.variables
+        g_d = tuple(tuple(tuple(differentiate(e, x) for x in xs) for e in row) for row in self.g or ())
+        object.__setattr__(self, "g_d", g_d)
 
     # -- coordinates -------------------------------------------------------
 
@@ -384,11 +389,11 @@ def _k_on_m(bundle: AnchoredBundle, gu: tuple[Expr, ...]) -> tuple[tuple[Expr, .
     """Bracket coefficients of a pushed section against the pushed frame,
     in closed form and pulled to M: ``K[gamma][a]`` from the section's
     image ``gu = _gu(u)``, ``g``, the pulled anchor and structure
-    functions, and derivatives by the M coordinates."""
+    functions, and derivatives by the M coordinates; those of ``g`` are
+    the bundle's ``g_d``."""
     alg = bundle.algebroid
     xs = alg.base_m.variables
-    g, rho, L = bundle.g, alg.rho_m_nonzero, alg.L_m_nonzero
-    dg = [[[differentiate(e, x) for x in xs] for e in row] for row in g]
+    g, dg, rho, L = bundle.g, bundle.g_d, alg.rho_m_nonzero, alg.L_m_nonzero
     dgu = [[differentiate(e, x) for x in xs] for e in gu]
     # Each sum runs over the anchor's or the structure functions' nonzero
     # list and skips the entries of g, or of its derivatives, that are ZERO.

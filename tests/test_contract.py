@@ -21,6 +21,7 @@ from algebroids import prolong as P
 from algebroids.algebroid import GeneralizedLieAlgebroid, SectionF, SmoothMap, coords, identity_map
 from algebroids.algebroid import random_polynomial
 from algebroids.exterior import pushforward_section
+from algebroids.legendre import legendre_fiber_exprs
 
 add, mul, neg, differentiate = E.add, E.mul, E.neg, E.differentiate
 MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
@@ -308,6 +309,8 @@ H = 1/2*p1^2/(1 + x1^2) + 1/2*p2^2
 @pytest.mark.parametrize("name", ["classical", "mismatched", "lie_algebroid"])
 @pytest.mark.parametrize("side", ["lagrangian", "hamiltonian"])
 def test_duality_contractions(name, side):
+    """The fiber map, the transformed section, the tangent application
+    and the morphism conditions, each against its dense sum."""
     text = (MODELS / f"{name}.model").read_text()
     model = parse_model(text if "[lagrangian]" in text else text + FUNDAMENTAL)
     pair = D.LegendrePair(model.lagrangian, model.hamiltonian)
@@ -327,9 +330,21 @@ def test_duality_contractions(name, side):
             for b in range(r)
         ]
 
-    Z = P.random_prolong_section(source, np.random.default_rng(3))
+    ranks = range(r)
+    fiber = [E.var(y) for y in fn.fiber_vars]
+    want = [add(*[mul(fiber[a], fn.hessian[a][b]) for a in ranks]) for b in ranks]
+    assert_same_nodes(legendre_fiber_exprs(fn), want)
+    rng = np.random.default_rng(3)
+    u = P.Section(source, sparse_section(rng, xs, r))
+    along = dict(zip(fn.fiber_vars, u.coefficients))
+    want = [add(*[mul(u.coefficients[a], E.substitute(fn.hessian[a][b], along)) for a in ranks]) for b in ranks]
+    assert_same_nodes(D.transformed_section(pair, u, side).coefficients, want)
+    Z = P.random_prolong_section(source, rng)
     assert_same_nodes(D.tangent_legendre(pair, Z, side).vertical, dense_vertical(Z))
     anchored = [P.ProlongSection(source, alg.basis_section(a).coefficients, (add(),) * r) for a in range(p)]
+    # The frame sections, whose ZERO entries the sums skip.
+    for Z in anchored + [P.vertical_lift(P.basis_section(source, a)) for a in ranks]:
+        assert_same_nodes(D.tangent_legendre(pair, Z, side).vertical, dense_vertical(Z))
     V = [dense_vertical(Z) for Z in anchored]
     U = [dense_vertical(P.vertical_lift(P.basis_section(source, a))) for a in range(r)]
     want = []

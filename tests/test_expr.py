@@ -590,6 +590,42 @@ class TestSharedWalks:
         finally:
             gc.enable()
 
+    @pytest.mark.parametrize("collecting", [True, False])
+    def test_block_restores_the_collector_state(self, collecting):
+        """The collector is off inside a block, and in the state the block
+        found after it, also where the block ends by an exception."""
+        was = gc.isenabled()
+        (gc.enable if collecting else gc.disable)()
+        try:
+            with E.shared_walks():
+                assert not gc.isenabled()
+            assert gc.isenabled() is collecting
+            with pytest.raises(ZeroDivisionError):
+                with E.shared_walks():
+                    assert not gc.isenabled()
+                    1 / 0
+            assert gc.isenabled() is collecting
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    def test_nested_block_leaves_the_collector_alone(self):
+        assert gc.isenabled()
+        with E.shared_walks():
+            gc.enable()
+            with E.shared_walks():
+                assert gc.isenabled()
+                gc.disable()
+            assert not gc.isenabled()
+        assert gc.isenabled()
+
+    def test_derivative_by_an_absent_name_makes_no_table(self):
+        e = E.parse("x1*sin(x2)")
+        with E.shared_walks():
+            assert E.differentiate(e, "x3") is E.ZERO
+            assert (E._derivative_rule, "x3") not in E._WALKS.get()
+            E.differentiate(e, "x2")
+            assert (E._derivative_rule, "x2") in E._WALKS.get()
+
     def test_nested_block_joins_the_outer_one(self):
         e = E.parse("x1*sin(x2)")
         with E.shared_walks():

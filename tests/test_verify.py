@@ -1,3 +1,4 @@
+import gc
 import pathlib
 
 import pytest
@@ -9,6 +10,7 @@ from algebroids.verify import PLAN, derivative_oracle_report, model_expressions,
 
 MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
 BUNDLED = sorted(path.stem for path in MODELS.glob("*.model"))
+ROTATION = MODELS.parent / "benchmark" / "models" / "rotation.model"
 
 
 def reference_oracle_rows(model, sampler, tol=1e-5):
@@ -94,3 +96,57 @@ def test_plan_calls_suites_by_module_name(classical, monkeypatch):
 def test_unknown_check_name_is_refused(classical):
     with pytest.raises(ValueError, match="unknown checks"):
         run_checks(classical, classical.sampler, classical.tol, ["lift-bracket"])
+
+
+def test_no_collection_while_a_suite_builds():
+    """A suite runs in a shared_walks block, which pauses the cyclic
+    collector: a gc.callbacks counter sees no collection while the block's
+    tables live, and some in the same suite run outside a block."""
+    model = load_model(ROTATION)
+    bundle = model.bundles["E"]
+    seen = []
+
+    def count(phase, info):
+        if phase == "start":
+            seen.append(E._WALKS.get() is not None)
+
+    assert gc.isenabled()
+    gc.callbacks.append(count)
+    try:
+        report = verify.prolong_bracket_axioms_report(bundle, model.sampler, model.tol)
+        inside = [live for live in seen if live]
+        seen.clear()
+        verify.prolong_bracket_axioms_report.__wrapped__(bundle, model.sampler, model.tol)
+    finally:
+        gc.callbacks.remove(count)
+    assert report.passed
+    assert inside == []
+    assert len(seen) > 0
+
+
+@pytest.mark.parametrize(
+    "path, error",
+    [(ROTATION, None), (MODELS / "domain" / "log_anchor.model", E.EvaluationError)],
+    ids=["rotation", "log_anchor"],
+)
+def test_checks_leave_nothing_to_the_collector(path, error):
+    """Nodes form a DAG and the tables go with the block, so the checks,
+    passing or raising, leave nothing in a cycle for the collector: under
+    DEBUG_SAVEALL, neither a collection during the checks nor one after
+    them finds an object of any type."""
+    model = load_model(path)
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(flags | gc.DEBUG_SAVEALL)
+    try:
+        if error is None:
+            run_checks(model, model.sampler, model.tol)
+        else:
+            with pytest.raises(error):
+                run_checks(model, model.sampler, model.tol)
+        gc.collect()
+        found = sorted({type(o).__name__ for o in gc.garbage})
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    assert found == []
