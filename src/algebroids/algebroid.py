@@ -234,9 +234,13 @@ class GeneralizedLieAlgebroid:
             pushed = [h.push(differentiate(f_on_m, xi)) for xi in self.base_m.variables]
         # A variable f does not hold builds no product either.
         terms = [(a, r, pushed[i]) for a, i, r in self.rho_nonzero if pushed[i] is not ZERO]
-        return contract(
-            (z.coefficients[alpha], contract((r, d) for a, r, d in terms if a == alpha)) for alpha in range(self.rank)
+        # Nor does a zero coefficient of z, or a zero anchor sum.
+        pairs = (
+            (c, contract((r, d) for a, r, d in terms if a == alpha))
+            for alpha, c in enumerate(z.coefficients)
+            if c is not ZERO
         )
+        return contract(pair for pair in pairs if pair[1] is not ZERO)
 
     def bracket(self, u: "SectionF", v: "SectionF") -> "SectionF":
         """Section bracket: anchor derivations of the coefficients plus

@@ -8,6 +8,7 @@ Diagnostics go to stderr, reports to stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import replace
@@ -37,12 +38,30 @@ from .prolong import (
 from .reporting import CheckReport
 
 
+class _HelpFormatter(argparse.HelpFormatter):
+    """argparse's formatter, which lets go of its text once written: its
+    root section points back at it, and each group's section at the root,
+    cycles that only the garbage collector would free."""
+
+    def format_help(self):
+        text = super().format_help()
+        self._root_section.items.clear()
+        self._root_section = self._current_section = None
+        return text
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser of the command line."""
     parser = argparse.ArgumentParser(
         prog="algebroids",
         description="Checks and computations for generalized Lie algebroid models.",
+        formatter_class=_HelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command",
+        required=True,
+        parser_class=functools.partial(argparse.ArgumentParser, formatter_class=_HelpFormatter),
+    )
 
     def common(p: argparse.ArgumentParser):
         p.add_argument("model", help="path to a model file")
@@ -247,10 +266,16 @@ _COMMANDS = {
 }
 
 
+# main's parser, built at its first call: parsing leaves a parser as it
+# was, so one serves every call in the process.
+_main_parser = functools.cache(build_parser)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    """Run the command ``argv`` (default: ``sys.argv[1:]``) and give its
+    exit code; it can be called any number of times in one process."""
     try:
-        args = parser.parse_args(argv)
+        args = _main_parser().parse_args(argv)
     except SystemExit as err:
         return 2 if err.code not in (0, None) else 0
     try:

@@ -267,6 +267,8 @@ MINUS_ONE = Const(-1.0)
 # Every class of node; the constructors dispatch on type(), and any
 # other argument goes through _coerce.
 _KINDS = frozenset((Const, Var, Sum, Prod, Pow, Neg, Call))
+# The classes mul keeps as they are, after any leading constant.
+_FACTORS = frozenset((Var, Sum, Pow, Call))
 
 
 def _coerce(x) -> Expr:
@@ -305,6 +307,13 @@ def var(name: str) -> Expr:
 
 
 def add(*terms) -> Expr:
+    # Most sums built have one term or none.  Re-adding a node's terms
+    # gives that node back, so a lone node is its own sum.
+    if len(terms) < 2:
+        if not terms:
+            return ZERO
+        if type(terms[0]) in _KINDS:
+            return terms[0]
     flat: list[Expr] = []
     acc = 0.0
     # The last constant term met.  Constants are keyed by value, so when
@@ -645,6 +654,9 @@ def _derivative_rule(node, out, name):
     if kind is Sum:
         return add(*[out[t] for t in node.kids])
     if kind is Prod:
+        # The factors are canonical: at most one leading constant, never
+        # 0, 1 or -1, then nodes of _FACTORS.  So when df is ONE or one
+        # of _FACTORS, the key of mul(df, *rest) is known without it.
         factors = node.kids
         pieces = []
         for i, f in enumerate(factors):
@@ -652,8 +664,14 @@ def _derivative_rule(node, out, name):
             if df is ZERO:
                 continue
             rest = factors[:i] + factors[i + 1 :]
-            pieces.append(mul(df, *rest))
-        return add(*pieces) if pieces else ZERO
+            if df is ONE:
+                pieces.append(rest[0] if len(rest) == 1 else _interned((Prod, rest)))
+            elif type(df) in _FACTORS:
+                lead = rest[0]
+                pieces.append(_interned((Prod, (lead, df, *rest[1:]) if type(lead) is Const else (df, *rest))))
+            else:
+                pieces.append(mul(df, *rest))
+        return add(*pieces)
     if kind is Pow:
         b, ex = node.base, node.exponent
         db = out[b]

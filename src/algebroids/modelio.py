@@ -55,6 +55,7 @@ from .expr import (
 from .exterior import FormQ
 from .legendre import FiberFunction, Hamiltonian, Lagrangian
 from .prolong import AnchoredBundle, ProlongSection, Section
+from .reporting import CheckReport, CheckRow
 
 
 class ModelError(Exception):
@@ -749,8 +750,31 @@ def _fmt_float(x: float) -> str:
 
 
 def _emit_json(obj) -> str:
-    # A report is mostly floats, strings, dicts and lists, so they are
-    # tested first; np.float64 is a float.
+    # A report is mostly check reports and their rows, whose shape is
+    # fixed, so each is written by one format string, then floats,
+    # strings, dicts and lists; np.float64 is a float.
+    kind = type(obj)
+    if kind is CheckRow:
+        witness = obj.witness
+        if witness is None:
+            tail = ""
+        else:
+            pairs = ",".join([f"{encode_basestring_ascii(str(k))}:{_fmt_float(v)}" for k, v in witness.items()])
+            tail = ',"witness":{' + pairs + "}"
+        return '{"check":%s,"index":[%s],"residual":%s,"pass":%s%s}' % (
+            encode_basestring_ascii(obj.name),
+            ",".join([str(i) if type(i) is int else _emit_json(i) for i in obj.indices]),
+            _fmt_float(obj.residual),
+            "true" if obj.passed else "false",
+            tail,
+        )
+    if kind is CheckReport:
+        return '{"name":%s,"pass":%s,"worstResidual":%s,"rows":[%s]}' % (
+            encode_basestring_ascii(obj.name),
+            "true" if obj.passed else "false",
+            _fmt_float(obj.worst_residual),
+            ",".join(map(_emit_json, obj.rows)),
+        )
     if isinstance(obj, float):
         return _fmt_float(obj)
     if isinstance(obj, str):

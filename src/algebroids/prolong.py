@@ -293,10 +293,9 @@ def rho_tilde(Z: ProlongSection) -> VectorFieldOnE:
     """Anchor of the generalized tangent bundle: horizontal coefficients
     contract with (anchor o h o projection), vertical pass through."""
     alg = Z.bundle.algebroid
-    d_base = tuple(
-        contract((Z.horizontal[alpha], r) for alpha, j, r in alg.rho_m_nonzero if j == i)
-        for i in range(alg.base_m.dim)
-    )
+    # A zero horizontal coefficient builds no product.
+    terms = [(j, Z.horizontal[alpha], r) for alpha, j, r in alg.rho_m_nonzero if Z.horizontal[alpha] is not ZERO]
+    d_base = tuple(contract((c, r) for j, c, r in terms if j == i) for i in range(alg.base_m.dim))
     return VectorFieldOnE(Z.bundle, d_base, Z.vertical)
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import os
@@ -429,6 +430,47 @@ class TestCheckCommands:
         assert main(["lift"]) == 2
         capsys.readouterr()
 
+    def test_calls_leave_nothing_to_the_collector(self, capsys, models_dir):
+        """Once main has built its parser, neither reports nor a usage
+        error leave anything in a cycle: under DEBUG_SAVEALL, a
+        collection after them finds no object of any type."""
+        main(["lift"])
+        gc.collect()
+        flags = gc.get_debug()
+        gc.set_debug(flags | gc.DEBUG_SAVEALL)
+        try:
+            codes = [
+                main(["report-all", str(models_dir / f"{name}.model"), "--json"])
+                for name in ("classical", "generalized", "lie_algebroid")
+            ]
+            codes.append(main(["lift"]))
+            gc.collect()
+            found = sorted({type(o).__name__ for o in gc.garbage})
+        finally:
+            gc.set_debug(flags)
+            gc.garbage.clear()
+        capsys.readouterr()
+        assert codes == [0, 0, 0, 2]
+        assert found == []
+
+    def test_parser_is_built_at_the_first_call_only(self):
+        """Importing the CLI builds no parser; main builds one at its
+        first call and reuses it, and build_parser gives a new one."""
+        done = run_python("-c", COUNT_PARSERS)
+        assert done.stdout.splitlines() == ["0", "True True", "True"], done.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["report-all", "generalized.model", "--json"], ["legendre", "quartic.model", "--backward", "--at", "p1=1,p2=2"]],
+        ids=["report-all", "legendre"],
+    )
+    def test_repeated_calls_print_what_a_new_interpreter_prints(self, capsys, models_dir, argv):
+        argv = [argv[0], str(models_dir / argv[1]), *argv[2:]]
+        fresh = run_cli_fresh(*argv)
+        for _ in range(2):
+            code, out, err = run(capsys, *argv)
+            assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+
     @pytest.mark.parametrize("flag, value", [("--points", "0"), ("--points", "-3"), ("--seed", "-1")], ids=["0", "-3", "seed-1"])
     def test_survey_script_rejects_no_points(self, flag, value):
         done = run_survey(flag, value, timeout=60)
@@ -544,12 +586,36 @@ def run_survey(*argv, timeout):
     return subprocess.run(command, env=env, capture_output=True, text=True, timeout=timeout)
 
 
-def run_cli_fresh(*argv):
-    """Run the CLI in a new interpreter, at its default recursion limit."""
+def run_python(*args):
+    """Run a new interpreter with ``args``, at its default recursion limit."""
     root = pathlib.Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]))
-    command = [sys.executable, "-m", "algebroids.cli", *argv]
-    return subprocess.run(command, env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
+
+
+def run_cli_fresh(*argv):
+    """Run the CLI in a new interpreter, at its default recursion limit."""
+    return run_python("-m", "algebroids.cli", *argv)
+
+
+# Counts the parsers made: none at import, some at main's first call,
+# none at its second; build_parser makes a new one at every call.
+COUNT_PARSERS = """
+import argparse
+built = []
+init = argparse.ArgumentParser.__init__
+def counted(self, *args, **kwargs):
+    built.append(self)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counted
+from algebroids import cli
+print(len(built))
+cli.main(["lift"])
+first = len(built)
+cli.main(["lift"])
+print(first > 0, len(built) == first)
+print(cli.build_parser() is not cli.build_parser())
+"""
 
 
 class TestLargeHessian:

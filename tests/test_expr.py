@@ -342,6 +342,13 @@ class TestCanonicalForm:
         assert E.add(*with_zeros(terms)) is E.add(*terms)
         assert E.mul(*with_zeros(terms + big)) is E.ZERO
 
+    @given(trees())
+    @settings(max_examples=200)
+    def test_a_lone_term_is_its_own_sum(self, tree):
+        assert E.add() is E.ZERO
+        for node in nodes(tree):
+            assert E.add(node) is node
+
     def test_compound_nodes_come_only_from_the_constructors(self):
         x = E.var("x1")
         for kind, args in (
@@ -882,6 +889,26 @@ class TestDifferentiate:
             assert E.equivalent(lhs, rhs, sampler, tol=1e-7)
         except E.EvaluationError:
             pass
+
+
+    @given(
+        st.one_of(st.none(), st.floats(-4, 4, allow_nan=False).map(lambda v: E.const(round(v, 3)))),
+        st.lists(trees(), min_size=1, max_size=4),
+        st.lists(st.one_of(st.sampled_from([E.ZERO, E.ONE, E.MINUS_ONE, E.const(2.5)]), trees()), min_size=4, max_size=4),
+    )
+    @settings(max_examples=300)
+    def test_product_rule_pieces_are_mul_of_the_rest(self, lead, factors, slopes):
+        """With any derivative values of its factors, the product rule
+        gives ``add`` of ``mul(df, *rest)`` over the factors whose df is
+        not ZERO, node for node, with or without a leading constant."""
+        product = E.mul(*factors) if lead is None else E.mul(lead, *factors)
+        if type(product) is not E.Prod:
+            return
+        kids = product.kids
+        out = {f: slopes[k % len(slopes)] for k, f in enumerate(kids)}
+        out.update({f: E.ZERO for f in kids if type(f) is E.Const})
+        want = E.add(*[E.mul(out[f], *kids[:i], *kids[i + 1 :]) for i, f in enumerate(kids) if out[f] is not E.ZERO])
+        assert E._derivative_rule(product, out, "x1") is want
 
 
 class TestSubstitute:

@@ -1,5 +1,7 @@
 import json
 import pathlib
+from dataclasses import replace
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from algebroids import (
     var,
 )
 from algebroids.modelio import ModelError, emit_report, symbolic_inverse
+from algebroids.verify import run_checks
 
 MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
 
@@ -343,12 +346,57 @@ class TestAutoInverseOfSingularMorphism:
             symbolic_inverse(((parse("1"), parse("2")), (parse("2"), parse("4"))))
 
 
+def reference_emit_json(obj) -> str:
+    """The JSON text of ``obj`` written one value at a time, the
+    emitter's rule before check reports and rows had a format string."""
+    if isinstance(obj, float):
+        return format(float(obj), ".17g")
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, dict):
+        inner = ",".join(f"{encode_basestring_ascii(str(k))}:{reference_emit_json(v)}" for k, v in obj.items())
+        return "{" + inner + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(map(reference_emit_json, obj)) + "]"
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if hasattr(obj, "to_jsonable"):
+        return reference_emit_json(obj.to_jsonable())
+    raise TypeError(f"cannot serialize {obj!r}")
+
+
+def emitted(checks, extra=None) -> str:
+    """``emit_report(checks, extra)``, which must be the reference
+    emitter's text of the same payload, byte for byte."""
+    text = emit_report(checks, extra)
+    assert text == reference_emit_json({"checks": list(checks), **(extra or {})})
+    return text
+
+
 class TestReportEmission:
+    @pytest.mark.parametrize(
+        "path",
+        [*sorted(MODELS.glob("*.model")), MODELS.parent / "benchmark" / "models" / "rotation.model"],
+        ids=lambda p: p.stem,
+    )
+    def test_reports_emit_as_the_reference_does(self, path):
+        model = load_model(path)
+        reports, extra = run_checks(model, replace(model.sampler, seed=1), model.tol)
+        emitted(reports, {**extra, "pass": all(r.passed for r in reports)})
+        for report in reports:
+            emitted([report, *report.rows])
+
     def test_empty(self):
-        assert emit_report([]) == '{"checks":[]}'
+        assert emitted([]) == '{"checks":[]}'
 
     def test_single_pass_check(self):
-        text = emit_report([{"check": "demo", "pass": True, "residual": 0.5}])
+        text = emitted([{"check": "demo", "pass": True, "residual": 0.5}])
         data = json.loads(text)
         assert data["checks"][0]["pass"] is True
         assert data["checks"][0]["residual"] == 0.5
@@ -357,24 +405,24 @@ class TestReportEmission:
         from algebroids import check_compatibility
 
         report = check_compatibility(broken.algebroid, sampler)
-        text = emit_report([report])
+        text = emitted([report])
         data = json.loads(text)
         failing = [row for row in data["checks"][0]["rows"] if not row["pass"]]
         assert failing and "witness" in failing[0]
 
     def test_seventeen_significant_digits(self):
-        text = emit_report([], {"value": 0.1})
+        text = emitted([], {"value": 0.1})
         assert "0.10000000000000001" in text
 
     def test_control_characters_round_trip(self):
         text = "".join(map(chr, range(32))) + '\x7f"\\u\u00e9'
-        assert json.loads(emit_report([], {"section": text})) == {"checks": [], "section": text}
+        assert json.loads(emitted([], {"section": text})) == {"checks": [], "section": text}
 
     def test_valid_json_round_trip(self):
         class Key(str):
             pass
 
-        payload = emit_report([], {"nested": {"a": [1, 2.5, None, True, "s"], Key("k"): np.float64(0.1)}})
+        payload = emitted([], {"nested": {"a": [1, 2.5, None, True, "s"], Key("k"): np.float64(0.1)}})
         assert payload == '{"checks":[],"nested":{"a":[1,2.5,null,true,"s"],"k":0.10000000000000001}}'
         assert json.loads(payload) == {"checks": [], "nested": {"a": [1, 2.5, None, True, "s"], "k": 0.1}}
 
