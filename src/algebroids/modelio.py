@@ -68,23 +68,6 @@ class ModelError(Exception):
         self.line = line
 
 
-ERROR_CODES = (
-    "bad-block",
-    "duplicate-block",
-    "duplicate-key",
-    "missing-block",
-    "missing-key",
-    "bad-value",
-    "expression-syntax",
-    "unknown-function",
-    "unknown-variable",
-    "dimension-mismatch",
-    "structure-inconsistent",
-    "unknown-bundle",
-    "ginv-auto-too-large",
-)
-
-
 @dataclass
 class Model:
     """A fully validated model: geometry plus named data and sampler."""

@@ -333,11 +333,7 @@ def legendre_reports(model: Model, sampler: Sampler, tol: float) -> tuple[list[C
 
 @shared_walks()
 def duality_reports(
-    model: Model,
-    sampler: Sampler,
-    tol_conditions: float = 1e-10,
-    tol_brackets: float = 1e-8,
-    trials: int = 3,
+    model: Model, sampler: Sampler, tol_conditions: float, tol_brackets: float, trials: int
 ) -> tuple[list[CheckReport], dict]:
     """Legendre morphism conditions and bracket commutation, plus the
     equivalence verdict as an extra report field."""

@@ -18,6 +18,7 @@ from algebroids import algebroid as A
 from algebroids import duality as D
 from algebroids import parse_model
 from algebroids import prolong as P
+from algebroids import reporting as R
 from algebroids.algebroid import GeneralizedLieAlgebroid, SectionF, SmoothMap, coords, identity_map
 from algebroids.algebroid import random_polynomial
 from algebroids.exterior import pushforward_section
@@ -309,8 +310,10 @@ H = 1/2*p1^2/(1 + x1^2) + 1/2*p2^2
 @pytest.mark.parametrize("name", ["classical", "mismatched", "lie_algebroid"])
 @pytest.mark.parametrize("side", ["lagrangian", "hamiltonian"])
 def test_duality_contractions(name, side):
-    """The fiber map, the transformed section, the tangent application
-    and the morphism conditions, each against its dense sum."""
+    """The fiber map, the transformed section and the tangent
+    application, each against its dense sum; the morphism conditions as
+    the brackets of the frame sections, which match their dense sums up
+    to summation order."""
     text = (MODELS / f"{name}.model").read_text()
     model = parse_model(text if "[lagrangian]" in text else text + FUNDAMENTAL)
     pair = D.LegendrePair(model.lagrangian, model.hamiltonian)
@@ -342,14 +345,30 @@ def test_duality_contractions(name, side):
     Z = P.random_prolong_section(source, rng)
     assert_same_nodes(D.tangent_legendre(pair, Z, side).vertical, dense_vertical(Z))
     anchored = [P.ProlongSection(source, alg.basis_section(a).coefficients, (add(),) * r) for a in range(p)]
+    fibers = [P.vertical_lift(P.basis_section(source, a)) for a in ranks]
     # The frame sections, whose ZERO entries the sums skip.
-    for Z in anchored + [P.vertical_lift(P.basis_section(source, a)) for a in ranks]:
+    for Z in anchored + fibers:
         assert_same_nodes(D.tangent_legendre(pair, Z, side).vertical, dense_vertical(Z))
-    V = [dense_vertical(Z) for Z in anchored]
-    U = [dense_vertical(P.vertical_lift(P.basis_section(source, a))) for a in range(r)]
+    # Each row is a component of T[X, Y] against [TX, TY] for a pair of
+    # frame sections: horizontal rows for anchored pairs only.
+    pairs = [(X, Y, True) for X, Y in itertools.combinations(anchored, 2)]
+    pairs += [(X, Y, False) for X in anchored for Y in fibers]
+    pairs += [(X, Y, False) for X, Y in itertools.combinations(fibers, 2)]
     want = []
+    for X, Y, horizontal in pairs:
+        lhs = D.tangent_legendre(pair, P.bracket_prolong(X, Y), side)
+        rhs = P.bracket_prolong(D.tangent_legendre(pair, X, side), D.tangent_legendre(pair, Y, side))
+        want += list(zip(lhs.horizontal, rhs.horizontal)) if horizontal else []
+        want += list(zip(lhs.vertical, rhs.vertical))
+    got = record_rows(R, lambda: D.morphism_conditions(pair, side, E.Sampler(points=2)), "residual_row")
+    assert_same_rows(got, want)
+    # The same rows as dense sums over the images V of the anchored frame
+    # and U of the fiber frame agree up to summation order.
+    V = [dense_vertical(Z) for Z in anchored]
+    U = [dense_vertical(Z) for Z in fibers]
+    dense = []
     for alpha, beta in itertools.combinations(range(p), 2):
-        want += [(transport(alg.L_m(alpha, beta, g)), alg.L_m(alpha, beta, g)) for g in range(p)]
+        dense += [(transport(alg.L_m(alpha, beta, g)), alg.L_m(alpha, beta, g)) for g in range(p)]
         for b in range(r):
             lhs = transport(
                 add(*[mul(alg.L_m(alpha, beta, g), rho[g][k], fn.mixed[k][b]) for g in range(p) for k in range(m)])
@@ -360,7 +379,7 @@ def test_duality_contractions(name, side):
                 *[mul(V[alpha][a], differentiate(V[beta][b], target_fiber[a])) for a in range(r)],
                 *[neg(mul(V[beta][a], differentiate(V[alpha][b], target_fiber[a]))) for a in range(r)],
             )
-            want.append((lhs, rhs))
+            dense.append((lhs, rhs))
     for alpha in range(p):
         for b in range(r):
             for a in range(r):
@@ -369,8 +388,15 @@ def test_duality_contractions(name, side):
                     *[mul(V[alpha][c], differentiate(U[b][a], target_fiber[c])) for c in range(r)],
                     *[neg(mul(U[b][c], differentiate(V[alpha][a], target_fiber[c]))) for c in range(r)],
                 )
-                want.append((add(), rhs))
-    got = record_rows(D, lambda: D.morphism_conditions(pair, side, E.Sampler(points=2)), "residual_row")
-    # The fiber-fiber rows come last and use no table.
-    assert len(got) == len(want) + len(list(itertools.combinations(range(r), 2))) * r
-    assert_same_rows(got[: len(want)], want)
+                dense.append((add(), rhs))
+    for a, b in itertools.combinations(range(r), 2):
+        for c in range(r):
+            rhs = add(
+                *[mul(U[a][d], differentiate(U[b][c], target_fiber[d])) for d in range(r)],
+                *[neg(mul(U[b][d], differentiate(U[a][c], target_fiber[d]))) for d in range(r)],
+            )
+            dense.append((add(), rhs))
+    assert len(got) == len(dense)
+    for row, dense_row in zip(got, dense):
+        for got_side, dense_side in zip(row, dense_row):
+            assert E.max_residual(got_side, dense_side, model.sampler)[0] <= 1e-12

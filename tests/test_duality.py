@@ -32,6 +32,7 @@ from algebroids import (
     vertical_lift,
     vertical_lift_function,
 )
+from algebroids import duality
 from algebroids.prolong import random_prolong_section
 from algebroids.reporting import residual_row
 
@@ -219,6 +220,24 @@ class TestMorphismConditions:
             assert morphism_conditions(pair, side, sampler, tol=1e-10).passed
         assert not bracket_commutation(pair, "lagrangian", sampler, tol=1e-8).passed
         assert not legendre_equivalence(pair, sampler).equivalent
+
+    def test_scaled_tangent_application_fails(self, generalized, monkeypatch):
+        # A tangent application whose vertical part is 1% too large no
+        # longer preserves the frame brackets, on either side.
+        exact = duality.tangent_legendre
+
+        def scaled(pair, Z, side):
+            T = exact(pair, Z, side)
+            return ProlongSection(T.bundle, T.horizontal, tuple(mul(1.01, c) for c in T.vertical))
+
+        monkeypatch.setattr(duality, "tangent_legendre", scaled)
+        pair = LegendrePair(generalized.lagrangian, generalized.hamiltonian)
+        worst = {}
+        for side in ("lagrangian", "hamiltonian"):
+            report = morphism_conditions(pair, side, generalized.sampler)
+            assert not report.passed
+            worst[side] = report.worst_residual
+        assert worst == pytest.approx({"lagrangian": 0.108, "hamiltonian": 0.0107}, rel=0.01)
 
 
 class TestBracketCommutation:
