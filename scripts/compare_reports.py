@@ -34,8 +34,9 @@ once with each ``src/`` directory on ``PYTHONPATH``.  Prints one line
 per run: ``same`` when stdout, stderr and the exit code are all
 identical, else ``DIFF``, then both exit codes and, where the outputs
 differ, the first differing row and, for each report whose rows differ,
-how many rows differ and how many ``pass`` flags changed, and both
-stderr texts where those differ.  The model files come from this
+how many rows differ, how many ``pass`` flags changed, the largest
+absolute residual move and how many witnesses moved, and both stderr
+texts where those differ.  The model files come from this
 checkout, so only the program differs.  The last line is
 ``identical`` when every run is the same, and the exit code 0; else it
 is ``reports differ``, and the exit code 1.
@@ -210,8 +211,9 @@ def first_difference(a: bytes, b: bytes) -> str:
 
 def report_differences(a: bytes, b: bytes) -> list[str]:
     """One line per report whose rows differ: its name, how many of its
-    rows differ and how many of its ``pass`` flags (rows and report)
-    changed."""
+    rows differ, how many of its ``pass`` flags (rows and report)
+    changed, the largest absolute move of a row's residual (a NaN move
+    counts as the largest) and how many rows' witnesses moved."""
     try:
         left, right = json.loads(a), json.loads(b)
     except ValueError:
@@ -222,7 +224,13 @@ def report_differences(a: bytes, b: bytes) -> list[str]:
         differing = sum(r != s for r, s in pairs) + abs(len(x.get("rows", [])) - len(y.get("rows", [])))
         if differing:
             flips = sum(r.get("pass") != s.get("pass") for r, s in pairs) + (x.get("pass") != y.get("pass"))
-            out.append(f"{x['name']}: {differing} rows differ, {flips} pass flags changed")
+            moves = [abs(r["residual"] - s["residual"]) for r, s in pairs]
+            move = max(moves, key=lambda m: (m != m, m), default=0.0)
+            witnesses = sum(r.get("witness") != s.get("witness") for r, s in pairs)
+            out.append(
+                f"{x['name']}: {differing} rows differ, {flips} pass flags changed, "
+                f"largest residual move {move:.3g}, {witnesses} witnesses moved"
+            )
     return out
 
 

@@ -479,9 +479,10 @@ def sqrt(x) -> Expr:
 # Structural operations
 
 
-# Shared walks.  substitute, differentiate and the column pass each give
-# every distinct node under their argument one value, children first, in a
-# table kept per pass and per variable name, mapping or point set.  Outside
+# Shared walks.  substitute, differentiate, the column pass and the tangent
+# pass each give every distinct node under their argument one value,
+# children first, in a table kept per pass and per variable name, mapping,
+# point set or point set and vector field.  Outside
 # a shared_walks() block each call starts with an empty table, as a lone
 # call must.  Inside one, a call stops at every node the block's earlier
 # calls of the same pass already valued.  Nodes are interned, so a kept
@@ -499,7 +500,8 @@ _WALKS: contextvars.ContextVar[dict | None] = contextvars.ContextVar("algebroids
 @contextlib.contextmanager
 def shared_walks():
     """Keep the tables of :func:`substitute`, :func:`differentiate` and
-    :func:`max_residual` for the block, and drop them when it ends.  A
+    :func:`point_set` (which :func:`max_residual` values on) for the
+    block, and drop them when it ends.  A
     nested block joins the outermost one.  The tables belong to the
     current context, so a thread started inside the block sees none.
     The outermost block turns the cyclic garbage collector off, and back
@@ -530,15 +532,15 @@ def _kept(key, make):
     return value
 
 
-def _walk(root: Expr, rule, out: dict, arg, prune: bool = False):
+def _walk(root: Expr, rule, out: dict, arg, prune: Sequence[str] | None = None):
     """The value of ``root`` in the table ``out``.  Every node under
     ``root`` that the table lacks gets ``out[node] = rule(node, out,
     arg)``, after its ``kids``, on an explicit stack, so deep trees need
     no recursion.  So the table fills in post-order, each node after its
     kids, siblings last to first: :func:`_tape` numbers nodes by it.
-    With ``prune``, ``arg`` is a variable name, and a node whose free set
-    lacks it is valued ``ZERO`` with no walk below it: the derivative of
-    such a subtree builds to ``ZERO`` whatever it holds."""
+    With ``prune``, the variable names of a derivative, a node whose free
+    set holds none of them is valued ``ZERO`` with no walk below it: the
+    derivative of such a subtree is ``ZERO`` whatever it holds."""
     if root in out:
         return out[root]
     # A 1-tuple means: every kid of its node is valued, so the node goes next.
@@ -552,7 +554,7 @@ def _walk(root: Expr, rule, out: dict, arg, prune: bool = False):
             continue
         if node in out:
             continue
-        if prune and arg not in node.free:
+        if prune is not None and node.free.isdisjoint(prune):
             out[node] = ZERO
             continue
         kids = node.kids
@@ -704,7 +706,7 @@ def differentiate(e: Expr, name: str) -> Expr:
     whose derivative is ``ZERO``."""
     if name not in e.free:
         return ZERO
-    return _walk(e, _derivative_rule, _kept((_derivative_rule, name), dict), name, prune=True)
+    return _walk(e, _derivative_rule, _kept((_derivative_rule, name), dict), name, prune=(name,))
 
 
 def is_zero(e: Expr) -> bool:
@@ -826,23 +828,47 @@ def compiled(e: Expr, names: Iterable[str]) -> Callable[[Sequence[float]], float
     return lambda row: run(row)[0]
 
 
-class _Columns:
+class PointSet:
     """One point set of the column pass: the sampled ``columns``, one per
     name of ``names``, the table of node columns over them, and the
     ``marked`` nodes, whose column met a domain error or an unbound
     variable, itself or below.  A node that met one has a NaN column.  A
-    constant's entry is a float64 scalar, which numpy broadcasts."""
+    constant's entry is a float64 scalar, which numpy broadcasts.  The
+    ``tangents`` tables of :meth:`tangent` are kept here too, one per
+    vector field, so they live as long as the point set."""
 
-    __slots__ = ("index", "columns", "values", "marked")
+    __slots__ = ("index", "columns", "values", "marked", "tangents")
 
     def __init__(self, names: tuple[str, ...], columns: np.ndarray):
         self.index = {name: j for j, name in enumerate(names)}
         self.columns = columns
         self.values: dict[Expr, np.ndarray | np.float64] = {}
         self.marked: set[Expr] = set()
+        self.tangents: dict[tuple, dict] = {}
+
+    def column(self, e: Expr) -> np.ndarray:
+        """The full column of ``e``: NaN, and no error raised, where it is
+        marked."""
+        with np.errstate(all="ignore"):
+            value = _walk(e, _column_rule, self.values, self)
+        return value if value.ndim else np.full(len(self.columns), value)
+
+    def tangent(self, f: Expr, field: tuple[tuple[str, Expr], ...]) -> np.ndarray:
+        """The column of ``f``'s derivative along the vector field whose
+        component on the variable ``x`` is ``c`` for each pair ``(x, c)``
+        of ``field``: ``sum(c * differentiate(f, x))`` to rounding, valued
+        by the tangent pass in forward mode, so no tree is built.  Where
+        valuing that sum would raise, the column is NaN or infinite."""
+        self.column(f)
+        table = self.tangents.get(field)
+        if table is None:
+            table = self.tangents[field] = {}
+        with np.errstate(all="ignore"):
+            value = _walk(f, _tangent_rule, table, (self, dict(field)), prune=tuple(x for x, _ in field))
+        return np.zeros(len(self.columns)) if value is ZERO else value
 
 
-def _libm_column(fn, args: tuple, node: Expr, group: _Columns) -> np.ndarray:
+def _libm_column(fn, args: tuple, node: Expr, group: PointSet) -> np.ndarray:
     """Apply the scalar ``fn`` row by row, as the point driver does, with
     a scalar argument repeated on every row.  If it raises at any row,
     the column is NaN and ``node`` is marked."""
@@ -854,7 +880,7 @@ def _libm_column(fn, args: tuple, node: Expr, group: _Columns) -> np.ndarray:
         return np.full(n, math.nan)
 
 
-def _column_rule(node, out, group: _Columns) -> np.ndarray | np.float64:
+def _column_rule(node, out, group: PointSet) -> np.ndarray | np.float64:
     """The column pass: ``node``'s float64 column over every row of
     ``group``, in the point driver's arithmetic, or its value as a scalar
     for a constant.  A sum or product holds at most one constant, and a
@@ -890,7 +916,75 @@ def _column_rule(node, out, group: _Columns) -> np.ndarray | np.float64:
     return np.full(len(group.columns), math.nan)
 
 
-def _column_values(roots: tuple[Expr, ...], names: tuple[str, ...], group: _Columns) -> list[np.ndarray]:
+def _summed(pieces: list[np.ndarray]) -> np.ndarray | Expr:
+    """The sum of ``pieces`` in order, a fresh array for two or more of
+    them, ``ZERO`` for none."""
+    if len(pieces) < 2:
+        return pieces[0] if pieces else ZERO
+    total = pieces[0] + pieces[1]
+    for piece in pieces[2:]:
+        total += piece
+    return total
+
+
+def _tangent_rule(node, out, arg) -> np.ndarray | Expr:
+    """The tangent pass: ``node``'s derivative column along a vector
+    field, from its kids' derivative columns in ``out`` and their value
+    columns in the point set's table.  ``arg`` is the point set and the
+    field's component expression by variable name.  The walk prunes
+    every node without a name of the field, so a constant never comes
+    here and a kid valued ``ZERO`` adds nothing.  No kid's column is
+    written in place.  numpy's arithmetic and functions give NaN or infinity where
+    the libm scalars of the symbolic derivative raise."""
+    points, field = arg
+    kind = type(node)
+    if kind is Var:
+        return points.column(field[node.name])
+    values = points.values
+    kids = node.kids
+    if kind is Sum:
+        return _summed([out[t] for t in kids if out[t] is not ZERO])
+    if kind is Prod:
+        pieces = []
+        for k, f in enumerate(kids):
+            piece = out[f]
+            if piece is ZERO:
+                continue
+            for j, other in enumerate(kids):
+                if j != k:
+                    piece = piece * values[other]
+            pieces.append(piece)
+        return _summed(pieces)
+    if kind is Neg:
+        return -out[node.arg]
+    if kind is Pow:
+        base, exponent = kids
+        db, b = out[base], values[base]
+        if type(exponent) is Const:
+            c = exponent.value
+            return c * b ** (c - 1.0) * db
+        # d(b^e) = b^e * (e' log b + e b'/b)
+        de = out[exponent]
+        pieces = []
+        if de is not ZERO:
+            pieces.append(de * np.log(b))
+        if db is not ZERO:
+            pieces.append(values[exponent] * db / b)
+        return values[node] * _summed(pieces)
+    du, u = out[node.arg], values[node.arg]
+    if node.fn == "sin":
+        return np.cos(u) * du
+    if node.fn == "cos":
+        return -(np.sin(u) * du)
+    if node.fn == "exp":
+        return values[node] * du
+    if node.fn == "log":
+        return du / u
+    # sqrt
+    return du / (2.0 * values[node])
+
+
+def _column_values(roots: tuple[Expr, ...], names: tuple[str, ...], group: PointSet) -> list[np.ndarray]:
     """The columns of ``roots`` in ``group``'s table, whose point set has a
     column per name of ``names``; a constant root is broadcast to a full
     column.  When a root is marked or not finite, the point driver runs on
@@ -922,7 +1016,7 @@ def evaluate_columns(
     a table of its own, never a :func:`shared_walks` block's, since its
     columns are the caller's."""
     names = tuple(names)
-    return _column_values(tuple(roots), names, _Columns(names, columns))
+    return _column_values(tuple(roots), names, PointSet(names, columns))
 
 
 # The step of every central difference.
@@ -1068,11 +1162,19 @@ def max_residual(
     if names is None:
         names = sorted(free_variables(e1) | free_variables(e2))
     names = tuple(names)
-    # Sampler holds a dict, so it is no key itself.
-    key = (sampler.points, sampler.seed, sampler.lo, sampler.hi, tuple(sorted(sampler.ranges.items())), names)
-    group = _kept((_column_rule, key), lambda: _Columns(names, sampler.columns(names)))
+    group = point_set(sampler, names)
     v1, v2 = _column_values((e1, e2), names, group)
     return column_residual(v1, v2, names, group.columns)
+
+
+def point_set(sampler: Sampler, names: Iterable[str]) -> PointSet:
+    """The sampler's points on ``names``, in the order given, with their
+    tables: inside a :func:`shared_walks` block, the block's one point
+    set for the sampler and names, drawn once; outside, a fresh one."""
+    names = tuple(names)
+    # Sampler holds a dict, so it is no key itself.
+    key = (sampler.points, sampler.seed, sampler.lo, sampler.hi, tuple(sorted(sampler.ranges.items())), names)
+    return _kept((_column_rule, key), lambda: PointSet(names, sampler.columns(names)))
 
 
 def column_residual(v1, v2, names: tuple[str, ...], columns: np.ndarray) -> tuple[float, dict[str, float] | None]:

@@ -25,6 +25,7 @@ from .expr import (
     Const,
     Expr,
     Neg,
+    PointSet,
     Sampler,
     Sum,
     ZERO,
@@ -233,6 +234,13 @@ class VectorFieldOnE:
             if x in f.free and not is_zero(coeff)
         )
 
+    def apply_column(self, f: Expr, points: PointSet) -> np.ndarray:
+        """The column of ``apply(f)`` over ``points``, to rounding, with no
+        derivative built: the tangent of ``f`` along the nonzero
+        coefficients."""
+        field = tuple((x, c) for c, x in zip(self.d_base + self.d_fiber, self.bundle.total_variables) if c is not ZERO)
+        return points.tangent(f, field)
+
     def __add__(self, other: "VectorFieldOnE") -> "VectorFieldOnE":
         return VectorFieldOnE(
             self.bundle,
@@ -299,28 +307,42 @@ def rho_tilde(Z: ProlongSection) -> VectorFieldOnE:
     return VectorFieldOnE(Z.bundle, d_base, Z.vertical)
 
 
+def _bracket_parts(Z: ProlongSection, W: ProlongSection) -> list[tuple[list, Expr, Expr]]:
+    """The bracket on the generalized tangent bundle, written once: for
+    each component of ``[Z, W]``, horizontal then vertical, the triple
+    ``(terms, f, g)`` of the component ``contract(terms) + rho_tilde(Z)(f)
+    - rho_tilde(W)(g)``.  ``terms`` are the structure-function products,
+    none for a vertical component."""
+    if Z.bundle != W.bundle:
+        raise ValueError("brackets need sections of the same bundle")
+    alg = Z.bundle.algebroid
+    horizontal = [
+        ([(Z.horizontal[a], W.horizontal[b], e) for a, b, c, e in alg.L_m_nonzero if c == g], W.horizontal[g], Z.horizontal[g])
+        for g in range(alg.rank)
+    ]
+    return horizontal + [([], f, g) for f, g in zip(W.vertical, Z.vertical)]
+
+
 def bracket_prolong(Z: ProlongSection, W: ProlongSection) -> ProlongSection:
     """Bracket on the generalized tangent bundle: anchored derivations of
     the coefficients plus the structure-function contraction."""
-    if Z.bundle != W.bundle:
-        raise ValueError("brackets need sections of the same bundle")
-    bundle = Z.bundle
-    alg = bundle.algebroid
-    rz = rho_tilde(Z)
-    rw = rho_tilde(W)
-    horizontal = [
-        contract(
-            ((Z.horizontal[a], W.horizontal[b], e) for a, b, c, e in alg.L_m_nonzero if c == g),
-            rz.apply(W.horizontal[g]),
-            neg(rw.apply(Z.horizontal[g])),
-        )
-        for g in range(alg.rank)
-    ]
-    vertical = [
-        add(rz.apply(W.vertical[a]), neg(rw.apply(Z.vertical[a])))
-        for a in range(bundle.rank)
-    ]
-    return ProlongSection(bundle, tuple(horizontal), tuple(vertical))
+    parts = _bracket_parts(Z, W)
+    rz, rw = rho_tilde(Z), rho_tilde(W)
+    components = [contract(terms, rz.apply(f), neg(rw.apply(g))) for terms, f, g in parts]
+    rank = Z.bundle.algebroid.rank
+    return ProlongSection(Z.bundle, tuple(components[:rank]), tuple(components[rank:]))
+
+
+def bracket_prolong_columns(Z: ProlongSection, W: ProlongSection, points: PointSet) -> list[np.ndarray]:
+    """The components of :func:`bracket_prolong` as columns over
+    ``points``, horizontal then vertical, equal to rounding.  The
+    contraction is built and valued; each derivation is valued in forward
+    mode (:meth:`VectorFieldOnE.apply_column`), so no derivative tree is
+    built.  Where valuing the built component would raise, the column is
+    NaN or infinite."""
+    parts = _bracket_parts(Z, W)
+    rz, rw = rho_tilde(Z), rho_tilde(W)
+    return [points.column(contract(terms)) + rz.apply_column(f, points) - rw.apply_column(g, points) for terms, f, g in parts]
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,14 @@ Randomized data is drawn deterministically from the sampler seed so
 failures reproduce.  Each suite runs in one
 :func:`~algebroids.expr.shared_walks` block, so within a suite no
 subtree is differentiated by the same variable, substituted into under
-the same mapping, or valued on the same sampled points twice.
+the same mapping, or valued on the same sampled points, or along the
+same vector field there, twice.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 from itertools import groupby
 from typing import Callable, NamedTuple, Sequence
 
@@ -38,6 +41,7 @@ from .expr import (
     evaluate_columns,
     free_variables,
     mul,
+    point_set,
     shared_walks,
     var,
 )
@@ -46,8 +50,10 @@ from .legendre import check_homogeneity, check_round_trip
 from .modelio import Model
 from .prolong import (
     AnchoredBundle,
+    ProlongSection,
     almost_tangent,
     bracket_prolong,
+    bracket_prolong_columns,
     complete_lift,
     complete_lift_function,
     complete_lift_vf,
@@ -218,17 +224,43 @@ def prolong_bracket_axioms_report(
         Z = random_prolong_section(bundle, rng)
         W = random_prolong_section(bundle, rng)
         V = random_prolong_section(bundle, rng)
-        anti = bracket_prolong(Z, W) + bracket_prolong(W, Z)
+        ZW = bracket_prolong(Z, W)
+        anti = ZW + bracket_prolong(W, Z)
         for idx, a in enumerate(anti.horizontal + anti.vertical):
             residual_row(report, "antisymmetry", (trial, idx), a, add(), sampler, tol)
-        cyc = (
-            bracket_prolong(Z, bracket_prolong(W, V))
-            + bracket_prolong(W, bracket_prolong(V, Z))
-            + bracket_prolong(V, bracket_prolong(Z, W))
-        )
-        for idx, a in enumerate(cyc.horizontal + cyc.vertical):
-            residual_row(report, "cyclic-sum", (trial, idx), a, add(), sampler, tol)
+        pairs = ((Z, bracket_prolong(W, V)), (W, bracket_prolong(V, Z)), (V, ZW))
+        cyclic_sum_rows(report, trial, pairs, sampler, tol)
     return report
+
+
+def cyclic_sum_rows(
+    report: CheckReport,
+    trial: int,
+    pairs: Sequence[tuple[ProlongSection, ProlongSection]],
+    sampler: Sampler,
+    tol: float,
+) -> None:
+    """The ``cyclic-sum`` rows of ``sum(bracket_prolong(X, B) for X, B in
+    pairs)`` against zero, indexed by ``trial`` and the 0-based component
+    number.  Each row is decided from :func:`~algebroids.prolong.bracket_prolong_columns`
+    on the sampled points of the sorted total-space variables, by the gap
+    and witness rule of :func:`~algebroids.reporting.residual_row`.  A
+    column that is not finite (a marked column is NaN) sends its row to
+    ``residual_row`` on the built sum, which raises its error or decides
+    it as any built row."""
+    names = tuple(sorted(pairs[0][0].bundle.total_variables))
+    points = point_set(sampler, names)
+    columns = [sum(parts) for parts in zip(*(bracket_prolong_columns(X, B, points) for X, B in pairs))]
+    built = None
+    for idx, column in enumerate(columns):
+        if np.isfinite(column).all():
+            worst, witness = column_residual(column, 0.0, names, points.columns)
+            report.add("cyclic-sum", (trial, idx), worst, tol, witness)
+            continue
+        if built is None:
+            total = functools.reduce(operator.add, (bracket_prolong(X, B) for X, B in pairs))
+            built = total.horizontal + total.vertical
+        residual_row(report, "cyclic-sum", (trial, idx), built[idx], add(), sampler, tol)
 
 
 @shared_walks()

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 import weakref
 from dataclasses import replace
 
@@ -1398,6 +1399,85 @@ class TestSharedColumns:
             assert [ref() for ref in refs] == [None, None]
         finally:
             gc.enable()
+
+
+def tangent_oracle(points, e, field):
+    """The symbolic route of a tangent column: each partial built and
+    valued, times its field component, summed."""
+    total = np.zeros(len(points.columns))
+    for x, c in field:
+        total = total + points.column(c) * points.column(E.differentiate(e, x))
+    return total
+
+
+class TestTangentPass:
+    NAMES = ("k1", "x1", "x2")
+    x1, x2, k1 = E.var("x1"), E.var("x2"), E.var("k1")
+    CASES = {
+        "sum": E.add(x1, E.mul(x2, x2), k1),
+        "product": E.mul(x1, x2, E.sin(k1)),
+        "product-with-constant": E.mul(3.5, x1, x2, E.cos(x2)),
+        "constant-power": E.power(E.add(x1, x2, 5.0), E.const(-2.5)),
+        "variable-power": E.power(E.add(x1, 3.0), E.mul(x2, k1)),
+        "negation": E.neg(E.add(x1, E.mul(x2, k1))),
+        "sin": E.sin(E.mul(x1, x2)),
+        "cos": E.cos(E.add(x1, k1)),
+        "exp": E.exp(E.mul(0.5, x1, x2)),
+        "log": E.log(E.add(x1, 3.0)),
+        "sqrt": E.sqrt(E.add(x2, 2.5)),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(CASES))
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_equals_the_summed_partials(self, kind, seed):
+        e = self.CASES[kind]
+        assert e.kids, kind
+        rng = np.random.default_rng(seed)
+        # A random field over two of the names, one component constant.
+        x, y = rng.choice(self.NAMES, 2, replace=False).tolist()
+        field = ((x, E.const(round(rng.uniform(-1, 1), 3))), (y, E.mul(round(rng.uniform(-1, 1), 3), E.var(x), E.var(y))))
+        points = E.point_set(E.Sampler(points=50, seed=seed), self.NAMES)
+        got, want = points.tangent(e, field), tangent_oracle(points, e, field)
+        gap = np.abs(got - want) / (1.0 + np.maximum(np.abs(got), np.abs(want)))
+        assert np.isfinite(got).all() and gap.max() <= 1e-12
+
+    def test_a_node_without_the_fields_names_is_zero_with_no_walk_below(self):
+        inner = E.add(self.k1, E.mul(self.k1, self.k1))
+        pruned = E.sin(inner)
+        e = E.add(E.mul(self.x1, self.x2), pruned)
+        points = E.point_set(E.Sampler(points=10, seed=4), self.NAMES)
+        field = (("x1", E.ONE),)
+        assert np.array_equal(points.tangent(pruned, field), np.zeros(10))
+        assert points.tangents[field] == {pruned: E.ZERO}
+        assert np.array_equal(points.tangent(e, field), points.column(self.x2))
+        table = points.tangents[field]
+        assert table[pruned] is E.ZERO and inner not in table and self.k1 not in table
+
+    def test_not_finite_where_the_symbolic_derivative_raises(self):
+        """x1^0.5 at x1 < 0: its derivative holds x1^-0.5, where the point
+        driver raises and numpy gives NaN, with no warning."""
+        e = E.power(self.x1, E.const(0.5))
+        sampler = E.Sampler(points=20, seed=4, ranges={"x1": (-1.0, 1.0)})
+        points = E.point_set(sampler, self.NAMES)
+        with pytest.raises(E.EvaluationError, match="domain error"):
+            E.max_residual(E.differentiate(e, "x1"), E.ZERO, sampler, self.NAMES)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            column = points.tangent(e, (("x1", E.ONE),))
+        negative = points.columns[:, self.NAMES.index("x1")] < 0
+        assert negative.any() and np.array_equal(np.isfinite(column), ~negative)
+
+    def test_tables_are_kept_per_point_set_and_field_in_a_block(self):
+        sampler = E.Sampler(points=10, seed=4)
+        e = self.CASES["product"]
+        field = (("x1", E.ONE),)
+        with E.shared_walks():
+            points = E.point_set(sampler, self.NAMES)
+            assert E.point_set(sampler, self.NAMES) is points
+            points.tangent(e, field)
+            points.tangent(e, (("x2", E.ONE),))
+            assert set(points.tangents) == {field, (("x2", E.ONE),)}
+        assert E.point_set(sampler, self.NAMES) is not E.point_set(sampler, self.NAMES)
 
 
 class TestWorstGap:

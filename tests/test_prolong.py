@@ -1,3 +1,5 @@
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -71,8 +73,6 @@ def line_bundle(rho, g_expr=None, h_fwd=None, h_inv=None, variance="primal"):
 
 @pytest.fixture(scope="module")
 def bundles():
-    import pathlib
-
     from algebroids import load_model
 
     models = pathlib.Path(__file__).resolve().parent.parent / "models"
@@ -157,6 +157,33 @@ class TestProlongationBracket:
         for name, (E, *_) in bundles.items():
             report = prolong_bracket_axioms_report(E, sampler, 1e-8, trials=1)
             assert report.passed, (name, report.worst_row())
+
+
+MODEL_DIR = pathlib.Path(__file__).resolve().parent.parent / "models"
+VALUED_MODELS = sorted(MODEL_DIR.glob("*.model")) + [MODEL_DIR.parent / "benchmark" / "models" / "rotation.model"]
+
+
+@pytest.mark.parametrize("path", VALUED_MODELS, ids=lambda path: path.stem)
+def test_valued_outer_bracket_matches_the_built_one(path):
+    """[Z, [W, V]] valued by forward-mode derivations, against the
+    columns of the built bracket, on every bundle, at 1e-12."""
+    from algebroids import load_model
+    from algebroids.expr import point_set
+    from algebroids.prolong import bracket_prolong_columns
+
+    model = load_model(path)
+    rng = np.random.default_rng(11)
+    for bundle in model.bundles.values():
+        points = point_set(Sampler(points=50, seed=3), sorted(bundle.total_variables))
+        for _ in range(2):
+            Z, W, V = (random_prolong_section(bundle, rng) for _ in range(3))
+            built = bracket_prolong(Z, bracket_prolong(W, V))
+            valued = bracket_prolong_columns(Z, bracket_prolong(W, V), points)
+            assert len(valued) == len(built.horizontal + built.vertical)
+            for got, component in zip(valued, built.horizontal + built.vertical):
+                want = points.column(component)
+                gap = np.abs(got - want) / (1.0 + np.maximum(np.abs(got), np.abs(want)))
+                assert np.isfinite(got).all() and gap.max() <= 1e-12, (path.stem, bundle.name, gap.max())
 
 
 class TestFunctionLifts:

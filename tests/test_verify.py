@@ -1,12 +1,17 @@
+import functools
 import gc
+import operator
 import pathlib
 
+import numpy as np
 import pytest
 
 from algebroids import expr as E
 from algebroids import load_model, parse_model
 from algebroids import verify
-from algebroids.verify import PLAN, derivative_oracle_report, model_expressions, run_checks
+from algebroids.prolong import bracket_prolong, random_prolong_section
+from algebroids.reporting import CheckReport, residual_row
+from algebroids.verify import PLAN, cyclic_sum_rows, derivative_oracle_report, model_expressions, run_checks
 
 MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
 BUNDLED = sorted(path.stem for path in MODELS.glob("*.model"))
@@ -150,3 +155,49 @@ def test_checks_leave_nothing_to_the_collector(path, error):
         gc.set_debug(flags)
         gc.garbage.clear()
     assert found == []
+
+
+def cyclic_pairs(bundle, sampler, trial):
+    """The (X, [Y, U]) pairs of one trial's cyclic sum, drawn as the
+    prolonged bracket check draws them."""
+    rng = np.random.default_rng(sampler.seed + 5005)
+    for _ in range(trial + 1):
+        Z, W, V = (random_prolong_section(bundle, rng) for _ in range(3))
+    return ((Z, bracket_prolong(W, V)), (W, bracket_prolong(V, Z)), (V, bracket_prolong(Z, W)))
+
+
+def built_cyclic_rows(report, trial, pairs, sampler, tol):
+    """The symbolic route: the cyclic sum built, each component sampled."""
+    total = functools.reduce(operator.add, (bracket_prolong(X, B) for X, B in pairs))
+    for idx, component in enumerate(total.horizontal + total.vertical):
+        residual_row(report, "cyclic-sum", (trial, idx), component, E.add(), sampler, tol)
+
+
+@pytest.mark.parametrize("name", ["log_anchor", "sqrt_anchor"])
+def test_valued_cyclic_sum_raises_the_built_sums_error(name):
+    """Where the anchor leaves its domain, the valued rows raise the error,
+    point and all, that the built sum raises."""
+    model = load_model(MODELS / "domain" / f"{name}.model")
+    for bundle in model.bundles.values():
+        pairs = cyclic_pairs(bundle, model.sampler, 0)
+        errors = []
+        for route in (cyclic_sum_rows, built_cyclic_rows):
+            with pytest.raises(E.EvaluationError) as err, E.shared_walks():
+                route(CheckReport("cyclic"), 0, pairs, model.sampler, model.tol)
+            errors.append((str(err.value), err.value.point))
+        assert errors[0] == errors[1]
+
+
+@pytest.mark.parametrize("seed", range(1, 11))
+def test_broken_compatibility_fails_the_same_cyclic_rows(broken, seed):
+    """The valued rows fail where the built sum's rows fail."""
+    bundle = broken.bundles["E"]
+    sampler = E.Sampler(points=broken.sampler.points, seed=seed)
+    report = verify.prolong_bracket_axioms_report(bundle, sampler, broken.tol)
+    built = CheckReport("built")
+    for trial in range(2):
+        with E.shared_walks():
+            built_cyclic_rows(built, trial, cyclic_pairs(bundle, sampler, trial), sampler, broken.tol)
+    failed = [row.indices for row in report.rows if row.name == "cyclic-sum" and not row.passed]
+    assert failed and not report.passed
+    assert failed == [row.indices for row in built.rows if not row.passed]
